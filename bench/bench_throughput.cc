@@ -60,19 +60,16 @@ store::RunnerStats run_rdma(std::uint32_t shards, std::size_t window,
   return rig.run(txns());
 }
 
-store::RunnerStats run_baseline(std::uint32_t shards, std::size_t window,
-                                bool cooperative_termination,
-                                std::size_t batch = 1) {
-  bench::BaselineRig rig({.seed = 18, .num_shards = shards, .shard_size = 3,
-                          .cooperative_termination = cooperative_termination},
-                         workload_for(shards), 3, window, batch);
-  return rig.run(txns());
-}
+using baseline::TerminationMode;
 
-store::RunnerStats run_pc(std::uint32_t shards, std::size_t window,
-                          std::size_t batch = 1) {
-  bench::PcRig rig({.seed = 20, .num_shards = shards, .shard_size = 3},
-                   workload_for(shards), 3, window, batch);
+store::RunnerStats run_baseline(std::uint32_t shards, std::size_t window,
+                                TerminationMode mode, std::size_t batch = 1) {
+  // Paxos Commit keeps the cluster seed it has always run with, so its rows
+  // stay comparable across revisions.
+  const std::uint64_t seed = mode == TerminationMode::kPaxosCommit ? 20 : 18;
+  bench::BaselineRig rig({.seed = seed, .num_shards = shards, .shard_size = 3,
+                          .termination = mode},
+                         workload_for(shards), 3, window, batch);
   return rig.run(txns());
 }
 
@@ -95,9 +92,9 @@ int main() {
               "mean lat");
   for (std::uint32_t shards : {1u, 2u, 4u, 8u}) {
     store::RunnerStats ours = run_ours(shards, 32);
-    store::RunnerStats base = run_baseline(shards, 32, false);
-    store::RunnerStats coop = run_baseline(shards, 32, true);
-    store::RunnerStats paxc = run_pc(shards, 32);
+    store::RunnerStats base = run_baseline(shards, 32, TerminationMode::kClassical);
+    store::RunnerStats coop = run_baseline(shards, 32, TerminationMode::kCooperative);
+    store::RunnerStats paxc = run_baseline(shards, 32, TerminationMode::kPaxosCommit);
     std::printf(
         "%8u | %10.1f %11.1f | %10.1f %11.1f | %10.1f %11.1f | %10.1f %11.1f\n",
         shards, ours.throughput(), ours.mean_latency(), base.throughput(),
@@ -138,7 +135,8 @@ int main() {
     };
     NamedRun runs[] = {{"commit", run_ours(4, 256, batch)},
                        {"rdma", run_rdma(4, 256, batch)},
-                       {"baseline", run_baseline(4, 256, false, batch)}};
+                       {"baseline",
+                        run_baseline(4, 256, TerminationMode::kClassical, batch)}};
     for (const NamedRun& r : runs) {
       std::printf("%10s | %9zu | %10.1f %8.1f %8llu %8llu | %8.1f%%\n",
                   r.stack, batch, r.stats.throughput(), r.stats.mean_latency(),
@@ -152,7 +150,8 @@ int main() {
 
   report.write();
 
-  // E13: the strawman ladder under coordinator-crash strikes.  All four
+  // E13: the strawman ladder under coordinator-crash strikes: one 2PC stack
+  // in its three termination modes, plus the paper protocol.  All four
   // rungs run the identical workload — cross-shard transactions over two
   // shards on disjoint objects, one submission every 4 ticks — and take the
   // identical strike schedule: at 1/4, 2/4 and 3/4 of the run the
@@ -235,7 +234,7 @@ int main() {
     return cell;
   };
   // Crash the shard's leader and promote the first surviving member — the
-  // strike shape all three consensus-per-shard rungs share.
+  // strike shape all three termination modes share.
   auto strike_leader = [](auto& cluster, ShardId s) {
     ProcessId lead = cluster.leader_server(s);
     if (cluster.sim().crashed(lead)) return;
@@ -247,20 +246,10 @@ int main() {
       }
     }
   };
-  auto baseline_rung = [&](bool coop) {
+  auto baseline_rung = [&](TerminationMode mode) {
     baseline::BaselineCluster cluster({.seed = 29, .num_shards = 2,
-                                       .shard_size = 5,
-                                       .cooperative_termination = coop});
+                                       .shard_size = 5, .termination = mode});
     store::BaselineFrontend frontend(cluster);
-    LadderCell cell = drive(cluster, frontend, [&](ShardId s) {
-      strike_leader(cluster, s);
-    });
-    cell.blocked = cluster.termination_stats().blocked;
-    return cell;
-  };
-  auto pc_rung = [&] {
-    pc::PcCluster cluster({.seed = 29, .num_shards = 2, .shard_size = 5});
-    store::PaxosCommitFrontend frontend(cluster);
     LadderCell cell = drive(cluster, frontend, [&](ShardId s) {
       strike_leader(cluster, s);
     });
@@ -300,9 +289,9 @@ int main() {
     const char* stack;
     LadderCell cell;
   };
-  NamedCell cells[] = {{"baseline-2pc", baseline_rung(false)},
-                       {"baseline-coop", baseline_rung(true)},
-                       {"paxos-commit", pc_rung()},
+  NamedCell cells[] = {{"baseline-2pc", baseline_rung(TerminationMode::kClassical)},
+                       {"baseline-coop", baseline_rung(TerminationMode::kCooperative)},
+                       {"paxos-commit", baseline_rung(TerminationMode::kPaxosCommit)},
                        {"commit", commit_rung()}};
   for (const NamedCell& c : cells) {
     std::printf("%14s | %9.1f %6llu %6llu | %9.1f%% %8.1f%% | %8llu\n",

@@ -37,7 +37,7 @@ BaselineCluster::BaselineCluster(Options options)
       sopt.shard = s;
       sopt.shard_map = &shard_map_;
       sopt.certifier = certifier_.get();
-      sopt.cooperative_termination = options_.cooperative_termination;
+      sopt.termination = options_.termination;
       sopt.in_doubt_timeout = options_.in_doubt_timeout;
       sopt.termination_retry_every = options_.termination_retry_every;
       sopt.termination_max_rounds = options_.termination_max_rounds;
@@ -186,7 +186,8 @@ std::string BaselineCluster::verify() const {
   }
   // Replicated-state-machine + 2PC atomicity: every server that applied a
   // decision for t (same shard or not) applied the same one, and it matches
-  // what clients observed.
+  // what clients observed — the obligation kPaxosCommit's early client
+  // reply leans on.
   std::map<TxnId, tcs::Decision> global;
   for (const auto& sv : servers_) {
     for (const auto& [t, d] : sv->decided_txns()) {

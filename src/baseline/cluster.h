@@ -98,11 +98,12 @@ class BaselineCluster {
     bool exponential_delays = false;
     double delay_mean = 5.0;
     bool enable_tracer = false;
-    /// Classic 2PC fix (baseline/termination.h): participants holding
-    /// in-doubt prepared records query their peer shards to resolve the
-    /// outcome after a coordinator crash.  Off = the paper's strawman.
-    bool cooperative_termination = false;
-    /// Forwarded to ShardServer::Options when cooperative_termination.
+    /// What follows a coordinator crash (baseline/termination.h):
+    /// kClassical is the paper's strawman, kCooperative the classic 2PC fix
+    /// (participants query their peers), kPaxosCommit Gray & Lamport's
+    /// non-blocking Paxos Commit.
+    TerminationMode termination = TerminationMode::kClassical;
+    /// Forwarded to ShardServer::Options; unused under kClassical.
     Duration in_doubt_timeout = 300;
     Duration termination_retry_every = 160;
     int termination_max_rounds = 5;
@@ -157,8 +158,8 @@ class BaselineCluster {
   const tcs::ShardMap& shard_map() const { return shard_map_; }
   const tcs::Certifier& certifier() const { return *certifier_; }
 
-  /// Aggregate cooperative-termination counters over every shard server
-  /// (all zero when the toggle is off).
+  /// Aggregate termination counters over every shard server (all zero
+  /// under kClassical).
   TerminationStats termination_stats() const;
 
   /// Read-only snapshot transaction, leader-gated: the baseline lacks the

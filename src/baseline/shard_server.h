@@ -6,17 +6,27 @@
 // the standard state-machine-replication discipline.  Only the replica
 // that currently leads its Paxos group emits the Vote/decision messages.
 //
-// With Options::cooperative_termination the classic 2PC fix is bolted on
-// (baseline/termination.h): every replica tracks its in-doubt transactions
-// (prepared, undecided, remote coordinator), watches their coordinators
-// through an fd::PingMonitor, and — on suspicion or after an in-doubt
-// timeout — the shard's current leader broadcasts TerminationQuery to the
-// peer shards and resolves from their answers.  Peers answer durable facts
-// only: a never-prepared peer first tombstones the transaction as aborted
-// through its own Paxos log (CmdResolveAbort), letting the log order
-// arbitrate races with an in-flight prepare.  Rounds are bounded, so a run
-// always quiesces; all-prepared transactions remain blocked — the
-// irreducible 2PC window the paper's protocols remove.
+// Options::termination picks what follows a coordinator crash
+// (baseline/termination.h).  Under kCooperative the classic 2PC fix is bolted
+// on: every replica tracks its in-doubt transactions (prepared, undecided,
+// remote coordinator), watches their coordinators through an
+// fd::PingMonitor, and — on suspicion or after an in-doubt timeout — the
+// shard's current leader broadcasts TerminationQuery to the peer shards and
+// resolves from their answers.  Peers answer durable facts only: a
+// never-prepared peer first tombstones the transaction as aborted through
+// its own Paxos log (CmdResolveAbort), letting the log order arbitrate
+// races with an in-flight prepare.  Rounds are bounded, so a run always
+// quiesces; all-prepared transactions remain blocked — the irreducible 2PC
+// window the paper's protocols remove.
+//
+// kPaxosCommit (Gray & Lamport) runs the same machinery, read differently:
+// the shard's log doubles as the acceptor set of its vote instances — the
+// vote for t is fixed by the FIRST vote-determining entry for t, a
+// CmdPrepare or a CmdResolveAbort tombstone — so an all-prepared answer set
+// resolves to COMMIT.  The coordinator also answers the client as soon as
+// every vote is chosen, submitting its own CmdDecide in parallel: one
+// replicated round less on the critical path than the other modes, which
+// reply only once CmdDecide has applied in the coordinator's shard.
 #pragma once
 
 #include <map>
@@ -43,15 +53,15 @@ class ShardServer : public sim::Process {
     ShardId shard = 0;
     const tcs::ShardMap* shard_map = nullptr;
     const tcs::Certifier* certifier = nullptr;
-    /// Enables cooperative termination (off = classical blocking 2PC).
-    bool cooperative_termination = false;
+    /// What follows a coordinator crash (kClassical = blocking 2PC).
+    TerminationMode termination = TerminationMode::kClassical;
     /// In-doubt fallback: query peers this long after preparing even if the
     /// failure detector never fires (covers a live coordinator whose
     /// decision message was lost).
     Duration in_doubt_timeout = 300;
     /// Delay between termination query rounds.
     Duration termination_retry_every = 160;
-    /// Query rounds before giving up (the transaction stays blocked).
+    /// Query rounds before giving up (counted as blocked).
     int termination_max_rounds = 5;
     /// Committed versions retained per object for snapshot reads.
     std::size_t snapshot_history_depth = 16;
@@ -125,9 +135,9 @@ class ShardServer : public sim::Process {
     Time prepare_ts = 0;  ///< the stamp this coordinator issued for t
     std::map<ShardId, tcs::Decision> votes;
     bool decision_submitted = false;
-    bool replied = false;
+    bool replied = false;  ///< client answered, peers told (kPaxosCommit: early)
   };
-  /// Per-transaction cooperative-termination progress (querier side).
+  /// Per-transaction termination progress (querier side).
   /// Followers re-arm the retry timer without consuming the query budget —
   /// a replica elected leader mid-protocol still gets its full
   /// termination_max_rounds of queries; `rounds` (total fires, leader or
@@ -153,7 +163,7 @@ class ShardServer : public sim::Process {
   void apply_resolve_abort(const CmdResolveAbort& c);
   void maybe_decide(TxnId t);
 
-  // --- cooperative termination -------------------------------------------------
+  // --- termination (kCooperative, kPaxosCommit) ---------------------------------
   void handle_termination_query(ProcessId from, const TerminationQuery& q);
   void handle_termination_answer(const TerminationAnswer& a);
   /// Marks t in doubt (prepared, undecided, coordinator elsewhere): watch
@@ -168,9 +178,10 @@ class ShardServer : public sim::Process {
   void send_termination_answer(ProcessId to, TxnId t);
   /// Runs the inference rules over the answers collected so far.
   void maybe_conclude_termination(TxnId t);
-  /// Externalizes a durable decision: answers the client (if known) and
-  /// sends SubmitDecide to every participant shard but our own.  `csn_ts`
-  /// is the coordinator stamp for commits (0 for aborts).
+  /// Externalizes a durable decision (under kPaxosCommit, one fixed by the
+  /// chosen votes): answers the client (if known) and sends SubmitDecide to
+  /// every participant shard but our own.  `csn_ts` is the coordinator
+  /// stamp for commits (0 for aborts).
   void announce_decision(TxnId t, tcs::Decision d,
                          const std::vector<ShardId>& participants,
                          ProcessId client, Time csn_ts);
@@ -190,10 +201,11 @@ class ShardServer : public sim::Process {
   store::SnapshotStore store_;
 
   // Coordinator-side state (not replicated; dies with the coordinator, as
-  // in classical 2PC — the baseline's blocking weakness).
+  // in classical 2PC — the baseline's blocking weakness, which the
+  // termination modes repair from the replicated state).
   std::map<TxnId, CoordState> coord_;
 
-  // Cooperative-termination state (per replica; only leaders speak).
+  // Termination state (per replica; only leaders speak).
   fd::Responder responder_;
   std::unique_ptr<fd::PingMonitor> fd_monitor_;
   std::map<TxnId, TermState> term_;

@@ -1,12 +1,19 @@
-// Cooperative termination for the baseline 2PC stack (Gray & Lamport,
-// "Consensus on Transaction Commit", Sec. 3; also Bernstein/Hadzilacos/
-// Goodman Ch. 7): when a participant holding a prepared-but-undecided
-// record suspects the coordinator, it queries its peer shards, and the
-// classic inference rules resolve the outcome from their durable states.
+// Termination for the baseline 2PC stack.  One TerminationMode selects
+// what happens when a participant holding a prepared-but-undecided record
+// loses its coordinator:
+//  * kClassical — nothing: the transaction blocks (the paper's strawman);
+//  * kCooperative — the participant queries its peer shards and the classic
+//    inference rules resolve the outcome from their durable states (Gray &
+//    Lamport, "Consensus on Transaction Commit", Sec. 3; also Bernstein/
+//    Hadzilacos/Goodman Ch. 7); an all-prepared answer set stays blocked;
+//  * kPaxosCommit — Gray & Lamport's Paxos Commit (Sec. 4-6): the same
+//    query protocol, but each shard's vote is a chosen value of its Paxos
+//    log, so an all-prepared answer set resolves to COMMIT and termination
+//    never blocks on the coordinator's volatile state.
 //
-// This header holds the pure, message-free core — the peer-state vocabulary
-// carried in TerminationAnswer, the inference function, and the metrics
-// struct — so the decision table is unit-testable by enumeration
+// This header holds the pure, message-free core — the mode, the peer-state
+// vocabulary carried in TerminationAnswer, the inference function, and the
+// metrics struct — so the decision table is unit-testable by enumeration
 // (baseline_termination_test.cc) separately from the ShardServer state
 // machine that feeds it.
 #pragma once
@@ -17,6 +24,21 @@
 #include "common/types.h"
 
 namespace ratc::baseline {
+
+enum class TerminationMode {
+  kClassical = 0,
+  kCooperative = 1,
+  kPaxosCommit = 2,
+};
+
+inline const char* to_string(TerminationMode m) {
+  switch (m) {
+    case TerminationMode::kClassical: return "classical";
+    case TerminationMode::kCooperative: return "cooperative";
+    case TerminationMode::kPaxosCommit: return "paxos-commit";
+  }
+  return "?";
+}
 
 /// A peer shard's durable knowledge about a transaction, as answered to a
 /// TerminationQuery.  States are derived from the shard's *applied* Paxos
@@ -30,7 +52,8 @@ namespace ratc::baseline {
 ///  * kNeverPrepared — the query arrived before any prepare; the shard
 ///    durably tombstoned the transaction as aborted *before* answering, so
 ///    commit is foreclosed (a later prepare applies after the tombstone and
-///    votes abort).
+///    votes abort).  Under kPaxosCommit this tombstone is the force-abort
+///    that closes the shard's vote instance.
 enum class PeerTxnState {
   kNeverPrepared = 0,
   kPrepared = 1,
@@ -54,6 +77,7 @@ enum class TerminationOutcome {
   kCommit = 1,   ///< some peer applied COMMIT: adopt it
   kAbort = 2,    ///< commit is foreclosed (abort applied, NO vote, or tombstone)
   kBlocked = 3,  ///< every participant is in doubt — the irreducible 2PC window
+                 ///< (never returned under kPaxosCommit)
 };
 
 inline const char* to_string(TerminationOutcome o) {
@@ -66,9 +90,9 @@ inline const char* to_string(TerminationOutcome o) {
   return "?";
 }
 
-/// The classic decision-inference rules over the answers collected so far
-/// (keyed by participant shard; the querier contributes its own durable
-/// state as one answer).  `num_participants` is |shards(t)|:
+/// The decision-inference rules over the answers collected so far (keyed by
+/// participant shard; the querier contributes its own durable state as one
+/// answer).  `num_participants` is |shards(t)|:
 ///  * any kCommitted            => kCommit (a decision exists; adopt it)
 ///  * any kAborted              => kAbort  (decision exists or is foreclosed
 ///                                          by a NO vote)
@@ -79,9 +103,15 @@ inline const char* to_string(TerminationOutcome o) {
 ///                                          decision survives: only the
 ///                                          crashed coordinator knew the
 ///                                          outcome — 2PC's blocking window)
+///                                 kCommit under kPaxosCommit (the YES votes
+///                                          are chosen Paxos values and the
+///                                          decision is their deterministic
+///                                          meet, so a crashed coordinator
+///                                          could only have decided commit)
 ///  * otherwise                 => kUnknown (keep waiting / retry)
 inline TerminationOutcome infer_termination(
-    const std::map<ShardId, PeerTxnState>& answers, std::size_t num_participants) {
+    const std::map<ShardId, PeerTxnState>& answers, std::size_t num_participants,
+    TerminationMode mode) {
   bool abort_foreclosed = false;
   for (const auto& [shard, state] : answers) {
     (void)shard;
@@ -92,7 +122,8 @@ inline TerminationOutcome infer_termination(
   }
   if (abort_foreclosed) return TerminationOutcome::kAbort;
   if (num_participants > 0 && answers.size() >= num_participants) {
-    return TerminationOutcome::kBlocked;
+    return mode == TerminationMode::kPaxosCommit ? TerminationOutcome::kCommit
+                                                 : TerminationOutcome::kBlocked;
   }
   return TerminationOutcome::kUnknown;
 }
@@ -111,7 +142,9 @@ struct TerminationStats {
   std::uint64_t tombstones = 0;      ///< never-prepared txns durably aborted on query
   std::uint64_t resolved_commits = 0;  ///< in-doubt txns resolved to COMMIT
   std::uint64_t resolved_aborts = 0;   ///< in-doubt txns resolved to ABORT
-  std::uint64_t blocked = 0;         ///< gave up: all participants in doubt
+  /// Gave up after the bounded query rounds: all participants in doubt, or
+  /// (kPaxosCommit, which has no all-prepared window) a peer unreachable.
+  std::uint64_t blocked = 0;
   /// Orphaned 2PC rounds finished by a successor leader of the coordinator's
   /// own shard (decision recovered from the replicated log, client answered,
   /// peers informed) — no query round needed.

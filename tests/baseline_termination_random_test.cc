@@ -32,10 +32,10 @@ const int kSeeds = sweep_seed_count(20);
 constexpr std::uint64_t kFirstSeed = 1;
 
 /// Crashes the machinery around transaction p right in its decision window.
-/// Baseline and Paxos Commit stacks: the 2PC coordinator (the leader of p's
-/// first shard) is crashed and a survivor is elected.  Commit stack: a
-/// member of that shard is crashed and the shard reconfigures — the paper's
-/// recovery lever.
+/// Baseline stack, in every termination mode: the 2PC coordinator (the
+/// leader of p's first shard) is crashed and a survivor is elected.  Commit
+/// stack: a member of that shard is crashed and the shard reconfigures —
+/// the paper's recovery lever.
 template <typename Harness>
 void strike_decision_window(Harness& h, const Payload& p,
                             std::set<ShardId>& struck, Rng& fault_rng) {
@@ -43,8 +43,7 @@ void strike_decision_window(Harness& h, const Payload& p,
   std::vector<ShardId> parts = map.shards_of(p);
   if (parts.empty()) return;
   ShardId s = parts.front();
-  if constexpr (std::is_base_of_v<store::BaselineHarness, Harness> ||
-                std::is_same_v<store::PaxosCommitHarness, Harness>) {
+  if constexpr (std::is_base_of_v<store::BaselineHarness, Harness>) {
     // One strike per shard: 2f+1 = 3 tolerates a single permanent crash.
     if (struck.count(s) > 0) return;
     auto& cluster = h.cluster();

@@ -1,10 +1,14 @@
-// Cooperative termination for the baseline 2PC stack: the decision-inference
-// rules enumerated state-by-state (baseline/termination.h is pure, so every
-// peer-state combination is checked exhaustively), plus staged protocol
-// scenarios on a live cluster — a decision stranded in the coordinator's
-// shard log, a stranded participant whose decision message was lost, the
-// never-prepared abort rule, and the irreducible all-prepared window.
+// Termination for the baseline 2PC stack: the decision-inference rules
+// enumerated state-by-state in every TerminationMode (baseline/termination.h
+// is pure, so every peer-state combination is checked exhaustively), plus
+// staged cooperative-termination scenarios on a live cluster — a decision
+// stranded in the coordinator's shard log, a stranded participant whose
+// decision message was lost, the never-prepared abort rule, and the
+// irreducible all-prepared window.  Paxos Commit's live scenarios are in
+// pc_test.cc.
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "baseline/cluster.h"
 #include "baseline/termination.h"
@@ -20,20 +24,26 @@ using tcs::Payload;
 
 using Answers = std::map<ShardId, PeerTxnState>;
 
+/// The cooperative rules; ExhaustiveThreeParticipantEnumeration covers every
+/// mode.
+TerminationOutcome infer_coop(const Answers& answers, std::size_t num_participants) {
+  return infer_termination(answers, num_participants, TerminationMode::kCooperative);
+}
+
 TEST(TerminationInference, AnyCommittedAnswerResolvesCommit) {
   // Rule 1: a surviving COMMIT decision is adopted, whatever else peers say
   // (a conflicting ABORT cannot coexist — that would be the 2PC safety
   // violation the checkers hunt).
-  EXPECT_EQ(infer_termination({{0, PeerTxnState::kCommitted}}, 3),
+  EXPECT_EQ(infer_coop({{0, PeerTxnState::kCommitted}}, 3),
             TerminationOutcome::kCommit);
-  EXPECT_EQ(infer_termination({{0, PeerTxnState::kPrepared},
-                               {1, PeerTxnState::kCommitted}},
-                              3),
+  EXPECT_EQ(infer_coop({{0, PeerTxnState::kPrepared},
+                        {1, PeerTxnState::kCommitted}},
+                       3),
             TerminationOutcome::kCommit);
-  EXPECT_EQ(infer_termination({{0, PeerTxnState::kPrepared},
-                               {1, PeerTxnState::kCommitted},
-                               {2, PeerTxnState::kPrepared}},
-                              3),
+  EXPECT_EQ(infer_coop({{0, PeerTxnState::kPrepared},
+                        {1, PeerTxnState::kCommitted},
+                        {2, PeerTxnState::kPrepared}},
+                       3),
             TerminationOutcome::kCommit);
 }
 
@@ -41,67 +51,94 @@ TEST(TerminationInference, AnyAbortedOrNeverPreparedAnswerResolvesAbort) {
   // Rule 2: an applied ABORT, a NO vote (answered as kAborted), or a
   // never-prepared peer (which tombstoned the txn before answering) all
   // foreclose commit.
-  EXPECT_EQ(infer_termination({{1, PeerTxnState::kAborted}}, 3),
+  EXPECT_EQ(infer_coop({{1, PeerTxnState::kAborted}}, 3),
             TerminationOutcome::kAbort);
-  EXPECT_EQ(infer_termination({{1, PeerTxnState::kNeverPrepared}}, 3),
+  EXPECT_EQ(infer_coop({{1, PeerTxnState::kNeverPrepared}}, 3),
             TerminationOutcome::kAbort);
-  EXPECT_EQ(infer_termination({{0, PeerTxnState::kPrepared},
-                               {1, PeerTxnState::kPrepared},
-                               {2, PeerTxnState::kNeverPrepared}},
-                              3),
+  EXPECT_EQ(infer_coop({{0, PeerTxnState::kPrepared},
+                        {1, PeerTxnState::kPrepared},
+                        {2, PeerTxnState::kNeverPrepared}},
+                       3),
             TerminationOutcome::kAbort);
 }
 
 TEST(TerminationInference, AllPreparedAndCoordinatorDeadRemainsBlocked) {
   // Rule 3: every participant in doubt (prepared, voted YES, no decision)
   // is exactly the window classical 2PC cannot escape.
-  EXPECT_EQ(infer_termination({{0, PeerTxnState::kPrepared},
-                               {1, PeerTxnState::kPrepared},
-                               {2, PeerTxnState::kPrepared}},
-                              3),
+  EXPECT_EQ(infer_coop({{0, PeerTxnState::kPrepared},
+                        {1, PeerTxnState::kPrepared},
+                        {2, PeerTxnState::kPrepared}},
+                       3),
             TerminationOutcome::kBlocked);
   // Degenerate single-participant case: the lone shard is in doubt.
-  EXPECT_EQ(infer_termination({{0, PeerTxnState::kPrepared}}, 1),
+  EXPECT_EQ(infer_coop({{0, PeerTxnState::kPrepared}}, 1),
             TerminationOutcome::kBlocked);
 }
 
 TEST(TerminationInference, OutstandingAnswersStayUnknown) {
-  EXPECT_EQ(infer_termination({}, 3), TerminationOutcome::kUnknown);
-  EXPECT_EQ(infer_termination({{0, PeerTxnState::kPrepared}}, 3),
+  EXPECT_EQ(infer_coop({}, 3), TerminationOutcome::kUnknown);
+  EXPECT_EQ(infer_coop({{0, PeerTxnState::kPrepared}}, 3),
             TerminationOutcome::kUnknown);
-  EXPECT_EQ(infer_termination({{0, PeerTxnState::kPrepared},
-                               {2, PeerTxnState::kPrepared}},
-                              3),
+  EXPECT_EQ(infer_coop({{0, PeerTxnState::kPrepared},
+                        {2, PeerTxnState::kPrepared}},
+                       3),
             TerminationOutcome::kUnknown);
 }
 
 TEST(TerminationInference, ExhaustiveThreeParticipantEnumeration) {
-  // Every complete three-answer combination, checked against the rule
-  // priority: commit > abort > blocked.
-  const PeerTxnState kStates[] = {
-      PeerTxnState::kNeverPrepared, PeerTxnState::kPrepared,
+  // One table over every mode: each of three participants has either not
+  // answered yet or answered one of the four states, checked against the
+  // rule priority commit > abort > all answered > unknown.  The modes differ
+  // in one row only — every participant answered kPrepared — which stays
+  // kBlocked under classical and cooperative termination but resolves to
+  // COMMIT under Paxos Commit, whose YES votes are chosen Paxos values (the
+  // non-blocking rule 2PC lacks).
+  const std::optional<PeerTxnState> kAnswers[] = {
+      std::nullopt, PeerTxnState::kNeverPrepared, PeerTxnState::kPrepared,
       PeerTxnState::kCommitted, PeerTxnState::kAborted};
-  for (PeerTxnState a : kStates) {
-    for (PeerTxnState b : kStates) {
-      for (PeerTxnState c : kStates) {
-        Answers answers{{0, a}, {1, b}, {2, c}};
-        TerminationOutcome expected = TerminationOutcome::kBlocked;
-        bool committed = false, foreclosed = false;
-        for (PeerTxnState s : {a, b, c}) {
-          committed |= s == PeerTxnState::kCommitted;
-          foreclosed |= s == PeerTxnState::kAborted ||
-                        s == PeerTxnState::kNeverPrepared;
+  for (TerminationMode mode : {TerminationMode::kClassical, TerminationMode::kCooperative,
+                               TerminationMode::kPaxosCommit}) {
+    for (const auto& a : kAnswers) {
+      for (const auto& b : kAnswers) {
+        for (const auto& c : kAnswers) {
+          Answers answers;
+          bool committed = false, foreclosed = false;
+          ShardId shard = 0;
+          for (const auto& answer : {a, b, c}) {
+            if (answer.has_value()) {
+              answers[shard] = *answer;
+              committed |= *answer == PeerTxnState::kCommitted;
+              foreclosed |= *answer == PeerTxnState::kAborted ||
+                            *answer == PeerTxnState::kNeverPrepared;
+            }
+            ++shard;
+          }
+          TerminationOutcome expected = TerminationOutcome::kUnknown;
+          if (committed) {
+            expected = TerminationOutcome::kCommit;
+          } else if (foreclosed) {
+            expected = TerminationOutcome::kAbort;
+          } else if (answers.size() == 3) {
+            expected = mode == TerminationMode::kPaxosCommit ? TerminationOutcome::kCommit
+                                                             : TerminationOutcome::kBlocked;
+          }
+          auto name = [](const std::optional<PeerTxnState>& x) {
+            return x.has_value() ? to_string(*x) : "-";
+          };
+          EXPECT_EQ(infer_termination(answers, 3, mode), expected)
+              << to_string(mode) << ": " << name(a) << "/" << name(b) << "/" << name(c);
         }
-        if (committed) {
-          expected = TerminationOutcome::kCommit;
-        } else if (foreclosed) {
-          expected = TerminationOutcome::kAbort;
-        }
-        EXPECT_EQ(infer_termination(answers, 3), expected)
-            << to_string(a) << "/" << to_string(b) << "/" << to_string(c);
       }
     }
+    EXPECT_EQ(infer_termination({}, 0, mode), TerminationOutcome::kUnknown)
+        << to_string(mode);
   }
+  // The row that tells the modes apart, spelled out.
+  const Answers all_prepared{{0, PeerTxnState::kPrepared}, {1, PeerTxnState::kPrepared}};
+  EXPECT_EQ(infer_termination(all_prepared, 2, TerminationMode::kCooperative),
+            TerminationOutcome::kBlocked);
+  EXPECT_EQ(infer_termination(all_prepared, 2, TerminationMode::kPaxosCommit),
+            TerminationOutcome::kCommit);
 }
 
 // --- staged protocol scenarios ---------------------------------------------------
@@ -119,7 +156,7 @@ BaselineCluster::Options coop_options(std::uint64_t seed, bool coop) {
   return {.seed = seed,
           .num_shards = 2,
           .shard_size = 3,
-          .cooperative_termination = coop};
+          .termination = coop ? TerminationMode::kCooperative : TerminationMode::kClassical};
 }
 
 TEST(TerminationProtocol, RecoversDecisionStrandedInCoordinatorShardLog) {
