@@ -1,10 +1,13 @@
 // Microbenchmarks (google-benchmark) for the hot paths: certification
 // checks, payload projection, the simulator's event loop, the end-to-end
-// certification pipeline and the history checkers.
+// certification pipeline, the read watermark and the history checkers.
 #include <benchmark/benchmark.h>
+
+#include <map>
 
 #include "checker/linearization.h"
 #include "commit/cluster.h"
+#include "commit/log.h"
 #include "common/random.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -119,6 +122,43 @@ void BM_EndToEndCertification(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_EndToEndCertification);
+
+/// A certification log of n slots with the last 1% still prepared (the
+/// shape perfbench's replay uses), and its prepared slots as a replica's
+/// prepared_at_ holds them.
+struct WatermarkLog {
+  commit::ReplicaLog log;
+  std::map<Slot, Time> prepared;
+};
+
+WatermarkLog watermark_log(Slot n) {
+  WatermarkLog w;
+  for (Slot k = 1; k <= n; ++k) {
+    commit::LogEntry& e = w.log.at(k);
+    e.txn = k;
+    e.prepare_ts = k;
+    e.phase = k + n / 100 > n ? commit::Phase::kPrepared : commit::Phase::kDecided;
+    if (e.phase == commit::Phase::kPrepared) w.prepared[k] = k;
+  }
+  return w;
+}
+
+// The "SnapshotStore apply and read" layer: the read watermark a snapshot
+// read takes per involved shard.  The replicas' query reads only the
+// prepared slots, so it grows with the in-flight count (1% of n here), not
+// with the log; the whole-log scan it replaced (kept as its oracle) grows
+// with n.
+void BM_ReadWatermark(benchmark::State& state) {
+  WatermarkLog w = watermark_log(static_cast<Slot>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(w.log.min_prepared_ts(w.prepared));
+}
+BENCHMARK(BM_ReadWatermark)->Arg(1000)->Arg(10000)->Arg(100000);
+
+void BM_ReadWatermarkScan(benchmark::State& state) {
+  WatermarkLog w = watermark_log(static_cast<Slot>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(w.log.scan_min_prepared_ts());
+}
+BENCHMARK(BM_ReadWatermarkScan)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_LinearizationChecker(benchmark::State& state) {
   // 16 committed transactions with a mix of dependencies.

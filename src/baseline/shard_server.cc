@@ -189,6 +189,7 @@ void ShardServer::apply_prepare(const CmdPrepare& c) {
       // instance chose ABORT), so the vote must honour it.
       st.vote = Decision::kAbort;
     } else {
+      prepared_stamps_.insert(st.prepare_ts, c.txn);
       // Deterministic vote: certify against the applied prefix.
       std::vector<const tcs::Payload*> prepared_commit;
       for (const auto& [t, other] : txns_) {
@@ -233,6 +234,7 @@ void ShardServer::apply_decide(const CmdDecide& c) {
   }
   if (it->second.decided) return;
   TxnState& st = it->second;
+  if (st.prepared) prepared_stamps_.erase(st.prepare_ts, c.txn);
   st.decided = true;
   st.decision = c.decision;
   if (c.decision == Decision::kCommit) {
@@ -513,15 +515,7 @@ tcs::Csn ShardServer::read_watermark() const {
   // here cannot gate: can_serve_reads() requires a caught-up leader, and a
   // commit needs this shard's vote, which only the leader emits at
   // prepare-apply time — its decision is externalized after the read.
-  bool any = false;
-  Time min_ts = 0;
-  for (const auto& [t, st] : txns_) {
-    if (!st.prepared || st.decided) continue;
-    if (!any || st.prepare_ts < min_ts) min_ts = st.prepare_ts;
-    any = true;
-  }
-  if (any) return tcs::watermark_below(min_ts);
-  return tcs::watermark_at(rt().now());
+  return tcs::watermark(prepared_stamps_.min(), rt().now());
 }
 
 bool ShardServer::has_prepared(TxnId t) const {

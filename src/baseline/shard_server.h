@@ -195,6 +195,9 @@ class ShardServer : public sim::Process {
 
   // Replicated TCS state (per shard).
   std::map<TxnId, TxnState> txns_;
+  /// (prepare_ts, txn) of every prepared-undecided entry of txns_, kept by
+  /// apply_prepare and apply_decide: the read watermark's index.
+  tcs::PreparedStamps prepared_stamps_;
   std::vector<tcs::Payload> committed_;
   /// Multi-version committed state for snapshot reads, fed by apply_decide;
   /// deterministic across replicas (csn = the replicated coordinator stamp).

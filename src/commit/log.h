@@ -5,6 +5,8 @@
 // therefore arrive unordered (paper Sec. 3, Invariant 1 discussion).
 #pragma once
 
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,6 +60,34 @@ class ReplicaLog {
   const LogEntry* find(Slot k) const {
     if (k == kNoSlot || k > entries_.size()) return nullptr;
     return &entries_[k - 1];
+  }
+
+  /// The smallest prepare_ts among the kPrepared slots keyed in `slots`, or
+  /// nullopt: a replica's read watermark sits just below it.  Exact when
+  /// `slots` holds every prepared slot; replicas pass their retry
+  /// bookkeeping (prepared_at_), so a read costs O(in-flight), not a scan.
+  std::optional<Time> min_prepared_ts(const std::map<Slot, Time>& slots) const {
+    std::optional<Time> min_ts;
+    for (const auto& [k, since] : slots) {
+      const LogEntry* e = find(k);
+      if (e != nullptr && e->phase == Phase::kPrepared &&
+          (!min_ts || e->prepare_ts < *min_ts)) {
+        min_ts = e->prepare_ts;
+      }
+    }
+    return min_ts;
+  }
+
+  /// The same minimum by a scan of the whole log: the oracle for tests and
+  /// for the replicas' check_certifier_index cross-check.
+  std::optional<Time> scan_min_prepared_ts() const {
+    std::optional<Time> min_ts;
+    for (const LogEntry& e : entries_) {
+      if (e.phase == Phase::kPrepared && (!min_ts || e.prepare_ts < *min_ts)) {
+        min_ts = e.prepare_ts;
+      }
+    }
+    return min_ts;
   }
 
   /// max{k | phase[k] != start} (Fig. 1 line 59); 0 when empty.

@@ -776,15 +776,14 @@ tcs::Csn Replica::read_watermark() const {
   // commit this replica has not yet applied either sits prepared here (and
   // then its csn >= that stamp, above the watermark) or has not gathered
   // this replica's ACCEPT_ACK yet (line 26) and so is not decided anywhere.
-  bool any = false;
-  Time min_ts = 0;
-  for (const LogEntry& e : log_.entries()) {
-    if (e.phase != Phase::kPrepared) continue;
-    if (!any || e.prepare_ts < min_ts) min_ts = e.prepare_ts;
-    any = true;
+  // prepared_at_ holds every prepared slot (each write into kPrepared adds
+  // one, NEW_STATE rebuilds it), so only the in-flight slots are read.
+  std::optional<Time> min_ts = log_.min_prepared_ts(prepared_at_);
+  if (options_.check_certifier_index && min_ts != log_.scan_min_prepared_ts()) {
+    RATC_ERROR(name() << " read watermark diverged from the log scan");
+    std::abort();
   }
-  if (any) return tcs::watermark_below(min_ts);
-  return tcs::watermark_at(rt().now());
+  return tcs::watermark(min_ts, rt().now());
 }
 
 void Replica::rebuild_snapshot_store() {

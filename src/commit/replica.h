@@ -93,8 +93,9 @@ class Replica : public sim::Process, private recon::StackHooks {
     bool leader_ships_accepts = false;
     /// Debug cross-check: recompute every vote with the flat L1/L2 log scan
     /// and abort on any divergence from the witness index (decision or
-    /// witness sets).  Works in every build type, not just -DNDEBUG-less
-    /// ones; sweeps and the randomized suites turn it on.
+    /// witness sets); likewise every read watermark against a scan of the
+    /// whole log.  Works in every build type, not just -DNDEBUG-less ones;
+    /// sweeps and the randomized suites turn it on.
     bool check_certifier_index = false;
     /// Versions per object the snapshot store retains for CSN reads; older
     /// versions are evicted (reads below them report unserved, never wrong).
@@ -335,7 +336,8 @@ class Replica : public sim::Process, private recon::StackHooks {
   std::map<TxnId, CoordState> coord_;
   std::set<TxnId> undecided_coords_;
 
-  // Local bookkeeping for the retry timer.
+  // Local bookkeeping for the retry timer: every prepared slot, with when it
+  // was prepared or last re-driven.  read_watermark() reads its slots.
   std::map<Slot, Time> prepared_at_;
 
   /// Committed multi-version state, filed under Csn{csn_ts, txn}; rebuilt

@@ -885,16 +885,15 @@ void Replica::handle_config_change(const configsvc::ConfigChange& m) {
 tcs::Csn Replica::read_watermark() const {
   // Below the smallest prepare stamp among prepared-undecided slots (see
   // commit::Replica::read_watermark; the in-flight-write argument for why no
-  // fabric flush is needed is in the header).
-  bool any = false;
-  Time min_ts = 0;
-  for (const commit::LogEntry& e : log_.entries()) {
-    if (e.phase != commit::Phase::kPrepared) continue;
-    if (!any || e.prepare_ts < min_ts) min_ts = e.prepare_ts;
-    any = true;
+  // fabric flush is needed is in the header), read over prepared_at_, which
+  // holds every prepared slot here too: the leader append and RAccept add
+  // one, RNewState rebuilds it.
+  std::optional<Time> min_ts = log_.min_prepared_ts(prepared_at_);
+  if (options_.check_certifier_index && min_ts != log_.scan_min_prepared_ts()) {
+    RATC_ERROR(name() << " read watermark diverged from the log scan");
+    std::abort();
   }
-  if (any) return tcs::watermark_below(min_ts);
-  return tcs::watermark_at(rt().now());
+  return tcs::watermark(min_ts, rt().now());
 }
 
 void Replica::rebuild_snapshot_store() {

@@ -78,8 +78,8 @@ class Replica : public sim::Process, private recon::StackHooks {
     /// state transfer even though coordinators may have externalized
     /// decisions based on those acknowledgements.
     bool ablate_flush = false;
-    /// Debug cross-check: recompute every vote with the flat L1/L2 log scan
-    /// and abort on divergence from the witness index (see commit::Replica).
+    /// Debug cross-check: recompute every vote and read watermark with the
+    /// flat log scan and abort on divergence (see commit::Replica).
     bool check_certifier_index = false;
     /// Versions per object the snapshot store retains for CSN reads.
     std::size_t snapshot_history_depth = 16;
@@ -283,6 +283,8 @@ class Replica : public sim::Process, private recon::StackHooks {
   std::map<std::uint64_t, std::vector<std::tuple<TxnId, ShardId, ProcessId>>>
       write_tokens_;
 
+  // Every prepared slot, for the retry timer and read_watermark() (see
+  // commit::Replica).
   std::map<Slot, Time> prepared_at_;
 
   /// Committed multi-version state, filed under Csn{csn_ts, txn}; rebuilt

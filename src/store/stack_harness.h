@@ -109,8 +109,8 @@ struct StackWorkload {
   /// round per coordinator; see store::WorkloadRunner.
   std::size_t batch_size = 1;
   /// Debug cross-check: recompute every certification vote with the flat
-  /// L1/L2 log scan and abort on divergence from the witness index
-  /// (commit/rdma stacks; the baseline has no witness index and ignores it).
+  /// L1/L2 log scan and every read watermark with a whole-log scan, and
+  /// abort on divergence (commit/rdma stacks; the baseline ignores it).
   bool check_certifier_index = false;
   /// Read-mix knob for the CSN snapshot fast path: each workload iteration
   /// issues a geometric number of read-only snapshot transactions with this

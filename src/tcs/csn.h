@@ -16,8 +16,12 @@
 // mapping enabling consistent cross-shard snapshots).
 #pragma once
 
+#include <algorithm>
 #include <limits>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/types.h"
 
@@ -52,5 +56,46 @@ inline Csn watermark_below(Time prepare_ts) {
 
 /// Watermark admitting everything stamped up to and including `now`.
 inline Csn watermark_at(Time now) { return Csn{now, kMaxTxnId}; }
+
+/// A replica's watermark given the smallest prepare stamp among its
+/// prepared-undecided transactions (none: everything up to `now`).
+inline Csn watermark(std::optional<Time> min_prepared_ts, Time now) {
+  return min_prepared_ts ? watermark_below(*min_prepared_ts) : watermark_at(now);
+}
+
+/// The prepare stamps of a replica's prepared-undecided transactions, kept
+/// ordered so the watermark reads the smallest directly instead of scanning
+/// every transaction the replica has seen (the baseline's shard servers;
+/// the commit and rdma replicas read their in-flight slot set instead, see
+/// commit::ReplicaLog::min_prepared_ts).  Each key is (prepare_ts, txn),
+/// so transactions sharing a stamp stay apart.
+///
+/// A sorted vector rather than a node-based set: stamps are issued in
+/// nearly increasing order and transactions decide in nearly FIFO order, so
+/// inserts land at the back and an erase shifts only the in-flight keys,
+/// with no allocation per transaction.
+class PreparedStamps {
+ public:
+  void insert(Time ts, TxnId txn) {
+    const Key key{ts, txn};
+    keys_.insert(std::upper_bound(keys_.begin(), keys_.end(), key), key);
+  }
+
+  void erase(Time ts, TxnId txn) {
+    const Key key{ts, txn};
+    auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+    if (it != keys_.end() && *it == key) keys_.erase(it);
+  }
+
+  /// The smallest stamp held, or nullopt when nothing is prepared.
+  std::optional<Time> min() const {
+    if (keys_.empty()) return std::nullopt;
+    return keys_.front().first;
+  }
+
+ private:
+  using Key = std::pair<Time, TxnId>;
+  std::vector<Key> keys_;
+};
 
 }  // namespace ratc::tcs

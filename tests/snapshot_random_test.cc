@@ -34,6 +34,10 @@ harness::ScheduleOptions faulty_schedule() {
 
 constexpr double kMixes[] = {0.0, 0.5, 0.95};
 
+/// Every sweep sets `check_certifier_index`: the commit and rdma replicas
+/// then recompute every vote and every read watermark with a whole-log scan
+/// and abort on divergence, so reads under faults cross-check the
+/// watermark's in-flight query (the baseline ignores the flag).
 template <typename WorkloadT, typename RunFn>
 void sweep_read_mixes(RunFn run_workload, int fallback_seeds,
                       const char* stack) {
@@ -43,6 +47,7 @@ void sweep_read_mixes(RunFn run_workload, int fallback_seeds,
     w.total_txns = 60;
     w.drain = 5000;
     w.read_fraction = mix;
+    w.check_certifier_index = true;
     harness::SweepResult sweep = harness::parallel_sweep_seeds(
         1, seeds, [&](std::uint64_t seed) {
           Rng r(seed);

@@ -299,6 +299,50 @@ TEST(SnapshotReadCluster, BaselineLeaderGateServesAndRefuses) {
   EXPECT_TRUE(cluster.snapshot_read({1}).has_value());
 }
 
+TEST(SnapshotReadCluster, BaselineWatermarkTracksPreparedUndecidedOnly) {
+  // Feed one shard server the replicated commands directly, the way its
+  // Paxos replica applies them.  A follower is used so that no vote or
+  // termination answer leaves the server.
+  baseline::BaselineCluster cluster({.seed = 14, .num_shards = 1});
+  baseline::ShardServer& sv = cluster.server(0, 1);
+  ASSERT_FALSE(sv.paxos().is_leader());
+  Slot slot = 0;
+  auto apply = [&](auto cmd) { sv.apply(++slot, sim::AnyMessage(std::move(cmd))); };
+  auto prepare = [&](TxnId t, Time ts) {
+    baseline::CmdPrepare c;
+    c.txn = t;
+    c.payload = write_payload(static_cast<ObjectId>(t), 0, 1);
+    c.participants = {0};
+    c.prepare_ts = ts;
+    apply(c);
+  };
+  const Csn idle = tcs::watermark_at(cluster.sim().now());
+  EXPECT_EQ(sv.read_watermark(), idle);
+
+  prepare(1, 50);
+  EXPECT_EQ(sv.read_watermark(), tcs::watermark_below(50));
+  prepare(1, 70);  // duplicate prepare: the original stamp stands
+  EXPECT_EQ(sv.read_watermark(), tcs::watermark_below(50));
+  prepare(2, 30);
+  EXPECT_EQ(sv.read_watermark(), tcs::watermark_below(30));
+  apply(baseline::CmdDecide{2, Decision::kCommit});
+  EXPECT_EQ(sv.read_watermark(), tcs::watermark_below(50));
+
+  // A termination tombstone that beats the prepare into the log leaves t
+  // prepared and decided at once: it can never commit, so it never gates.
+  apply(baseline::CmdResolveAbort{3, kNoProcess});
+  prepare(3, 10);
+  ASSERT_TRUE(sv.has_prepared(3));
+  ASSERT_TRUE(sv.has_decided(3));
+  EXPECT_EQ(sv.read_watermark(), tcs::watermark_below(50));
+
+  apply(baseline::CmdDecide{1, Decision::kAbort});
+  EXPECT_EQ(sv.read_watermark(), idle);
+  prepare(1, 5);  // a late duplicate of a decided transaction
+  apply(baseline::CmdDecide{4, Decision::kAbort});  // tombstone, never prepared
+  EXPECT_EQ(sv.read_watermark(), idle);
+}
+
 TEST(SnapshotReadCluster, BoundedStalenessRefusesLaggingSnapshots) {
   // Park a prepared-undecided transaction at shard 0's leader by cutting
   // the coordinator off mid-protocol: the watermark pins below its prepare
