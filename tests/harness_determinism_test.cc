@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "harness/nemesis.h"
 #include "harness/schedule.h"
@@ -178,6 +179,62 @@ TEST(PaxosDeterminism, SameSeedIdenticalTrace) {
   EXPECT_EQ(a.problems, b.problems);
 }
 
+// Golden traces: fixed-seed fingerprints pinned across commits, so a
+// refactor that claims bit-identical behaviour is checked rather than
+// asserted.  A change that alters a trace on purpose updates these values
+// in the same diff.
+struct Golden {
+  std::size_t batch_size;
+  std::uint64_t seed;
+  std::uint64_t fingerprint;
+  std::size_t decided;
+};
+
+template <typename Workload>
+Workload golden_workload(std::size_t batch_size) {
+  Workload w;
+  w.total_txns = 60;
+  w.drain = 4000;
+  w.check_certifier_index = true;
+  w.batch_size = batch_size;
+  return w;
+}
+
+template <typename Workload, typename Run>
+void expect_goldens(const std::vector<Golden>& goldens, Run run) {
+  for (const Golden& g : goldens) {
+    Rng r(g.seed);
+    RunResult res = run(g.seed, golden_workload<Workload>(g.batch_size),
+                        generate_schedule(r, small_schedule()));
+    EXPECT_EQ(res.fingerprint, g.fingerprint)
+        << "batch " << g.batch_size << " seed " << g.seed << ": got 0x" << std::hex
+        << res.fingerprint;
+    EXPECT_EQ(res.decided, g.decided) << "batch " << g.batch_size << " seed " << g.seed;
+  }
+}
+
+TEST(TraceGolden, Commit) {
+  expect_goldens<CommitWorkloadOptions>(
+      {{1, 1, 0x5d92ba5ee0ae20efULL, 60},
+       {1, 2, 0x196d6831bc0af8e3ULL, 60},
+       {1, 3, 0xe581cbd9a656620cULL, 60},
+       {4, 1, 0x49d29804671db80fULL, 60},
+       {4, 2, 0x55a73f0082380e03ULL, 60},
+       {4, 3, 0x6da75c6cc24fd58aULL, 60}},
+      run_commit_workload);
+}
+
+TEST(TraceGolden, Rdma) {
+  expect_goldens<RdmaWorkloadOptions>(
+      {{1, 1, 0xc14013a7b97c0935ULL, 58},
+       {1, 2, 0xf6f6eba179278c68ULL, 58},
+       {1, 3, 0x0df452efbb12a67bULL, 59},
+       {4, 1, 0x4b87a44e7905f3abULL, 59},
+       {4, 2, 0x749643cd41db4b80ULL, 60},
+       {4, 3, 0x846f6501337268c2ULL, 60}},
+      run_rdma_workload);
+}
+
 TEST(ParallelSweepDeterminism, PerSeedFingerprintsIndependentOfThreadCount) {
   // Every run is seed-isolated, so the thread pool must be invisible: the
   // same sweep on 1 thread, 2 threads and hardware concurrency yields the
@@ -273,8 +330,12 @@ TEST(NemesisWindows, ClockSkewDelaysOnlyTheSkewedSender) {
   EXPECT_EQ(nemesis.skewed(), 1u);
   ASSERT_EQ(sink.arrivals.size(), 2u);
   for (const auto& [from, at] : sink.arrivals) {
-    if (from == 1) EXPECT_EQ(at, 1u);   // unit delay, unaffected
-    if (from == 2) EXPECT_EQ(at, 41u);  // unit delay + 40 ticks of skew
+    if (from == 1) {
+      EXPECT_EQ(at, 1u);  // unit delay, unaffected
+    }
+    if (from == 2) {
+      EXPECT_EQ(at, 41u);  // unit delay + 40 ticks of skew
+    }
   }
 }
 
