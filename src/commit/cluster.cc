@@ -1,9 +1,7 @@
 #include "commit/cluster.h"
 #include <utility>
 
-#include <algorithm>
 #include <cassert>
-#include <set>
 #include <stdexcept>
 
 #include "recon/cluster_support.h"
@@ -56,7 +54,8 @@ Cluster::Cluster(Options options)
   }
 
   // Initial configurations: epoch 1, first shard_size replicas, first is
-  // leader.  Pre-activated per DESIGN.md Sec. 2 (bootstrap).
+  // leader.  Pre-activated: with no earlier epoch there is no state to
+  // transfer, so the bootstrap skips the probe and NEW_STATE round.
   std::map<ShardId, configsvc::ShardConfig> initial;
   for (ShardId s = 0; s < options_.num_shards; ++s) {
     configsvc::ShardConfig cfg;
@@ -265,45 +264,7 @@ bool Cluster::await_active_epoch(ShardId s, Epoch at_least, std::size_t max_even
 std::optional<tcs::Csn> Cluster::snapshot_read(const std::vector<ObjectId>& objects,
                                                Duration staleness_bound,
                                                std::uint64_t member_hint) {
-  if (objects.empty()) return std::nullopt;
-  // One serving member per involved shard: alive and holding the
-  // authoritative epoch (the same gate coordinators pass).  A replica mid
-  // state transfer reports the old epoch and is skipped.
-  std::set<ShardId> shards;
-  for (ObjectId o : objects) shards.insert(shard_map_.shard_of(o));
-  std::map<ShardId, const Replica*> serving;
-  tcs::Csn snapshot = tcs::watermark_at(sim_.now());
-  for (ShardId s : shards) {
-    configsvc::ShardConfig cfg = current_config(s);
-    if (cfg.members.empty()) return std::nullopt;
-    const Replica* pick = nullptr;
-    for (std::size_t i = 0; i < cfg.members.size(); ++i) {
-      ProcessId pid = cfg.members[(member_hint + i) % cfg.members.size()];
-      if (sim_.crashed(pid)) continue;
-      const Replica& r = std::as_const(*this).replica_by_pid(pid);
-      if (r.epoch() != cfg.epoch) continue;
-      pick = &r;
-      break;
-    }
-    if (pick == nullptr) return std::nullopt;
-    serving[s] = pick;
-    snapshot = std::min(snapshot, pick->read_watermark());
-  }
-  if (staleness_bound > 0 && snapshot.ts + staleness_bound < sim_.now()) {
-    return std::nullopt;  // lagging beyond the caller's bound
-  }
-  tcs::SnapshotReadRecord rec;
-  rec.time = sim_.now();
-  rec.snapshot = snapshot;
-  rec.staleness_bound = staleness_bound;
-  for (ObjectId o : objects) {
-    const Replica* r = serving.at(shard_map_.shard_of(o));
-    std::optional<store::VersionedValue> v = r->snapshot_store().read_at(o, snapshot);
-    if (!v) return std::nullopt;  // version history truncated below snapshot
-    rec.observations.push_back({o, v->version, v->value});
-  }
-  history_.record_snapshot_read(std::move(rec));
-  return snapshot;
+  return commit::serve_snapshot_read(*this, objects, staleness_bound, member_hint);
 }
 
 checker::TcsLLResult Cluster::check_tcsll() const {

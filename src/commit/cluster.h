@@ -64,7 +64,7 @@ class Cluster {
     std::size_t num_zones = 0;
     /// Debug cross-check: every vote is recomputed with the flat L1/L2 log
     /// scan and the process aborts if the witness index disagrees (see
-    /// commit::Replica::Options).  Meant for tests and sweeps.
+    /// commit::ReplicaCore::Options).  Meant for tests and sweeps.
     bool check_certifier_index = false;
   };
 
@@ -137,16 +137,9 @@ class Cluster {
   // --- read-only snapshot transactions (CSN fast path) -------------------------
 
   /// Executes a read-only transaction over `objects` at one consistent
-  /// snapshot with ZERO certification messages: per involved shard, one
-  /// live member holding the authoritative epoch is consulted (member_hint
-  /// rotates the pick, so followers serve too), the snapshot is the minimum
-  /// of their CSN watermarks, and every object resolves locally from that
-  /// member's multi-version store.  Served reads are recorded in the
-  /// history for checker::check_snapshot_reads.  Returns the snapshot, or
-  /// nullopt when the read could not be served: no suitable member for some
-  /// shard, version history truncated below the snapshot, or — with
-  /// staleness_bound > 0 — the snapshot lagging `now` by more than the
-  /// bound.
+  /// snapshot with ZERO certification messages (commit::serve_snapshot_read:
+  /// member_hint rotates the serving member, so followers serve too).
+  /// Returns the snapshot, or nullopt when the read could not be served.
   std::optional<tcs::Csn> snapshot_read(const std::vector<ObjectId>& objects,
                                         Duration staleness_bound = 0,
                                         std::uint64_t member_hint = 0);
@@ -163,7 +156,7 @@ class Cluster {
  private:
   ProcessId replica_pid(ShardId s, std::size_t idx) const;
   /// Hands out up to n fresh spares for `shard`, permanently consuming them
-  /// (global freshness; see Replica::Options::allocate_spares).  Shared by
+  /// (global freshness; see ReplicaCore::Options::allocate_spares).  Shared by
   /// replica reconfigurers and the autonomous controllers.
   std::vector<ProcessId> allocate_spares(ShardId shard, std::size_t n);
   /// Returns spares whose proposal never entered a stored configuration.

@@ -136,7 +136,7 @@ struct AcceptAckBatch {
 };
 
 /// Client -> chosen coordinator replica: a whole batch of certify(t, l) in
-/// one message — the remote twin of Replica::certify_batch_local, used by
+/// one message — the remote twin of ReplicaCore::certify_batch_local, used by
 /// the real-time load generator.  Size-1 batches are never sent (the
 /// frontends fall back to the scalar CertifyRequest).
 struct CertifyBatchRequest {

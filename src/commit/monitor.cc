@@ -290,9 +290,10 @@ void Monitor::maybe_complete(Acceptance& acc) {
 void Monitor::check_prefix_against_leader(const Replica& replica,
                                           const Acceptance& acc,
                                           const char* invariant) {
-  // Compare slots where both sides are defined (see DESIGN.md: holes are
-  // permitted by the paper's ≺ relation; the accepted slot itself must be
-  // present and equal when checking Inv 2 after an epoch installation).
+  // Compare slots where both sides are defined: a follower log may have
+  // holes, since ACCEPTs come from coordinators and arrive unordered, and the
+  // paper's ≺ relation permits them.  The accepted slot itself must be
+  // present and equal when checking Inv 2 after an epoch installation.
   for (Slot k = 1; k <= acc.slot; ++k) {
     const SnapshotEntry& snap = acc.leader_prefix.size() >= k
                                     ? acc.leader_prefix[k - 1]

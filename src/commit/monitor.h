@@ -30,6 +30,7 @@
 #include "checker/tcsll.h"
 #include "commit/log.h"
 #include "commit/messages.h"
+#include "commit/replica_core.h"
 #include "common/types.h"
 #include "common/violation.h"
 #include "configsvc/config.h"
@@ -47,7 +48,7 @@ class Replica;
 /// — so they need no further synchronization.  Accessors that return
 /// references (violations(), decided()) are only safe after the runtime has
 /// stopped (or on the single-threaded sim).
-class Monitor : public sim::NetworkObserver {
+class Monitor : public sim::NetworkObserver, public CertificationObserver {
  public:
   explicit Monitor(rt::Runtime& rt) : rt_(rt) {}
   explicit Monitor(sim::Simulator& sim) : Monitor(sim.runtime()) {}
@@ -62,9 +63,9 @@ class Monitor : public sim::NetworkObserver {
   void on_vote_computed(ShardId shard, Epoch epoch, Slot slot, TxnId txn,
                         tcs::Decision vote, const tcs::Payload& payload,
                         std::vector<TxnId> committed_against,
-                        std::vector<TxnId> prepared_against);
+                        std::vector<TxnId> prepared_against) override;
   void on_epoch_installed(const Replica& replica);
-  void on_local_decision(TxnId txn, tcs::Decision d);
+  void on_local_decision(TxnId txn, tcs::Decision d) override;
 
   // --- network tap -----------------------------------------------------------
 

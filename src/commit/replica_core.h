@@ -1,0 +1,465 @@
+// The certification core shared by both replica substrates.
+//
+// Fig. 7's certification path is Fig. 1's, except that ACCEPT and DECISION
+// travel as one-sided writes; only reconfiguration really differs (Fig. 8
+// vs Fig. 1 lines 33-69).  ReplicaCore is that shared path, and
+// commit::Replica (messages) and rdma::Replica (the RDMA fabric) derive
+// from it.
+//
+// The core owns the certification state — the log, `next`, the witness
+// index, the coordinator map, the retry bookkeeping and the snapshot store —
+// and holds the one copy of every routine over it: the certify entry points,
+// the leader's prepare and vote (with the flat-scan cross-check), the
+// coordinator's PREPARE_ACK bookkeeping and decision rule, the follower
+// slot fill and decision apply, the retry timer, the read watermark, and
+// the takeover/install bookkeeping a new configuration needs.  A substrate
+// supplies only what differs, through the virtual hooks below:
+//   * epoch_of / leader_of / members_of: a shard in its current view;
+//   * replicate: the leader's results reach one follower (ACCEPT messages
+//     vs one-sided RAccept writes);
+//   * ship_decision: a decision reaches a shard's members (DECISION
+//     messages vs RDecision writes);
+//   * its reconfiguration install, which calls take_over_log/install_log.
+// Both stacks' monitors see the certification path through
+// CertificationObserver.
+#pragma once
+
+#include <functional>
+#include <map>
+#include <optional>
+#include <set>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "commit/log.h"
+#include "commit/messages.h"
+#include "commit/witness_index.h"
+#include "configsvc/config.h"
+#include "fd/failure_detector.h"
+#include "recon/engine.h"
+#include "sim/process.h"
+#include "store/versioned_store.h"
+#include "tcs/certifier.h"
+#include "tcs/csn.h"
+#include "tcs/history.h"
+#include "tcs/shard_map.h"
+
+namespace ratc::commit {
+
+enum class Status { kLeader, kFollower, kReconfiguring };
+
+inline const char* to_string(Status s) {
+  switch (s) {
+    case Status::kLeader: return "leader";
+    case Status::kFollower: return "follower";
+    case Status::kReconfiguring: return "reconfiguring";
+  }
+  return "?";
+}
+
+/// What a stack's monitor observes of the certification path.
+class CertificationObserver {
+ public:
+  virtual ~CertificationObserver() = default;
+  /// A leader voted on `slot` (Fig. 1 line 12) against the witness sets
+  /// T_s (committed) and P_s (prepared); forced aborts report them too.
+  virtual void on_vote_computed(ShardId shard, Epoch epoch, Slot slot, TxnId txn,
+                                tcs::Decision vote, const tcs::Payload& payload,
+                                std::vector<TxnId> committed_against,
+                                std::vector<TxnId> prepared_against) = 0;
+  /// A decision handed to a co-located client's callback.
+  virtual void on_local_decision(TxnId txn, tcs::Decision d) = 0;
+};
+
+class ReplicaCore : public sim::Process, protected recon::StackHooks {
+ public:
+  /// The options both substrates share.
+  struct Options {
+    ShardId shard = 0;
+    const tcs::ShardMap* shard_map = nullptr;
+    const tcs::Certifier* certifier = nullptr;
+    /// Configuration-service endpoints (rdma's safe mode: the global CS).
+    std::vector<ProcessId> cs_endpoints;
+    /// Desired configuration size (f+1); compute_membership tops up to this.
+    std::size_t target_shard_size = 2;
+    /// Allocator for *fresh* processes (paper line 48: new members may only
+    /// be probing responders or fresh processes).  Freshness must be global:
+    /// a process that ever belonged to a configuration may not be handed out
+    /// again (otherwise Invariant 5 breaks), so allocation permanently
+    /// consumes from a shared pool — the cluster harness models the resource
+    /// manager that real deployments use for this.
+    std::function<std::vector<ProcessId>(ShardId, std::size_t)> allocate_spares;
+    /// Returns spares reserved by a proposal whose CAS lost the race: they
+    /// never entered a stored configuration, so they are still fresh.
+    /// Without this, every lost reconfiguration race (routine once the
+    /// autonomous controllers of src/ctrl/ race replica reconfigurers)
+    /// permanently shrinks the pool.
+    std::function<void(ShardId, const std::vector<ProcessId>&)> release_spares;
+    /// How long the reconfigurer waits for a PROBE_ACK(true) after the first
+    /// PROBE_ACK(false) before descending an epoch (the paper's
+    /// non-deterministic rule at line 51, scheduled by timer).
+    Duration probe_patience = 5;
+    /// Membership policy consulted when this replica plays the reconfigurer
+    /// role; null selects recon::ReplaceSuspectsPolicy.  Non-owning.
+    recon::PlacementPolicy* placement_policy = nullptr;
+    /// Cluster knowledge (zones, load, spare-pool depth) handed to the
+    /// placement policy; replicas run no failure detector, so the suspect
+    /// set stays empty here.
+    std::function<recon::PlacementContext(ShardId)> placement_context;
+    /// If nonzero, this replica periodically retries transactions that have
+    /// been prepared but undecided for longer than this (coordinator
+    /// recovery, line 70).
+    Duration retry_timeout = 0;
+    /// Debug cross-check: recompute every vote with the flat L1/L2 log scan
+    /// and abort on any divergence from the witness index (decision or
+    /// witness sets); likewise every read watermark against a scan of the
+    /// whole log.  Works in every build type, not just -DNDEBUG-less ones;
+    /// sweeps and the randomized suites turn it on.
+    bool check_certifier_index = false;
+    /// Versions per object the snapshot store retains for CSN reads; older
+    /// versions are evicted (reads below them report unserved, never wrong).
+    std::size_t snapshot_history_depth = 16;
+  };
+
+  // --- client API -------------------------------------------------------------
+
+  /// certify(t, l) with this replica as coordinator and a co-located client:
+  /// the decision is delivered through `cb` with no extra message delay
+  /// (paper Sec. 3: "co-locating the client with the transaction
+  /// coordinator").  The callback's Time is csn(t).ts for commits (0 for
+  /// aborts).  `origin` is the co-located client's process id; when set, a
+  /// successor coordinator that finishes the transaction after this replica
+  /// crashed routes the decision there as DECISION_CLIENT instead of
+  /// dropping it on the floor.
+  void certify_local(TxnId txn, const tcs::Payload& payload,
+                     std::function<void(tcs::Decision, Time)> cb,
+                     ProcessId origin = kNoProcess);
+
+  /// Batched certify with this replica as coordinator of every item: the
+  /// batch is grouped into one PREPARE_BATCH per participant shard (one
+  /// message, one ordered run of log appends at the leader).  Decisions are
+  /// delivered per transaction through `cb`; the items' 2PC instances stay
+  /// independent (distributivity is what makes the grouping sound, not a
+  /// change to the decision rule).  A lone PREPARE keeps the scalar message,
+  /// so a batch of one sends exactly what certify_local does.  `origin` as
+  /// in certify_local.
+  void certify_batch_local(
+      const std::vector<std::pair<TxnId, tcs::Payload>>& batch,
+      std::function<void(TxnId, tcs::Decision, Time)> cb,
+      ProcessId origin = kNoProcess);
+
+  /// Coordinator recovery for the transaction in slot k (line 70).
+  void retry(Slot k);
+
+  // --- introspection (used by monitors, tests, benches) ---------------------
+
+  ShardId shard() const { return options_.shard; }
+  Status status() const { return status_; }
+  bool initialized() const { return initialized_; }
+  Epoch epoch() const { return epoch_of(options_.shard); }
+  Epoch new_epoch() const { return new_epoch_; }
+  const ReplicaLog& log() const { return log_; }
+  Slot next() const { return next_; }
+  bool is_probing() const { return engine_.in_flight(); }
+  /// The shared reconfigurer core this replica's reconfigurer role runs on
+  /// (stats + spare-ledger introspection for harnesses).
+  const recon::Engine& recon_engine() const { return engine_; }
+
+  /// Shard s in this replica's current view: its epoch, leader and members
+  /// (config order).  The substrate's view, so the core never copies it.
+  virtual Epoch epoch_of(ShardId s) const = 0;
+  virtual ProcessId leader_of(ShardId s) const = 0;
+  virtual const std::vector<ProcessId>& members_of(ShardId s) const = 0;
+
+  // --- CSN read surface ------------------------------------------------------
+  //
+  // Read-only transactions execute at a snapshot c without any certification
+  // message: pick c at or below every involved replica's watermark and serve
+  // each object from the replica's snapshot store.  Soundness rides on the
+  // all-follower-ack rule (Fig. 1 line 26): a commit with csn(t).ts below
+  // this replica's watermark either sits decided in the log (its writes are
+  // in the store) or is still prepared here (and then gates the watermark).
+
+  /// The largest snapshot this replica can currently serve: just below the
+  /// smallest prepare stamp among prepared-undecided slots, or `now` when
+  /// every filled slot is decided.
+  tcs::Csn read_watermark() const;
+
+  /// The multi-version committed state CSN reads are served from.
+  const store::SnapshotStore& snapshot_store() const { return store_; }
+
+ protected:
+  struct ShardProgress {
+    bool have_prepare_ack = false;
+    Epoch epoch = kNoEpoch;
+    Slot slot = kNoSlot;
+    tcs::Decision vote = tcs::Decision::kAbort;
+    Time prepare_ts = 0;  ///< leader's CSN stamp; csn(t).ts = max over shards
+    std::set<ProcessId> follower_acks;
+  };
+
+  /// `name` is the process name; `observer` may be null.
+  ReplicaCore(rt::Runtime& rt, ProcessId id, std::string name, const Options& options,
+              CertificationObserver* observer);
+
+  // --- substrate hooks ---------------------------------------------------------
+
+  /// Line 20 (Fig. 7 line 93): ships the leader's results `acks` to one
+  /// follower; more than one item only on the batched path.  Followers are
+  /// shipped in config order on the scalar path and in pid order on the
+  /// batched one.
+  virtual void replicate(ProcessId follower, std::span<const PrepareAck* const> acks) = 0;
+  /// Lines 28-29 (Fig. 7 lines 99-100): persists the decision of the
+  /// coordination's slot `pr` at every member of shard s.
+  virtual void ship_decision(ShardId s, const ShardProgress& pr, TxnId txn,
+                             tcs::Decision decision, Time csn_ts) = 0;
+  /// The leader's reply to a PREPARE / PREPARE_BATCH coordinator; the
+  /// message-passing stack's leader-driven ablation also ships ACCEPTs here.
+  virtual void reply_prepare_ack(ProcessId coordinator, PrepareAck ack);
+  virtual void reply_prepare_ack_batch(ProcessId coordinator, PrepareAckBatch acks);
+
+  // --- what the substrates call -------------------------------------------------
+
+  /// Dispatches the messages of the shared certification path (CERTIFY,
+  /// CERTIFY_BATCH, PREPARE, PREPARE_ACK and their batches); false for any
+  /// other message.
+  bool handle_certification(ProcessId from, const sim::AnyMessage& msg);
+
+  /// The coordination's progress at shard s, or null if the coordination is
+  /// unknown, decided, or has not heard from s.
+  ShardProgress* undecided_progress(TxnId txn, ShardId s);
+
+  /// Line 26's standing "when" condition, evaluated after every relevant
+  /// event for the given transaction.
+  void check_coordination(TxnId txn);
+
+  /// Follower slot fill (Fig. 1 line 24, Fig. 7 line 95): records the
+  /// leader's prepared result `a` (an ACCEPT or its one-sided write) at
+  /// a.slot.  The caller decides whether the slot may be overwritten.
+  template <typename A>
+  void fill_slot(const A& a);
+
+  /// Line 32 (Fig. 7 line 102): records the decision of `slot` and advances
+  /// the committed multi-version state.
+  void apply_decision(Slot slot, TxnId txn, tcs::Decision decision, Time csn_ts);
+
+  /// Leadership takeover (line 59, Fig. 8 line 145): next = the last filled
+  /// slot, and the index, snapshot store and retry bookkeeping cover the
+  /// inherited log.
+  void take_over_log();
+  /// Follower install (lines 63-66, Fig. 8 lines 148-153): replaces the log
+  /// with the leader's and rebuilds what is derived from it.
+  void install_log(const ReplicaLog& log);
+
+  void arm_retry_timer();
+
+  // recon::StackHooks both substrates implement alike.
+  void send_probe(ProcessId target, Epoch new_epoch) override;
+  std::vector<ProcessId> reserve_spares(ShardId shard, std::size_t n) override;
+  void release_spares(ShardId shard, const std::vector<ProcessId>& spares) override;
+  recon::PlacementContext placement_context(ShardId shard) override;
+
+  Options options_;
+  fd::Responder fd_responder_;
+  /// The reconfigurer role (lines 33-55), shared with every other stack
+  /// through recon::Engine; the substrate supplies the remaining hooks.
+  recon::Engine engine_;
+
+  // Fig. 1 process state the reconfiguration install writes.
+  Status status_ = Status::kReconfiguring;
+  bool initialized_ = false;
+  Epoch new_epoch_ = kNoEpoch;
+
+ private:
+  struct CoordState {
+    TxnMeta meta;
+    std::map<ShardId, ShardProgress> progress;
+    bool decided = false;
+    /// Set for co-located clients; second arg is csn(t).ts (0 for aborts).
+    std::function<void(tcs::Decision, Time)> local_cb;
+    /// Per-shard payload projections, kept so the coordinator can re-send a
+    /// PREPARE that died with a crashed leader (empty for ⊥ retries).
+    std::map<ShardId, tcs::Payload> shard_payloads;
+    Time last_driven = 0;  ///< when PREPAREs were last (re-)sent
+  };
+
+  TxnMeta meta_for(TxnId txn, const tcs::Payload& payload, ProcessId client) const;
+  /// Opens the coordination of meta.txn (line 2) and sends its PREPAREs —
+  /// or, when `batch` is set, queues them in the per-shard PREPARE_BATCHes.
+  void start_certification(TxnMeta meta, const tcs::Payload* full_payload,
+                           std::function<void(tcs::Decision, Time)> local_cb,
+                           std::map<ShardId, PrepareBatch>* batch = nullptr);
+  /// The batched entry points: certify_batch_local, and CERTIFY_BATCH with
+  /// decisions going back to `client` as DECISION_CLIENT (null `cb`).
+  template <typename Items>
+  void certify_batch(const Items& items, ProcessId client,
+                     const std::function<void(TxnId, tcs::Decision, Time)>& cb);
+
+  void handle_prepare(ProcessId from, const Prepare& m);            // line 4
+  void handle_prepare_batch(ProcessId from, const PrepareBatch& m);
+  void handle_prepare_ack(const PrepareAck& m);                     // line 18
+  void handle_prepare_ack_batch(const PrepareAckBatch& m);
+
+  /// Lines 6-17 without the sends: appends (or re-reads) the slot and
+  /// returns the ack to ship.  Shared by the scalar and batched paths.
+  PrepareAck prepare_txn(const Prepare& m);
+
+  /// Lines 19-20's bookkeeping without the sends: records the ack against
+  /// the coordination.  Returns false if the line-19 guard rejects the ack
+  /// (stale epoch, unknown or decided coordination).
+  bool note_prepare_ack(const PrepareAck& m);
+
+  struct Witnesses {
+    std::vector<const tcs::Payload*> l1, l2;
+    std::vector<TxnId> committed, prepared;
+  };
+  /// The L1/L2 sets (and their transaction ids) for a vote at `slot` by
+  /// flat log scan — kept as the reference implementation the witness index
+  /// is cross-checked against (Options::check_certifier_index).
+  Witnesses collect_witnesses(Slot slot) const;
+
+  /// Computes the vote for the freshly appended slot (line 12) through the
+  /// witness index, reporting the witness sets to the observer.
+  tcs::Decision compute_vote(Slot slot, const tcs::Payload& l);
+
+  /// Aborts the process if the index's vote/witnesses for `slot` diverge
+  /// from the flat scan (no-op unless check_certifier_index).
+  void check_index_against_flat(Slot slot, tcs::Decision indexed_vote,
+                                const tcs::Payload& l,
+                                const WitnessIndex::Witnesses& w) const;
+
+  /// Sets-only variant for forced-abort slots (Fig. 1 line 15): the vote is
+  /// a protocol constant there, so only T_s/P_s are comparable to the flat
+  /// scan (no-op unless check_certifier_index).
+  void check_index_sets_against_flat(Slot slot,
+                                     const WitnessIndex::Witnesses& w) const;
+
+  /// Refiles every decided-commit log entry into the snapshot store under
+  /// its csn (log replacement / leader takeover).
+  void rebuild_snapshot_store();
+
+  /// One retry-timer firing: collect the stale prepared slots, then
+  /// rate-limit and re-drive each exactly once (line 70), then re-drive
+  /// undecided coordinations.  Collect-then-act so nothing mutates
+  /// prepared_at_ while it is being iterated.
+  void run_retry_tick();
+  /// Re-sends PREPAREs of undecided coordinated transactions to the current
+  /// leaders (see the definition for why the line-70 retry cannot cover
+  /// them).  `driven_this_tick` holds the transactions the slot-retry pass
+  /// of the same tick already re-drove, to assert none is driven twice.
+  void redrive_coordinations(const std::set<TxnId>& driven_this_tick);
+
+  CertificationObserver* observer_;
+
+  // Fig. 1 certification state.
+  ReplicaLog log_;
+  Slot next_ = 0;
+  /// Object-indexed view of log_ (the certification hot path); maintained on
+  /// every prepare/decide, rebuilt on log replacement and leader takeover.
+  WitnessIndex index_;
+
+  // Coordinator state.  Decided entries stay as slim tombstones (so a late
+  // retry cannot re-coordinate); the index below keeps the re-drive scan
+  // bounded by the undecided set.
+  std::map<TxnId, CoordState> coord_;
+  std::set<TxnId> undecided_coords_;
+
+  // Local bookkeeping for the retry timer: every prepared slot, with when it
+  // was prepared or last re-driven.  read_watermark() reads its slots.
+  std::map<Slot, Time> prepared_at_;
+
+  /// Committed multi-version state, filed under Csn{csn_ts, txn}; rebuilt
+  /// from the log on a state transfer or leader takeover.
+  store::SnapshotStore store_;
+};
+
+template <typename A>
+void ReplicaCore::fill_slot(const A& a) {
+  LogEntry& e = log_.at(a.slot);
+  e.txn = a.txn;
+  e.payload = a.payload;
+  e.vote = a.vote;
+  e.phase = Phase::kPrepared;
+  e.meta = a.meta;
+  e.prepare_ts = a.prepare_ts;  // the leader's CSN stamp, replicated
+  prepared_at_[a.slot] = rt().now();
+  index_.on_prepared(log_, a.slot);
+}
+
+/// The replication record (an Accept or rdma's RAccept) for a leader's
+/// PREPARE_ACK.
+template <typename A>
+A accept_for(const PrepareAck& ack) {
+  A a;
+  a.epoch = ack.epoch;
+  a.shard = ack.shard;
+  a.slot = ack.slot;
+  a.txn = ack.txn;
+  a.payload = ack.payload;
+  a.vote = ack.vote;
+  a.meta = ack.meta;
+  a.prepare_ts = ack.prepare_ts;
+  return a;
+}
+
+/// A read-only transaction over `objects` at one consistent snapshot with
+/// ZERO certification messages, for either stack's cluster: per involved
+/// shard, one live member holding the authoritative epoch is consulted
+/// (member_hint rotates the pick, so followers serve too), the snapshot is
+/// the minimum of their CSN watermarks, and every object resolves locally
+/// from that member's multi-version store.  Served reads are recorded in the
+/// history for checker::check_snapshot_reads.  Returns the snapshot, or
+/// nullopt when the read could not be served: no suitable member for some
+/// shard, version history truncated below the snapshot, or — with
+/// staleness_bound > 0 — the snapshot lagging `now` by more than the bound.
+template <typename Cluster>
+std::optional<tcs::Csn> serve_snapshot_read(Cluster& cluster,
+                                            const std::vector<ObjectId>& objects,
+                                            Duration staleness_bound,
+                                            std::uint64_t member_hint) {
+  if (objects.empty()) return std::nullopt;
+  const tcs::ShardMap& shard_map = cluster.shard_map();
+  Time now = cluster.sim().now();
+  // One serving member per involved shard: alive and holding the
+  // authoritative epoch (the same gate coordinators pass).  A replica mid
+  // state transfer reports the old epoch and is skipped.
+  std::set<ShardId> shards;
+  for (ObjectId o : objects) shards.insert(shard_map.shard_of(o));
+  std::map<ShardId, const ReplicaCore*> serving;
+  tcs::Csn snapshot = tcs::watermark_at(now);
+  for (ShardId s : shards) {
+    configsvc::ShardConfig cfg = cluster.current_config(s);
+    if (cfg.members.empty()) return std::nullopt;
+    const ReplicaCore* pick = nullptr;
+    for (std::size_t i = 0; i < cfg.members.size(); ++i) {
+      ProcessId pid = cfg.members[(member_hint + i) % cfg.members.size()];
+      if (cluster.sim().crashed(pid)) continue;
+      const ReplicaCore& r = cluster.replica_by_pid(pid);
+      if (r.epoch() != cfg.epoch) continue;
+      pick = &r;
+      break;
+    }
+    if (pick == nullptr) return std::nullopt;
+    serving[s] = pick;
+    snapshot = std::min(snapshot, pick->read_watermark());
+  }
+  if (staleness_bound > 0 && snapshot.ts + staleness_bound < now) {
+    return std::nullopt;  // lagging beyond the caller's bound
+  }
+  tcs::SnapshotReadRecord rec;
+  rec.time = now;
+  rec.snapshot = snapshot;
+  rec.staleness_bound = staleness_bound;
+  for (ObjectId o : objects) {
+    const ReplicaCore* r = serving.at(shard_map.shard_of(o));
+    std::optional<store::VersionedValue> v = r->snapshot_store().read_at(o, snapshot);
+    if (!v) return std::nullopt;  // version history truncated below snapshot
+    rec.observations.push_back({o, v->version, v->value});
+  }
+  cluster.history().record_snapshot_read(std::move(rec));
+  return snapshot;
+}
+
+}  // namespace ratc::commit

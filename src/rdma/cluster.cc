@@ -1,8 +1,6 @@
 #include "rdma/cluster.h"
 
-#include <algorithm>
 #include <cassert>
-#include <set>
 #include <stdexcept>
 
 #include "recon/cluster_support.h"
@@ -274,42 +272,7 @@ bool Cluster::await_active_shard_epoch(ShardId s, Epoch at_least,
 std::optional<tcs::Csn> Cluster::snapshot_read(const std::vector<ObjectId>& objects,
                                                Duration staleness_bound,
                                                std::uint64_t member_hint) {
-  if (objects.empty()) return std::nullopt;
-  std::set<ShardId> shards;
-  for (ObjectId o : objects) shards.insert(shard_map_.shard_of(o));
-  std::map<ShardId, Replica*> serving;
-  tcs::Csn snapshot = tcs::watermark_at(sim_.now());
-  for (ShardId s : shards) {
-    configsvc::ShardConfig cfg = current_config(s);
-    if (cfg.members.empty()) return std::nullopt;
-    Replica* pick = nullptr;
-    for (std::size_t i = 0; i < cfg.members.size(); ++i) {
-      ProcessId pid = cfg.members[(member_hint + i) % cfg.members.size()];
-      if (sim_.crashed(pid)) continue;
-      Replica& r = replica_by_pid(pid);
-      if (r.epoch() != cfg.epoch) continue;
-      pick = &r;
-      break;
-    }
-    if (pick == nullptr) return std::nullopt;
-    serving[s] = pick;
-    snapshot = std::min(snapshot, pick->read_watermark());
-  }
-  if (staleness_bound > 0 && snapshot.ts + staleness_bound < sim_.now()) {
-    return std::nullopt;
-  }
-  tcs::SnapshotReadRecord rec;
-  rec.time = sim_.now();
-  rec.snapshot = snapshot;
-  rec.staleness_bound = staleness_bound;
-  for (ObjectId o : objects) {
-    Replica* r = serving.at(shard_map_.shard_of(o));
-    std::optional<store::VersionedValue> v = r->snapshot_store().read_at(o, snapshot);
-    if (!v) return std::nullopt;
-    rec.observations.push_back({o, v->version, v->value});
-  }
-  history_.record_snapshot_read(std::move(rec));
-  return snapshot;
+  return commit::serve_snapshot_read(*this, objects, staleness_bound, member_hint);
 }
 
 std::string Cluster::verify() const {

@@ -145,7 +145,7 @@ class Cluster {
     /// Synthetic zone labels as in commit::Cluster::Options::num_zones.
     std::size_t num_zones = 0;
     /// Debug cross-check of the witness index against the flat log scan
-    /// (see rdma::Replica::Options); aborts on divergence.
+    /// (see commit::ReplicaCore::Options); aborts on divergence.
     bool check_certifier_index = false;
   };
 
@@ -194,11 +194,8 @@ class Cluster {
   const tcs::Certifier& certifier() const { return *certifier_; }
 
   /// Read-only snapshot transaction with ZERO certification messages and no
-  /// fabric flush (see rdma::Replica's CSN read surface): one live member at
-  /// the authoritative epoch per involved shard, snapshot = min of their CSN
-  /// watermarks, objects resolved locally.  Served reads are recorded in the
-  /// history; nullopt when unservable (no member, truncated history, or a
-  /// violated staleness bound).  Mirrors commit::Cluster::snapshot_read.
+  /// fabric flush (see rdma::Replica's CSN read surface), served by the same
+  /// commit::serve_snapshot_read as the message-passing stack.
   std::optional<tcs::Csn> snapshot_read(const std::vector<ObjectId>& objects,
                                         Duration staleness_bound = 0,
                                         std::uint64_t member_hint = 0);

@@ -31,7 +31,9 @@
 
 namespace ratc::rdma {
 
-class RdmaMonitor : public sim::NetworkObserver, public FabricObserver {
+class RdmaMonitor : public sim::NetworkObserver,
+                    public FabricObserver,
+                    public commit::CertificationObserver {
  public:
   explicit RdmaMonitor(sim::Simulator& sim) : sim_(sim) {}
 
@@ -46,14 +48,14 @@ class RdmaMonitor : public sim::NetworkObserver, public FabricObserver {
                      std::make_pair(std::move(members), leader));
   }
 
-  void on_local_decision(TxnId txn, tcs::Decision d) { check_decision(txn, d); }
+  void on_local_decision(TxnId txn, tcs::Decision d) override { check_decision(txn, d); }
 
   /// Vote-computation witnesses, reported by leaders (Fig. 7 line 85); the
   /// raw material for the TCS-LL records.
   void on_vote_computed(ShardId shard, Epoch epoch, Slot slot, TxnId txn,
                         tcs::Decision vote, const tcs::Payload& payload,
                         std::vector<TxnId> committed_against,
-                        std::vector<TxnId> prepared_against) {
+                        std::vector<TxnId> prepared_against) override {
     VoteRecord rec;
     rec.vote = vote;
     rec.payload = payload;

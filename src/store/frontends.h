@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <map>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -14,11 +15,13 @@
 
 namespace ratc::store {
 
-/// Paper protocol (Fig. 1).  Coordinators round-robin over the current
-/// members of all shards (co-located clients: 4-delay path).
-class CommitFrontend : public TcsFrontend {
+/// The paper protocol over messages (Fig. 1) or over the RDMA fabric
+/// (Figs. 7-8).  Coordinators round-robin over the current members of all
+/// shards (co-located clients: 4-delay path).
+template <typename Cluster>
+class ReplicaFrontend : public TcsFrontend {
  public:
-  explicit CommitFrontend(commit::Cluster& cluster)
+  explicit ReplicaFrontend(Cluster& cluster)
       : cluster_(cluster), client_(cluster.add_client()) {
     client_.on_decision = [this](TxnId t, tcs::Decision d) {
       if (on_decision) on_decision(t, d);
@@ -28,7 +31,7 @@ class CommitFrontend : public TcsFrontend {
   TxnId next_txn_id() override { return cluster_.next_txn_id(); }
 
   void submit(TxnId txn, const tcs::Payload& payload) override {
-    commit::Replica* coord = pick_coordinator();
+    auto* coord = pick_coordinator();
     if (coord == nullptr) return;  // no live coordinator: stays undecided
     client_.certify_colocated(*coord, txn, payload);
   }
@@ -37,7 +40,7 @@ class CommitFrontend : public TcsFrontend {
   /// leader instead of one PREPARE per transaction each.
   void submit_batch(
       const std::vector<std::pair<TxnId, tcs::Payload>>& batch) override {
-    commit::Replica* coord = pick_coordinator();
+    auto* coord = pick_coordinator();
     if (coord == nullptr) return;
     client_.certify_batch_colocated(*coord, batch);
   }
@@ -49,82 +52,33 @@ class CommitFrontend : public TcsFrontend {
   }
 
  private:
-  commit::Replica* pick_coordinator() {
-    for (std::uint32_t attempts = 0; attempts < 4 * cluster_.num_shards(); ++attempts) {
-      ShardId s = next_shard_++ % cluster_.num_shards();
+  using Replica = std::remove_reference_t<decltype(std::declval<Cluster&>().replica(0, 0))>;
+  using Client = std::remove_reference_t<decltype(std::declval<Cluster&>().add_client())>;
+
+  Replica* pick_coordinator() {
+    const std::uint32_t shards = cluster_.shard_map().num_shards();
+    for (std::uint32_t attempts = 0; attempts < 4 * shards; ++attempts) {
+      ShardId s = next_shard_++ % shards;
       configsvc::ShardConfig cfg = cluster_.current_config(s);
       if (cfg.members.empty()) continue;
       ProcessId pid = cfg.members[next_member_++ % cfg.members.size()];
       if (cluster_.sim().crashed(pid)) continue;
-      commit::Replica& r = cluster_.replica_by_pid(pid);
+      Replica& r = cluster_.replica_by_pid(pid);
       if (r.epoch() != cfg.epoch) continue;  // stale view: cannot coordinate
       return &r;
     }
     return nullptr;
   }
 
-  commit::Cluster& cluster_;
-  commit::Client& client_;
+  Cluster& cluster_;
+  Client& client_;
   std::uint32_t next_shard_ = 0;
   std::size_t next_member_ = 0;
   std::uint64_t next_read_member_ = 0;
 };
 
-/// RDMA protocol (Figs. 7-8).
-class RdmaFrontend : public TcsFrontend {
- public:
-  explicit RdmaFrontend(rdma::Cluster& cluster)
-      : cluster_(cluster), client_(cluster.add_client()) {
-    client_.on_decision = [this](TxnId t, tcs::Decision d) {
-      if (on_decision) on_decision(t, d);
-    };
-  }
-
-  TxnId next_txn_id() override { return cluster_.next_txn_id(); }
-
-  void submit(TxnId txn, const tcs::Payload& payload) override {
-    rdma::Replica* coord = pick_coordinator();
-    if (coord == nullptr) return;
-    client_.certify_colocated(*coord, txn, payload);
-  }
-
-  void submit_batch(
-      const std::vector<std::pair<TxnId, tcs::Payload>>& batch) override {
-    rdma::Replica* coord = pick_coordinator();
-    if (coord == nullptr) return;
-    client_.certify_batch_colocated(*coord, batch);
-  }
-
-  std::optional<tcs::Csn> submit_read_only(
-      const std::vector<ObjectId>& objects, Duration staleness_bound = 0) override {
-    return cluster_.snapshot_read(objects, staleness_bound, next_read_member_++);
-  }
-
- private:
-  rdma::Replica* pick_coordinator() {
-    for (std::uint32_t attempts = 0; attempts < 4 * shard_count(); ++attempts) {
-      ShardId s = next_shard_++ % shard_count();
-      configsvc::ShardConfig cfg = cluster_.current_config(s);
-      if (cfg.members.empty()) continue;
-      ProcessId pid = cfg.members[next_member_++ % cfg.members.size()];
-      if (cluster_.sim().crashed(pid)) continue;
-      rdma::Replica& r = cluster_.replica_by_pid(pid);
-      if (r.epoch() != cfg.epoch) continue;
-      return &r;
-    }
-    return nullptr;
-  }
-
-  std::uint32_t shard_count() const {
-    return cluster_.shard_map().num_shards();
-  }
-
-  rdma::Cluster& cluster_;
-  rdma::Client& client_;
-  std::uint32_t next_shard_ = 0;
-  std::size_t next_member_ = 0;
-  std::uint64_t next_read_member_ = 0;
-};
+using CommitFrontend = ReplicaFrontend<commit::Cluster>;
+using RdmaFrontend = ReplicaFrontend<rdma::Cluster>;
 
 /// Vanilla 2PC-over-Paxos baseline, in whichever termination mode the
 /// cluster was built with (Paxos Commit included).

@@ -1,7 +1,7 @@
 // Workload generators: synthetic transaction mixes with controllable
 // contention (uniform or zipfian key choice), read/write ratio and
 // multi-shard span — the substitution for the production traces the FARM
-// papers evaluate on (see DESIGN.md).
+// papers evaluate on, which are not public.
 #pragma once
 
 #include <vector>

@@ -304,7 +304,7 @@ TEST(BatchDeterminism, IndexCrossCheckSurvivesBatchedSweeps) {
   rw.batch_size = 4;
   rw.check_certifier_index = true;
   // Batching widens the known coordinator-crash availability hole (see
-  // rdma::Replica::redrive_coordinations): one crashed coordinator now takes
+  // ReplicaCore::redrive_coordinations): one crashed coordinator now takes
   // a whole batch of in-flight transactions with it.  Calibrated after the
   // origin-client decision-routing fix: seeds 1-3 decide 50/50 (pre-fix
   // 50/48/48); a wider 50-seed census bottoms out at 0.82 when a crash
