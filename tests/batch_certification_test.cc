@@ -45,7 +45,7 @@ using tcs::Payload;
 
 // --- 1. witness index == flat scan, randomized ------------------------------
 
-/// The flat collect of Fig. 1's L1/L2 (what commit::Replica::collect_witnesses
+/// The flat collect of Fig. 1's L1/L2 (what ReplicaCore::collect_witnesses
 /// does), reproduced here as the independent oracle.
 WitnessIndex::Witnesses flat_collect(const ReplicaLog& log, Slot slot) {
   WitnessIndex::Witnesses w;
