@@ -117,7 +117,7 @@ OpenLoopResult rdma_run(Duration cpu_cost) {
   opt.link_delay = [cpu_cost](ProcessId, ProcessId) { return 1 + cpu_cost; };
   opt.fabric_delay = [](ProcessId, ProcessId) -> Duration { return 1; };
   rdma::Cluster cluster(opt);
-  rdma::Client& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   std::size_t rr = 0;
   auto pick = [&]() {
     ShardId s = static_cast<ShardId>(rr++ % 2);

@@ -44,7 +44,7 @@ Duration ours_remote(std::uint32_t shards) {
 
 Duration rdma_colocated(std::uint32_t shards) {
   rdma::Cluster cluster({.seed = 3, .num_shards = shards, .shard_size = 2});
-  rdma::Client& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   std::vector<ObjectId> objs;
   for (std::uint32_t s = 0; s < shards; ++s) objs.push_back(s);
   TxnId t = cluster.next_txn_id();

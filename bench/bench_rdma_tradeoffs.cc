@@ -33,7 +33,7 @@ void figure4a_section() {
       return 0;
     };
     rdma::Cluster cluster(opt);
-    rdma::Client& client = cluster.add_client();
+    commit::Client& client = cluster.add_client();
     rdma::Replica& pc = cluster.replica(2, 1);
     TxnId t = cluster.next_txn_id();
     client.certify_remote(pc.id(), t, payload_on({0, 1}, {0, 1}));
@@ -50,10 +50,10 @@ void figure4a_section() {
     if (Slot k = leader0.log().slot_of(t); k != kNoSlot) leader0.retry(k);
     cluster.sim().run();
     bool commit = false, abort = false;
-    for (const auto& [txn, d] : client.observations()) {
-      if (txn != t) continue;
-      commit |= d == tcs::Decision::kCommit;
-      abort |= d == tcs::Decision::kAbort;
+    for (const tcs::HistoryEvent& e : cluster.history().events()) {
+      if (e.kind != tcs::HistoryEvent::Kind::kDecide || e.txn != t) continue;
+      commit |= e.decision == tcs::Decision::kCommit;
+      abort |= e.decision == tcs::Decision::kAbort;
     }
     std::printf("  %-36s -> %s\n",
                 mode == rdma::ReconfigMode::kPerShardUnsafe

@@ -31,7 +31,7 @@ rdma::Cluster::Options scenario(rdma::ReconfigMode mode) {
 int run_figure4a(rdma::ReconfigMode mode, const char* label) {
   std::printf("--- %s ---\n", label);
   rdma::Cluster cluster(scenario(mode));
-  rdma::Client& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   rdma::Replica& pc = cluster.replica(2, 1);  // the coordinator "pc"
   TxnId t = cluster.next_txn_id();
 
@@ -79,10 +79,11 @@ int run_figure4a(rdma::ReconfigMode mode, const char* label) {
 
   int contradictory = 0;
   bool commit_seen = false, abort_seen = false;
-  for (const auto& [txn, d] : client.observations()) {
-    if (txn != t) continue;
-    commit_seen |= d == tcs::Decision::kCommit;
-    abort_seen |= d == tcs::Decision::kAbort;
+  // Every decision the client observed, duplicates included.
+  for (const tcs::HistoryEvent& e : cluster.history().events()) {
+    if (e.kind != tcs::HistoryEvent::Kind::kDecide || e.txn != t) continue;
+    commit_seen |= e.decision == tcs::Decision::kCommit;
+    abort_seen |= e.decision == tcs::Decision::kAbort;
   }
   contradictory = commit_seen && abort_seen;
   if (contradictory) {

@@ -41,13 +41,13 @@ BaselineCluster::BaselineCluster(Options options)
       sopt.in_doubt_timeout = options_.in_doubt_timeout;
       sopt.termination_retry_every = options_.termination_retry_every;
       sopt.termination_max_rounds = options_.termination_max_rounds;
-      auto server = std::make_unique<ShardServer>(sim_, *net_, server_pid(s, i), sopt);
+      auto server = std::make_unique<ShardServer>(net_->runtime(), server_pid(s, i), sopt);
       paxos::PaxosReplica::Options popt;
       popt.group = group;
       popt.initial_leader = group[0];
       ShardServer* raw = server.get();
       auto paxos = std::make_unique<paxos::PaxosReplica>(
-          sim_, *net_, paxos_pid(s, i), "bpaxos" + std::to_string(paxos_pid(s, i)),
+          net_->runtime(), paxos_pid(s, i), "bpaxos" + std::to_string(paxos_pid(s, i)),
           popt, [raw](Slot slot, const sim::AnyMessage& cmd) { raw->apply(slot, cmd); });
       server->attach_paxos(paxos.get());
       sim_.add_process(server.get());
@@ -111,7 +111,7 @@ ProcessId BaselineCluster::coordinator_for(const tcs::Payload& payload) const {
 
 BaselineClient& BaselineCluster::add_client() {
   ProcessId pid = kClientBase + static_cast<ProcessId>(clients_.size());
-  auto c = std::make_unique<BaselineClient>(sim_, *net_, pid, &history_);
+  auto c = std::make_unique<BaselineClient>(net_->runtime(), pid, &history_);
   sim_.add_process(c.get());
   clients_.push_back(std::move(c));
   return *clients_.back();

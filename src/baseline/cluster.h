@@ -24,9 +24,6 @@ class BaselineClient : public sim::Process {
  public:
   BaselineClient(rt::Runtime& rt, ProcessId id, tcs::History* history)
       : Process(rt, id, "bclient" + std::to_string(id)), history_(history) {}
-  BaselineClient(sim::Simulator& sim, sim::Network& net, ProcessId id,
-                 tcs::History* history)
-      : BaselineClient(net.runtime(), id, history) { (void)sim; }
 
   void certify(ProcessId coordinator, TxnId txn, const tcs::Payload& payload) {
     history_->record_certify(rt().now(), txn, payload);

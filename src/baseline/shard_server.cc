@@ -6,12 +6,6 @@ namespace ratc::baseline {
 
 using tcs::Decision;
 
-ShardServer::ShardServer(sim::Simulator& sim, sim::Network& net, ProcessId id,
-                         Options options)
-    : ShardServer(net.runtime(), id, std::move(options)) {
-  (void)sim;
-}
-
 ShardServer::ShardServer(rt::Runtime& rt, ProcessId id, Options options)
     : Process(rt, id, "b" + std::to_string(id) + "/s" + std::to_string(options.shard)),
       options_(std::move(options)),

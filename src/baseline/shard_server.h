@@ -38,7 +38,6 @@
 #include "baseline/termination.h"
 #include "fd/failure_detector.h"
 #include "paxos/replica.h"
-#include "sim/network.h"
 #include "sim/process.h"
 #include "store/versioned_store.h"
 #include "tcs/certifier.h"
@@ -69,7 +68,6 @@ class ShardServer : public sim::Process {
   };
 
   ShardServer(rt::Runtime& rt, ProcessId id, Options options);
-  ShardServer(sim::Simulator& sim, sim::Network& net, ProcessId id, Options options);
 
   void attach_paxos(paxos::PaxosReplica* paxos) { paxos_ = paxos; }
   paxos::PaxosReplica& paxos() { return *paxos_; }

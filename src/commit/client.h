@@ -1,5 +1,7 @@
 // Client process: submits transactions for certification and records the
-// TCS history (certify/decide actions) that the checkers consume.
+// TCS history (certify/decide actions) that the checkers consume.  Both
+// replica stacks use it: a co-located coordinator is any commit::ReplicaCore
+// (the message-passing or the RDMA replica).
 //
 // Two modes, matching the paper's latency discussion (Sec. 3):
 //  * remote: certify is a message to the coordinator replica, and the
@@ -16,7 +18,7 @@
 #include <vector>
 
 #include "commit/messages.h"
-#include "commit/replica.h"
+#include "commit/replica_core.h"
 #include "sim/process.h"
 #include "tcs/history.h"
 
@@ -26,8 +28,6 @@ class Client : public sim::Process {
  public:
   Client(rt::Runtime& rt, ProcessId id, tcs::History* history)
       : Process(rt, id, "client" + std::to_string(id)), history_(history) {}
-  Client(sim::Simulator& sim, sim::Network& net, ProcessId id, tcs::History* history)
-      : Client(net.runtime(), id, history) { (void)sim; }
 
   /// Submits via messages to the replica with the given process id.
   void certify_remote(ProcessId coordinator, TxnId txn, const tcs::Payload& payload) {
@@ -56,7 +56,7 @@ class Client : public sim::Process {
   /// Submits through a co-located coordinator replica (no network hop).
   /// Passing our id as the origin lets a successor coordinator deliver the
   /// decision as DECISION_CLIENT if the co-located replica crashes mid-2PC.
-  void certify_colocated(Replica& coordinator, TxnId txn, const tcs::Payload& payload) {
+  void certify_colocated(ReplicaCore& coordinator, TxnId txn, const tcs::Payload& payload) {
     history_->record_certify(rt().now(), txn, payload);
     sent_[txn] = rt().now();
     coordinator.certify_local(
@@ -68,7 +68,7 @@ class Client : public sim::Process {
   /// Submits a whole batch through one co-located coordinator (one
   /// PREPARE_BATCH per shard leader instead of one PREPARE per txn each).
   void certify_batch_colocated(
-      Replica& coordinator,
+      ReplicaCore& coordinator,
       const std::vector<std::pair<TxnId, tcs::Payload>>& batch) {
     for (const auto& [txn, payload] : batch) {
       history_->record_certify(rt().now(), txn, payload);
@@ -107,7 +107,8 @@ class Client : public sim::Process {
     return d->second - s->second;
   }
 
-  /// Invoked on every decision (used by workload drivers to pipeline).
+  /// Invoked once per transaction, on its first decision (used by workload
+  /// drivers to pipeline).
   std::function<void(TxnId, tcs::Decision)> on_decision;
 
  private:

@@ -1,9 +1,12 @@
-// Construction and operations harness: assembles a full system (shards of
-// f+1 replicas plus spares, the configuration service, clients, the
-// invariant monitor) and provides failure/reconfiguration helpers.  Used by
+// Simulator harness for the message-passing protocol: the commit assembly
+// (rt::CommitSystem — configuration service, shards of f+1 replicas plus
+// spares, the invariant monitor) bound to a SimHost's network, plus the
+// Paxos-replicated CS option, the autonomous controllers, the tracer, the
+// history-recording clients and the failure/reconfiguration levers.  Used by
 // tests, benches and examples.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -14,18 +17,13 @@
 #include "commit/monitor.h"
 #include "commit/replica.h"
 #include "configsvc/replicated_service.h"
-#include "configsvc/simple_service.h"
 #include "ctrl/recon_controller.h"
-#include "sim/network.h"
-#include "sim/simulator.h"
-#include "sim/trace.h"
-#include "tcs/certifier.h"
-#include "tcs/history.h"
-#include "tcs/shard_map.h"
+#include "recon/cluster_support.h"
+#include "rt/commit_system.h"
 
 namespace ratc::commit {
 
-class Cluster {
+class Cluster : public recon::SimHost, public rt::CommitSystem {
  public:
   struct Options {
     std::uint64_t seed = 1;
@@ -70,32 +68,13 @@ class Cluster {
 
   explicit Cluster(Options options);
 
-  // --- topology ---------------------------------------------------------------
-
-  std::uint32_t num_shards() const { return options_.num_shards; }
-  /// Replica by original position (shard, index); index < shard_size are
-  /// initial members, >= shard_size are spares.
-  Replica& replica(ShardId s, std::size_t idx);
-  Replica& replica_by_pid(ProcessId pid);
-  const Replica& replica_by_pid(ProcessId pid) const;
-  std::vector<ProcessId> initial_members(ShardId s) const;
-  std::vector<ProcessId> spares(ShardId s) const;
-
   /// Current configuration according to the configuration service.
   configsvc::ShardConfig current_config(ShardId s) const;
   ProcessId leader_of(ShardId s) const { return current_config(s).leader; }
 
-  // --- clients ------------------------------------------------------------------
-
-  Client& add_client();
-  Client& client(std::size_t i) { return *clients_[i]; }
-  std::size_t num_clients() const { return clients_.size(); }
-  TxnId next_txn_id() { return next_txn_++; }
-
   // --- failure & reconfiguration helpers -----------------------------------------
 
-  void crash(ProcessId pid) { sim_.crash(pid); }
-  void crash_leader(ShardId s) { sim_.crash(leader_of(s)); }
+  void crash_leader(ShardId s) { crash(leader_of(s)); }
   /// Asks `by` to reconfigure shard s (any process can, Fig. 1 line 33).
   void reconfigure(ShardId s, ProcessId by) { replica_by_pid(by).reconfigure(s); }
 
@@ -103,36 +82,7 @@ class Cluster {
   /// configuration's members all report the epoch (activation).
   bool await_active_epoch(ShardId s, Epoch at_least, std::size_t max_events = 2'000'000);
 
-  // --- autonomous reconfiguration (src/ctrl/) ---------------------------------
-
-  bool has_controller() const { return !controllers_.empty(); }
-  ctrl::ReconController& controller(ShardId s) { return *controllers_.at(s); }
-  /// Total reconfiguration attempts started by the controllers.
-  std::size_t controller_attempts() const;
-
-  // --- shared reconfigurer core (src/recon/) -----------------------------------
-
-  /// Aggregate recon::Engine counters over every reconfigurer in the
-  /// cluster (replicas + controllers).
-  recon::EngineStats engine_stats() const;
-  /// The spare ledger invariant, checked per engine: every reserved spare
-  /// is installed in a stored configuration, released back to the pool, or
-  /// still awaiting its CAS outcome.  Empty iff balanced everywhere.
-  std::string spare_ledger_verdict() const;
-  /// Cluster knowledge handed to placement policies (zones, per-process
-  /// load, spare-pool depth).
-  recon::PlacementContext placement_context(ShardId s) const;
-
-  // --- infrastructure access -------------------------------------------------------
-
-  sim::Simulator& sim() { return sim_; }
-  sim::Network& net() { return *net_; }
   Monitor& monitor() { return *monitor_; }
-  sim::Tracer& tracer() { return *tracer_; }
-  tcs::History& history() { return history_; }
-  const tcs::ShardMap& shard_map() const { return shard_map_; }
-  const tcs::Certifier& certifier() const { return *certifier_; }
-  const Options& options() const { return options_; }
 
   // --- read-only snapshot transactions (CSN fast path) -------------------------
 
@@ -154,33 +104,7 @@ class Cluster {
   std::string verify() const;
 
  private:
-  ProcessId replica_pid(ShardId s, std::size_t idx) const;
-  /// Hands out up to n fresh spares for `shard`, permanently consuming them
-  /// (global freshness; see ReplicaCore::Options::allocate_spares).  Shared by
-  /// replica reconfigurers and the autonomous controllers.
-  std::vector<ProcessId> allocate_spares(ShardId shard, std::size_t n);
-  /// Returns spares whose proposal never entered a stored configuration.
-  void release_spares(ShardId shard, const std::vector<ProcessId>& spares);
-
-  Options options_;
-  sim::Simulator sim_;
-  std::unique_ptr<sim::Network> net_;
-  tcs::ShardMap shard_map_;
-  std::unique_ptr<tcs::Certifier> certifier_;
-  std::unique_ptr<Monitor> monitor_;
-  std::unique_ptr<sim::Tracer> tracer_;
-  std::unique_ptr<configsvc::SimpleConfigService> simple_cs_;
   std::unique_ptr<configsvc::ReplicatedConfigService> replicated_cs_;
-  std::vector<std::unique_ptr<Replica>> replicas_;
-  std::vector<std::unique_ptr<ctrl::ReconController>> controllers_;
-  std::vector<std::unique_ptr<Client>> clients_;
-  /// Never-yet-used spare processes per shard (the "fresh process" pool;
-  /// allocation permanently consumes).
-  std::map<ShardId, std::vector<ProcessId>> free_spares_;
-  /// Synthetic zone labels (num_zones > 0), fixed at construction.
-  std::map<ProcessId, std::string> zones_;
-  tcs::History history_;
-  TxnId next_txn_ = 1;
 };
 
 }  // namespace ratc::commit

@@ -51,7 +51,6 @@ class Replica;
 class Monitor : public sim::NetworkObserver, public CertificationObserver {
  public:
   explicit Monitor(rt::Runtime& rt) : rt_(rt) {}
-  explicit Monitor(sim::Simulator& sim) : Monitor(sim.runtime()) {}
 
   // --- wiring ---------------------------------------------------------------
 

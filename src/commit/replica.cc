@@ -14,12 +14,6 @@ Replica::Replica(rt::Runtime& rt, ProcessId id, Options options)
       monitor_(options.monitor),
       cs_(rt, id, options_.cs_endpoints) {}
 
-Replica::Replica(sim::Simulator& sim, sim::Network& net, ProcessId id,
-                 Options options)
-    : Replica(net.runtime(), id, std::move(options)) {
-  (void)sim;
-}
-
 const configsvc::ShardConfig& Replica::view(ShardId s) const {
   static const configsvc::ShardConfig kInvalid;
   auto it = views_.find(s);

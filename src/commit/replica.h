@@ -29,7 +29,6 @@
 
 #include "commit/replica_core.h"
 #include "configsvc/client.h"
-#include "sim/network.h"
 
 namespace ratc::commit {
 
@@ -47,8 +46,6 @@ class Replica : public ReplicaCore {
   };
 
   Replica(rt::Runtime& rt, ProcessId id, Options options);
-  /// Sim-harness compatibility: binds to `net`'s embedded runtime.
-  Replica(sim::Simulator& sim, sim::Network& net, ProcessId id, Options options);
 
   // --- bootstrap ------------------------------------------------------------
 

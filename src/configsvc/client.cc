@@ -9,12 +9,6 @@ CsClient::CsClient(rt::Runtime& rt, ProcessId owner,
       endpoints_(std::move(endpoints)),
       retry_every_(retry_every) {}
 
-CsClient::CsClient(sim::Simulator& sim, sim::Network& net, ProcessId owner,
-                   std::vector<ProcessId> endpoints, Duration retry_every)
-    : CsClient(net.runtime(), owner, std::move(endpoints), retry_every) {
-  (void)sim;
-}
-
 void CsClient::cas(ShardId shard, Epoch expected, ShardConfig next,
                    std::function<void(bool)> cb) {
   RequestId id = fresh_id();
@@ -88,12 +82,6 @@ GcsClient::GcsClient(rt::Runtime& rt, ProcessId owner,
       owner_(owner),
       endpoints_(std::move(endpoints)),
       retry_every_(retry_every) {}
-
-GcsClient::GcsClient(sim::Simulator& sim, sim::Network& net, ProcessId owner,
-                     std::vector<ProcessId> endpoints, Duration retry_every)
-    : GcsClient(net.runtime(), owner, std::move(endpoints), retry_every) {
-  (void)sim;
-}
 
 void GcsClient::cas(Epoch expected, GlobalConfig next, std::function<void(bool)> cb) {
   RequestId id = fresh_id();

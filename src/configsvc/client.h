@@ -15,8 +15,7 @@
 #include "configsvc/config.h"
 #include "configsvc/messages.h"
 #include "rt/runtime.h"
-#include "sim/network.h"
-#include "sim/simulator.h"
+#include "sim/message.h"
 
 namespace ratc::configsvc {
 
@@ -24,8 +23,6 @@ class CsClient {
  public:
   CsClient(rt::Runtime& rt, ProcessId owner, std::vector<ProcessId> endpoints,
            Duration retry_every = 50);
-  CsClient(sim::Simulator& sim, sim::Network& net, ProcessId owner,
-           std::vector<ProcessId> endpoints, Duration retry_every = 50);
 
   /// compare_and_swap(s, e, <e', M, pl>) — paper Sec. 3.
   void cas(ShardId shard, Epoch expected, ShardConfig next,
@@ -68,8 +65,6 @@ class GcsClient {
  public:
   GcsClient(rt::Runtime& rt, ProcessId owner, std::vector<ProcessId> endpoints,
             Duration retry_every = 50);
-  GcsClient(sim::Simulator& sim, sim::Network& net, ProcessId owner,
-            std::vector<ProcessId> endpoints, Duration retry_every = 50);
 
   void cas(Epoch expected, GlobalConfig next, std::function<void(bool)> cb);
   void get_last(std::function<void(const GlobalConfig&)> cb);

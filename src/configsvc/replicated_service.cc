@@ -7,11 +7,6 @@ namespace ratc::configsvc {
 CsServer::CsServer(rt::Runtime& rt, ProcessId id)
     : Process(rt, id, "cs-frontend" + std::to_string(id)) {}
 
-CsServer::CsServer(sim::Simulator& sim, sim::Network& net, ProcessId id)
-    : CsServer(net.runtime(), id) {
-  (void)sim;
-}
-
 void CsServer::bootstrap(ShardId shard, ShardConfig config) {
   assert(config.valid());
   configs_[shard][config.epoch] = config;
@@ -101,13 +96,13 @@ ReplicatedConfigService::ReplicatedConfigService(sim::Simulator& sim,
   }
   for (std::size_t i = 0; i < options.num_servers; ++i) {
     ProcessId fid = options.first_pid + static_cast<ProcessId>(i);
-    auto server = std::make_unique<CsServer>(sim, net, fid);
+    auto server = std::make_unique<CsServer>(net.runtime(), fid);
     paxos::PaxosReplica::Options popt;
     popt.group = paxos_group;
     popt.initial_leader = paxos_group[0];
     CsServer* raw = server.get();
     auto paxos = std::make_unique<paxos::PaxosReplica>(
-        sim, net, paxos_group[i], "cs-paxos" + std::to_string(i), popt,
+        net.runtime(), paxos_group[i], "cs-paxos" + std::to_string(i), popt,
         [raw](Slot slot, const sim::AnyMessage& cmd) { raw->apply(slot, cmd); });
     server->attach_paxos(paxos.get());
     sim.add_process(server.get());

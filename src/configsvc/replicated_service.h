@@ -35,7 +35,6 @@ struct CsCommand {
 class CsServer : public sim::Process {
  public:
   CsServer(rt::Runtime& rt, ProcessId id);
-  CsServer(sim::Simulator& sim, sim::Network& net, ProcessId id);
 
   void attach_paxos(paxos::PaxosReplica* paxos) { paxos_ = paxos; }
   paxos::PaxosReplica& paxos() { return *paxos_; }

@@ -9,12 +9,6 @@ namespace ratc::configsvc {
 SimpleConfigService::SimpleConfigService(rt::Runtime& rt, ProcessId id)
     : Process(rt, id, "cs") {}
 
-SimpleConfigService::SimpleConfigService(sim::Simulator& sim, sim::Network& net,
-                                         ProcessId id)
-    : SimpleConfigService(net.runtime(), id) {
-  (void)sim;
-}
-
 void SimpleConfigService::bootstrap(ShardId shard, ShardConfig config) {
   assert(config.valid());
   configs_[shard][config.epoch] = config;
@@ -67,12 +61,6 @@ void SimpleConfigService::broadcast_change(ShardId shard, const ShardConfig& con
 
 SimpleGlobalConfigService::SimpleGlobalConfigService(rt::Runtime& rt, ProcessId id)
     : Process(rt, id, "gcs") {}
-
-SimpleGlobalConfigService::SimpleGlobalConfigService(sim::Simulator& sim,
-                                                     sim::Network& net, ProcessId id)
-    : SimpleGlobalConfigService(net.runtime(), id) {
-  (void)sim;
-}
 
 void SimpleGlobalConfigService::bootstrap(GlobalConfig config) {
   assert(config.valid());

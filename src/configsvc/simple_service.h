@@ -8,7 +8,6 @@
 
 #include "configsvc/config.h"
 #include "configsvc/messages.h"
-#include "sim/network.h"
 #include "sim/process.h"
 
 namespace ratc::configsvc {
@@ -17,7 +16,6 @@ namespace ratc::configsvc {
 class SimpleConfigService : public sim::Process {
  public:
   SimpleConfigService(rt::Runtime& rt, ProcessId id);
-  SimpleConfigService(sim::Simulator& sim, sim::Network& net, ProcessId id);
 
   /// Installs an initial configuration without message traffic (bootstrap of
   /// the pre-activated epoch-1 configurations).
@@ -45,7 +43,6 @@ class SimpleConfigService : public sim::Process {
 class SimpleGlobalConfigService : public sim::Process {
  public:
   SimpleGlobalConfigService(rt::Runtime& rt, ProcessId id);
-  SimpleGlobalConfigService(sim::Simulator& sim, sim::Network& net, ProcessId id);
 
   void bootstrap(GlobalConfig config);
 

@@ -8,12 +8,6 @@
 
 namespace ratc::ctrl {
 
-ReconController::ReconController(sim::Simulator& sim, sim::Network& net,
-                                 ProcessId id, Options options)
-    : ReconController(net.runtime(), id, std::move(options)) {
-  (void)sim;
-}
-
 ReconController::ReconController(rt::Runtime& rt, ProcessId id, Options options)
     : Process(rt, id, "ctrl/s" + std::to_string(options.shard)),
       options_(std::move(options)),

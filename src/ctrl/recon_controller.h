@@ -64,7 +64,6 @@
 #include "ctrl/placement.h"
 #include "fd/failure_detector.h"
 #include "recon/engine.h"
-#include "sim/network.h"
 #include "sim/process.h"
 
 namespace ratc::commit {
@@ -108,8 +107,6 @@ class ReconController : public sim::Process, private recon::StackHooks {
   };
 
   ReconController(rt::Runtime& rt, ProcessId id, Options options);
-  ReconController(sim::Simulator& sim, sim::Network& net, ProcessId id,
-                  Options options);
 
   /// Installs the initial per-shard view and starts watching its members
   /// (commit stack).

@@ -22,8 +22,7 @@
 
 #include "common/types.h"
 #include "rt/runtime.h"
-#include "sim/network.h"
-#include "sim/simulator.h"
+#include "sim/message.h"
 
 namespace ratc::fd {
 
@@ -41,7 +40,6 @@ struct Pong {
 class Responder {
  public:
   Responder(rt::Runtime& rt, ProcessId owner) : rt_(rt), owner_(owner) {}
-  Responder(sim::Network& net, ProcessId owner) : Responder(net.runtime(), owner) {}
 
   bool handle(ProcessId from, const sim::AnyMessage& msg) {
     const auto* ping = msg.as<Ping>();
@@ -69,13 +67,6 @@ class PingMonitor {
 
   PingMonitor(rt::Runtime& rt, ProcessId owner)
       : PingMonitor(rt, owner, Options{}) {}
-
-  PingMonitor(sim::Simulator& sim, sim::Network& net, ProcessId owner,
-              Options options)
-      : PingMonitor(net.runtime(), owner, options) { (void)sim; }
-
-  PingMonitor(sim::Simulator& sim, sim::Network& net, ProcessId owner)
-      : PingMonitor(net.runtime(), owner, Options{}) { (void)sim; }
 
   /// Registered suspicion/recovery callbacks.  on_suspect fires once per
   /// suspicion edge (a watched peer crossing the silence threshold);

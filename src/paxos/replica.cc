@@ -7,13 +7,6 @@
 
 namespace ratc::paxos {
 
-PaxosReplica::PaxosReplica(sim::Simulator& sim, sim::Network& net, ProcessId id,
-                           std::string name, Options options, ApplyFn apply)
-    : PaxosReplica(net.runtime(), id, std::move(name), std::move(options),
-                   std::move(apply)) {
-  (void)sim;
-}
-
 PaxosReplica::PaxosReplica(rt::Runtime& rt, ProcessId id, std::string name,
                            Options options, ApplyFn apply)
     : Process(rt, id, std::move(name)),

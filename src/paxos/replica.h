@@ -29,9 +29,7 @@
 
 #include "common/types.h"
 #include "paxos/messages.h"
-#include "sim/network.h"
 #include "sim/process.h"
-#include "sim/simulator.h"
 
 namespace ratc::paxos {
 
@@ -47,8 +45,6 @@ class PaxosReplica : public sim::Process {
 
   PaxosReplica(rt::Runtime& rt, ProcessId id, std::string name, Options options,
                ApplyFn apply);
-  PaxosReplica(sim::Simulator& sim, sim::Network& net, ProcessId id,
-               std::string name, Options options, ApplyFn apply);
 
   /// Submits a command for replication.  On the leader this starts phase 2
   /// immediately; elsewhere it forwards to the believed leader.

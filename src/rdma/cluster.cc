@@ -2,71 +2,69 @@
 
 #include <cassert>
 #include <stdexcept>
-
-#include "recon/cluster_support.h"
+#include <utility>
 
 namespace ratc::rdma {
 
 namespace {
-constexpr ProcessId kReplicaBase = 100;
-constexpr ProcessId kShardStride = 100;
-constexpr ProcessId kSpareOffset = 50;
-constexpr ProcessId kClientBase = 5000;
-constexpr ProcessId kCtrlBase = 8000;
-constexpr ProcessId kCsPid = 9000;
+
+using LinkDelay = std::function<Duration(ProcessId, ProcessId)>;
+
+/// A link delay from the per-link override, 1 tick where it returns 0.
+std::function<Duration(Rng&, ProcessId, ProcessId)> delay_from(LinkDelay link) {
+  return [link = std::move(link)](Rng&, ProcessId from, ProcessId to) -> Duration {
+    Duration d = link ? link(from, to) : 0;
+    return d > 0 ? d : 1;
+  };
+}
+
+sim::Network::Options network_options(const Cluster::Options& o) {
+  sim::Network::Options nopt;
+  nopt.delay = delay_from(o.link_delay);
+  return nopt;
+}
+
 }  // namespace
 
 Cluster::Cluster(Options options)
-    : options_(std::move(options)), sim_(options_.seed), shard_map_(options_.num_shards) {
-  auto delay_fn = [this](Rng&, ProcessId from, ProcessId to) -> Duration {
-    if (options_.link_delay) {
-      Duration d = options_.link_delay(from, to);
-      if (d > 0) return d;
-    }
-    return 1;
-  };
-  sim::Network::Options nopt;
-  nopt.delay = delay_fn;
-  net_ = std::make_unique<sim::Network>(sim_, nopt);
+    : SimHost(options.seed, network_options(options)),
+      ReplicaCluster(net_.runtime(),
+                     {.num_shards = options.num_shards,
+                      .shard_size = options.shard_size,
+                      .spares_per_shard = options.spares_per_shard,
+                      .isolation = options.isolation,
+                      .retry_timeout = options.retry_timeout,
+                      .probe_patience = options.probe_patience,
+                      .check_certifier_index = options.check_certifier_index,
+                      .placement_policy = options.placement_policy,
+                      .num_zones = options.num_zones,
+                      .placement_context = true}),
+      mode_(options.mode) {
   Fabric::Options fopt;
-  if (options_.fabric_delay) {
-    fopt.delay = [this](Rng&, ProcessId from, ProcessId to) -> Duration {
-      Duration d = options_.fabric_delay(from, to);
-      return d > 0 ? d : 1;
-    };
-  } else {
-    fopt.delay = delay_fn;
-  }
-  fopt.poll_delay = options_.poll_delay;
+  fopt.delay = delay_from(options.fabric_delay ? options.fabric_delay : options.link_delay);
+  fopt.poll_delay = options.poll_delay;
   fabric_ = std::make_unique<Fabric>(sim_, fopt);
-  certifier_ = tcs::make_certifier(options_.isolation);
   monitor_ = std::make_unique<RdmaMonitor>(sim_);
-  net_->add_observer(monitor_.get());
+  net_.add_observer(monitor_.get());
   fabric_->add_observer(monitor_.get());
-  if (options_.enable_tracer) {
-    tracer_ = std::make_unique<sim::Tracer>();
-    net_->add_observer(tracer_.get());
-  }
+  if (options.enable_tracer) attach_tracer();
 
-  // Configuration service and initial configuration.
+  // Configuration service and initial configuration: epoch 1, the first
+  // shard_size replicas of every shard, the first of them leading.
   configsvc::GlobalConfig initial;
   initial.epoch = 1;
-  for (ShardId s = 0; s < options_.num_shards; ++s) {
-    std::vector<ProcessId> members;
-    for (std::size_t i = 0; i < options_.shard_size; ++i) {
-      members.push_back(replica_pid(s, i));
-    }
-    initial.members[s] = members;
-    initial.leaders[s] = members.front();
+  for (ShardId s = 0; s < options.num_shards; ++s) {
+    initial.members[s] = initial_members(s);
+    initial.leaders[s] = initial.members[s].front();
   }
-  if (options_.mode == ReconfigMode::kGlobalSafe) {
-    gcs_ = std::make_unique<configsvc::SimpleGlobalConfigService>(sim_, *net_, kCsPid);
-    sim_.add_process(gcs_.get());
+  if (mode_ == ReconfigMode::kGlobalSafe) {
+    gcs_ = std::make_unique<configsvc::SimpleGlobalConfigService>(rt_, kCsPid);
+    rt_.spawn(gcs_.get());
     gcs_->bootstrap(initial);
   } else {
-    cs_ = std::make_unique<configsvc::SimpleConfigService>(sim_, *net_, kCsPid);
-    sim_.add_process(cs_.get());
-    for (ShardId s = 0; s < options_.num_shards; ++s) {
+    cs_ = std::make_unique<configsvc::SimpleConfigService>(rt_, kCsPid);
+    rt_.spawn(cs_.get());
+    for (ShardId s = 0; s < options.num_shards; ++s) {
       cs_->bootstrap(s, initial.shard(s));
     }
   }
@@ -74,58 +72,29 @@ Cluster::Cluster(Options options)
     monitor_->register_members(s, initial.epoch, members, initial.leaders.at(s));
   }
 
-  zones_ = recon::assign_zones(
-      options_.num_zones, options_.num_shards,
-      options_.shard_size + options_.spares_per_shard,
-      [this](ShardId s, std::size_t i) { return replica_pid(s, i); });
-
-  for (ShardId s = 0; s < options_.num_shards; ++s) {
-    Replica::Options ropt;
-    ropt.shard = s;
-    ropt.mode = options_.mode;
-    ropt.shard_map = &shard_map_;
-    ropt.certifier = certifier_.get();
-    ropt.cs_endpoints = {kCsPid};
-    ropt.target_shard_size = options_.shard_size;
-    ropt.probe_patience = options_.probe_patience;
-    ropt.retry_timeout = options_.retry_timeout;
-    ropt.ablate_flush = options_.ablate_flush;
-    ropt.check_certifier_index = options_.check_certifier_index;
-    ropt.monitor = monitor_.get();
-    ropt.placement_policy = options_.placement_policy;
-    ropt.placement_context = [this](ShardId shard) {
-      return placement_context(shard);
-    };
-    ropt.allocate_spares = [this](ShardId shard, std::size_t n) {
-      return allocate_spares(shard, n);
-    };
-    ropt.release_spares = [this](ShardId shard,
-                                 const std::vector<ProcessId>& spares) {
-      release_spares(shard, spares);
-    };
-    for (std::size_t j = 0; j < options_.spares_per_shard; ++j) {
-      free_spares_[s].push_back(replica_pid(s, options_.shard_size + j));
-    }
-    for (std::size_t i = 0; i < options_.shard_size + options_.spares_per_shard; ++i) {
-      ProcessId pid = replica_pid(s, i);
-      auto r = std::make_unique<Replica>(sim_, *net_, *fabric_, pid, ropt);
-      sim_.add_process(r.get());
-      monitor_->register_replica(r.get());
-      if (cs_) cs_->subscribe(pid);
-      if (i < options_.shard_size) {
-        r->bootstrap(i == 0 ? Status::kLeader : Status::kFollower, initial);
-      } else {
-        r->bootstrap_spare(initial);
-      }
-      replicas_.push_back(std::move(r));
-    }
-  }
+  Replica::Options proto;
+  proto.cs_endpoints = {kCsPid};
+  proto.mode = mode_;
+  proto.ablate_flush = options.ablate_flush;
+  proto.monitor = monitor_.get();
+  spawn_replicas(
+      proto, initial,
+      [this](ProcessId pid, const Replica::Options& o) {
+        return std::make_unique<Replica>(rt_, *fabric_, pid, o);
+      },
+      [this](ProcessId pid) {
+        if (cs_) cs_->subscribe(pid);
+      });
   // In the unsafe strawman, writes to spares must land too (no connection
   // management at all): open every member->spare path.
-  if (options_.mode == ReconfigMode::kPerShardUnsafe) {
-    for (auto& owner : replicas_) {
-      for (auto& peer : replicas_) {
-        if (owner->id() != peer->id()) fabric_->open(owner->id(), peer->id());
+  if (mode_ == ReconfigMode::kPerShardUnsafe) {
+    std::vector<ProcessId> all;
+    for (ShardId s = 0; s < options.num_shards; ++s) {
+      for (std::size_t i = 0; i < hosts_per_shard(); ++i) all.push_back(replica_pid(s, i));
+    }
+    for (ProcessId owner : all) {
+      for (ProcessId peer : all) {
+        if (owner != peer) fabric_->open(owner, peer);
       }
     }
   }
@@ -135,92 +104,23 @@ Cluster::Cluster(Options options)
   // (the fabric-side activation steps live in the replicas; see
   // ctrl/messages.h).  Safe global mode only — the unsafe strawman exists
   // to reproduce the Fig. 4a violation, not to be healed.
-  if (options_.enable_controller) {
-    if (options_.mode != ReconfigMode::kGlobalSafe) {
+  if (options.enable_controller) {
+    if (mode_ != ReconfigMode::kGlobalSafe) {
       // Replicas drop CTRL_NUDGE outside safe mode; silently spawning
       // controllers would claim autonomous recovery while healing nothing.
       throw std::invalid_argument(
           "enable_controller requires ReconfigMode::kGlobalSafe");
     }
-    for (ShardId s = 0; s < options_.num_shards; ++s) {
+    for (ShardId s = 0; s < options.num_shards; ++s) {
       ctrl::ReconController::Options copt;
       copt.shard = s;
       copt.mode = ctrl::ReconController::Mode::kDelegateGlobal;
-      copt.target_shard_size = options_.shard_size;
-      copt.tuning = options_.controller_tuning;
-      copt.placement_context = [this](ShardId shard) {
-        return placement_context(shard);
-      };
-      auto c = std::make_unique<ctrl::ReconController>(
-          sim_, *net_, kCtrlBase + s, std::move(copt));
-      sim_.add_process(c.get());
-      gcs_->subscribe(c->id());
-      c->bootstrap_global(initial);
-      controllers_.push_back(std::move(c));
+      copt.tuning = options.controller_tuning;
+      ctrl::ReconController& c = spawn_controller(std::move(copt));
+      gcs_->subscribe(c.id());
+      c.bootstrap_global(initial);
     }
   }
-}
-
-std::size_t Cluster::controller_attempts() const {
-  std::size_t n = 0;
-  for (const auto& c : controllers_) n += c->stats().attempts;
-  return n;
-}
-
-recon::EngineStats Cluster::engine_stats() const {
-  return recon::cluster_engine_stats(replicas_, controllers_);
-}
-
-std::string Cluster::spare_ledger_verdict() const {
-  return recon::cluster_spare_ledger_verdict(replicas_, controllers_);
-}
-
-recon::PlacementContext Cluster::placement_context(ShardId s) const {
-  auto pool = free_spares_.find(s);
-  return recon::cluster_placement_context(
-      s, replicas_, zones_,
-      pool == free_spares_.end() ? 0 : pool->second.size());
-}
-
-std::vector<ProcessId> Cluster::allocate_spares(ShardId shard, std::size_t n) {
-  std::vector<ProcessId> out;
-  auto& pool = free_spares_[shard];
-  while (!pool.empty() && out.size() < n) {
-    out.push_back(pool.front());
-    pool.erase(pool.begin());
-  }
-  return out;
-}
-
-void Cluster::release_spares(ShardId shard, const std::vector<ProcessId>& spares) {
-  auto& pool = free_spares_[shard];
-  pool.insert(pool.end(), spares.begin(), spares.end());
-}
-
-ProcessId Cluster::replica_pid(ShardId s, std::size_t idx) const {
-  ProcessId base = kReplicaBase + s * kShardStride;
-  return idx < options_.shard_size
-             ? base + static_cast<ProcessId>(idx)
-             : base + kSpareOffset + static_cast<ProcessId>(idx - options_.shard_size);
-}
-
-Replica& Cluster::replica(ShardId s, std::size_t idx) {
-  return replica_by_pid(replica_pid(s, idx));
-}
-
-Replica& Cluster::replica_by_pid(ProcessId pid) {
-  for (auto& r : replicas_) {
-    if (r->id() == pid) return *r;
-  }
-  throw std::out_of_range("no rdma replica with pid " + std::to_string(pid));
-}
-
-std::vector<ProcessId> Cluster::spares(ShardId s) const {
-  std::vector<ProcessId> out;
-  for (std::size_t j = 0; j < options_.spares_per_shard; ++j) {
-    out.push_back(replica_pid(s, options_.shard_size + j));
-  }
-  return out;
 }
 
 configsvc::ShardConfig Cluster::current_config(ShardId s) const {
@@ -233,16 +133,8 @@ Epoch Cluster::current_epoch() const {
   return gcs_->last().epoch;
 }
 
-Client& Cluster::add_client() {
-  ProcessId pid = kClientBase + static_cast<ProcessId>(clients_.size());
-  auto c = std::make_unique<Client>(sim_, *net_, pid, &history_);
-  sim_.add_process(c.get());
-  clients_.push_back(std::move(c));
-  return *clients_.back();
-}
-
 bool Cluster::await_active_epoch(Epoch at_least, std::size_t max_events) {
-  assert(options_.mode == ReconfigMode::kGlobalSafe);
+  assert(mode_ == ReconfigMode::kGlobalSafe);
   auto active = [&] {
     const configsvc::GlobalConfig& cfg = gcs_->last();
     if (cfg.epoch < at_least) return false;
@@ -276,22 +168,7 @@ std::optional<tcs::Csn> Cluster::snapshot_read(const std::vector<ObjectId>& obje
 }
 
 std::string Cluster::verify() const {
-  std::string problems;
-  if (!monitor_->violations().empty()) {
-    problems += "invariant violations:\n" + monitor_->violations().summary();
-  }
-  auto conflicting = history_.conflicting_decisions();
-  if (!conflicting.empty()) {
-    problems += "conflicting client decisions for " +
-                std::to_string(conflicting.size()) + " transaction(s)\n";
-  }
-  checker::TcsLLInput input =
-      monitor_->tcsll_input(history_, shard_map_, *certifier_);
-  checker::TcsLLResult tcsll = checker::check_tcsll(input);
-  if (!tcsll.ok) {
-    problems += "TCS-LL violations:\n" + tcsll.summary();
-  }
-  return problems;
+  return recon::verify_run(monitor_.get(), history_, shard_map(), certifier());
 }
 
 }  // namespace ratc::rdma

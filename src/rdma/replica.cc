@@ -10,12 +10,6 @@ namespace ratc::rdma {
 
 using tcs::Decision;
 
-Replica::Replica(sim::Simulator& sim, sim::Network& net, Fabric& fabric,
-                 ProcessId id, Options options)
-    : Replica(net.runtime(), fabric, id, std::move(options)) {
-  (void)sim;
-}
-
 Replica::Replica(rt::Runtime& rt, Fabric& fabric, ProcessId id, Options options)
     : ReplicaCore(rt, id, "rr" + std::to_string(id) + "/s" + std::to_string(options.shard),
                   options, options.monitor),

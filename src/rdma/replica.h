@@ -35,7 +35,6 @@
 #include "configsvc/client.h"
 #include "rdma/fabric.h"
 #include "rdma/messages.h"
-#include "sim/network.h"
 
 namespace ratc::rdma {
 
@@ -62,8 +61,6 @@ class Replica : public commit::ReplicaCore {
   };
 
   Replica(rt::Runtime& rt, Fabric& fabric, ProcessId id, Options options);
-  Replica(sim::Simulator& sim, sim::Network& net, Fabric& fabric, ProcessId id,
-          Options options);
 
   /// Installs the pre-activated initial configuration.  The harness opens
   /// the initial RDMA connections.

@@ -15,10 +15,6 @@ Engine::Engine(rt::Runtime& rt, ProcessId owner, StackHooks& hooks,
       options_(options),
       policy_(options_.policy != nullptr ? options_.policy : &default_policy_) {}
 
-Engine::Engine(sim::Simulator& sim, ProcessId owner, StackHooks& hooks,
-               Options options)
-    : Engine(sim.runtime(), owner, hooks, options) {}
-
 bool Engine::start(std::vector<ShardId> shards) {
   // Line 34 pre: probing = false (one attempt at a time per reconfigurer).
   if (probing_) return false;

@@ -55,7 +55,6 @@
 #include "configsvc/config.h"
 #include "recon/placement.h"
 #include "rt/runtime.h"
-#include "sim/simulator.h"
 
 namespace ratc::recon {
 
@@ -169,9 +168,6 @@ class Engine {
   /// Timers are scheduled for `owner`, so the engine dies with its host
   /// process.  `hooks` must outlive the engine.
   Engine(rt::Runtime& rt, ProcessId owner, StackHooks& hooks, Options options);
-  /// Sim-harness compatibility (unit tests drive the engine off a bare
-  /// simulator; the hooks do all the sending).
-  Engine(sim::Simulator& sim, ProcessId owner, StackHooks& hooks, Options options);
 
   // --- attempt lifecycle ------------------------------------------------------
 

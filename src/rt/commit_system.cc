@@ -1,128 +1,68 @@
 #include "rt/commit_system.h"
 
-#include <stdexcept>
+#include "configsvc/replicated_service.h"
 
 namespace ratc::rt {
 
 CommitSystem::CommitSystem(Runtime& rt, Options options)
-    : rt_(rt), options_(options), shard_map_(options.num_shards) {
-  certifier_ = tcs::make_certifier(options_.isolation);
-  if (options_.enable_monitor) monitor_ = std::make_unique<commit::Monitor>(rt_);
+    : CommitSystem(rt,
+                   {.num_shards = options.num_shards,
+                    .shard_size = options.shard_size,
+                    .spares_per_shard = options.spares_per_shard,
+                    .isolation = options.isolation,
+                    .retry_timeout = options.retry_timeout,
+                    .probe_patience = options.probe_patience},
+                   options.enable_monitor) {
+  spawn(spawn_simple_cs(), {kCsPid}, false);
+}
 
-  cs_ = std::make_unique<configsvc::SimpleConfigService>(rt_, kCsPid);
-  rt_.spawn(cs_.get());
-  std::vector<ProcessId> cs_endpoints{kCsPid};
+CommitSystem::CommitSystem(Runtime& rt, const recon::ClusterParams& params,
+                           bool enable_monitor)
+    : ReplicaCluster(rt, params) {
+  if (enable_monitor) monitor_ = std::make_unique<commit::Monitor>(rt_);
+}
 
-  // Initial configurations: epoch 1, first shard_size replicas, first is
-  // leader — pre-activated, exactly as commit::Cluster bootstraps.
-  std::map<ShardId, configsvc::ShardConfig> initial;
-  for (ShardId s = 0; s < options_.num_shards; ++s) {
+configsvc::SimpleConfigService& CommitSystem::spawn_simple_cs() {
+  simple_cs_ = std::make_unique<configsvc::SimpleConfigService>(rt_, kCsPid);
+  rt_.spawn(simple_cs_.get());
+  return *simple_cs_;
+}
+
+template <typename Cs>
+void CommitSystem::spawn(Cs& cs, std::vector<ProcessId> cs_endpoints,
+                         bool leader_ships_accepts) {
+  for (ShardId s = 0; s < num_shards(); ++s) {
     configsvc::ShardConfig cfg;
     cfg.epoch = 1;
-    for (std::size_t i = 0; i < options_.shard_size; ++i) {
-      cfg.members.push_back(replica_pid(s, i));
-    }
+    cfg.members = initial_members(s);
     cfg.leader = cfg.members.front();
-    initial[s] = cfg;
-    cs_->bootstrap(s, cfg);
+    initial_[s] = cfg;
+    cs.bootstrap(s, cfg);
     if (monitor_) monitor_->register_config(s, cfg);
   }
-
-  const std::size_t per_shard = options_.shard_size + options_.spares_per_shard;
-  for (ShardId s = 0; s < options_.num_shards; ++s) {
-    commit::Replica::Options ropt;
-    ropt.shard = s;
-    ropt.shard_map = &shard_map_;
-    ropt.certifier = certifier_.get();
-    ropt.cs_endpoints = cs_endpoints;
-    ropt.target_shard_size = options_.shard_size;
-    ropt.probe_patience = options_.probe_patience;
-    ropt.retry_timeout = options_.retry_timeout;
-    ropt.monitor = monitor_.get();
-    ropt.allocate_spares = [this](ShardId shard, std::size_t n) {
-      return allocate_spares(shard, n);
-    };
-    ropt.release_spares = [this](ShardId shard,
-                                 const std::vector<ProcessId>& spares) {
-      release_spares(shard, spares);
-    };
-    for (std::size_t j = 0; j < options_.spares_per_shard; ++j) {
-      free_spares_[s].push_back(replica_pid(s, options_.shard_size + j));
-    }
-    for (std::size_t i = 0; i < per_shard; ++i) {
-      replicas_.push_back(
-          std::make_unique<commit::Replica>(rt_, replica_pid(s, i), ropt));
-    }
-  }
-
-  // Spawn index-major (all leaders, then the first followers, ...): the
-  // threaded runtime pins processes round-robin in spawn order, and the
-  // shard leaders are the hot certification processes — shard-major order
-  // would stack every leader on the same worker whenever the per-shard
-  // replica count divides the worker count.
-  for (std::size_t i = 0; i < per_shard; ++i) {
-    for (ShardId s = 0; s < options_.num_shards; ++s) {
-      rt_.spawn(&replica(s, i));
-    }
-  }
-
-  for (ShardId s = 0; s < options_.num_shards; ++s) {
-    for (std::size_t i = 0; i < per_shard; ++i) {
-      commit::Replica& r = replica(s, i);
-      if (monitor_) monitor_->register_replica(&r);
-      cs_->subscribe(r.id());
-      if (i < options_.shard_size) {
-        commit::Status st =
-            (i == 0) ? commit::Status::kLeader : commit::Status::kFollower;
-        r.bootstrap(st, initial);
-      } else {
-        r.bootstrap_spare(initial);
-      }
-    }
-  }
+  commit::Replica::Options proto;
+  proto.cs_endpoints = std::move(cs_endpoints);
+  proto.leader_ships_accepts = leader_ships_accepts;
+  proto.monitor = monitor_.get();
+  spawn_replicas(
+      proto, initial_,
+      [this](ProcessId pid, const commit::Replica::Options& o) {
+        return std::make_unique<commit::Replica>(rt_, pid, o);
+      },
+      [&cs](ProcessId pid) { cs.subscribe(pid); });
 }
 
-ProcessId CommitSystem::replica_pid(ShardId s, std::size_t idx) const {
-  ProcessId base = kReplicaBase + s * kShardStride;
-  return idx < options_.shard_size
-             ? base + static_cast<ProcessId>(idx)
-             : base + kSpareOffset + static_cast<ProcessId>(idx - options_.shard_size);
-}
-
-commit::Replica& CommitSystem::replica(ShardId s, std::size_t idx) {
-  ProcessId pid = replica_pid(s, idx);
-  for (auto& r : replicas_) {
-    if (r->id() == pid) return *r;
-  }
-  throw std::out_of_range("no replica with pid " + std::to_string(pid));
-}
+template void CommitSystem::spawn(configsvc::SimpleConfigService&, std::vector<ProcessId>,
+                                  bool);
+template void CommitSystem::spawn(configsvc::ReplicatedConfigService&,
+                                  std::vector<ProcessId>, bool);
 
 std::vector<ProcessId> CommitSystem::coordinators() const {
   std::vector<ProcessId> out;
-  for (ShardId s = 0; s < options_.num_shards; ++s) {
-    for (std::size_t i = 0; i < options_.shard_size; ++i) {
-      out.push_back(replica_pid(s, i));
-    }
+  for (ShardId s = 0; s < num_shards(); ++s) {
+    for (ProcessId pid : initial_members(s)) out.push_back(pid);
   }
   return out;
-}
-
-std::vector<ProcessId> CommitSystem::allocate_spares(ShardId shard, std::size_t n) {
-  std::lock_guard<std::mutex> lock(spares_mu_);
-  std::vector<ProcessId> out;
-  auto& pool = free_spares_[shard];
-  while (!pool.empty() && out.size() < n) {
-    out.push_back(pool.front());
-    pool.erase(pool.begin());
-  }
-  return out;
-}
-
-void CommitSystem::release_spares(ShardId shard,
-                                  const std::vector<ProcessId>& spares) {
-  std::lock_guard<std::mutex> lock(spares_mu_);
-  auto& pool = free_spares_[shard];
-  pool.insert(pool.end(), spares.begin(), spares.end());
 }
 
 }  // namespace ratc::rt

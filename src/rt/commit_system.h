@@ -1,10 +1,10 @@
-// Assembles the paper's commit stack — configuration service, shards of
-// f+1 replicas plus spares, optional invariant monitor — on *any*
-// rt::Runtime.  The runtime-agnostic sibling of commit::Cluster: Cluster
-// additionally owns a Simulator and the sim-only harness levers
-// (fault injectors, await_active_epoch, controllers); this class owns only
-// the processes, so the same assembly runs on the deterministic simulator
-// or on rt::ThreadedRuntime's real threads.
+// The paper's commit stack — configuration service, shards of f+1 replicas
+// plus spares, optional invariant monitor — on *any* rt::Runtime: the
+// commit-stack instantiation of recon::ReplicaCluster (recon/cluster_support.h),
+// so the same assembly runs on rt::ThreadedRuntime's real threads or on the
+// deterministic simulator.  commit::Cluster is this assembly bound to a
+// simulator's network, plus the replicated-CS option, controllers and the
+// harness levers.
 //
 // The caller wires the monitor into the transport's observer tap
 // (ThreadedRuntime::add_observer / sim::Network::add_observer) — the seam
@@ -13,20 +13,18 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "commit/monitor.h"
 #include "commit/replica.h"
 #include "configsvc/simple_service.h"
+#include "recon/cluster_support.h"
 #include "rt/runtime.h"
-#include "tcs/certifier.h"
-#include "tcs/shard_map.h"
 
 namespace ratc::rt {
 
-class CommitSystem {
+class CommitSystem : public recon::ReplicaCluster<commit::Replica> {
  public:
   struct Options {
     std::uint32_t num_shards = 2;
@@ -39,47 +37,35 @@ class CommitSystem {
     bool enable_monitor = true;
   };
 
-  // Same pid scheme as commit::Cluster, so traces and tests read alike.
-  static constexpr ProcessId kReplicaBase = 100;
-  static constexpr ProcessId kShardStride = 100;
-  static constexpr ProcessId kSpareOffset = 50;
-  static constexpr ProcessId kClientBase = 5000;
-  static constexpr ProcessId kCsPid = 9000;
-
+  /// Spawns the CS first, then the replicas (see spawn_replicas for the
+  /// order); spawn before the runtime starts.
   CommitSystem(Runtime& rt, Options options);
 
-  std::uint32_t num_shards() const { return options_.num_shards; }
-  ProcessId replica_pid(ShardId s, std::size_t idx) const;
-  commit::Replica& replica(ShardId s, std::size_t idx);
   /// Initial members of every shard — the processes a load generator may
   /// pick as transaction coordinators.
   std::vector<ProcessId> coordinators() const;
-  ProcessId leader_pid(ShardId s) const { return replica_pid(s, 0); }
 
-  /// Null when Options::enable_monitor is false.  Thread-safe by
-  /// construction (commit::Monitor locks internally); remember to register
-  /// it as a transport observer.
+  /// Null when the monitor is disabled.  Thread-safe by construction
+  /// (commit::Monitor locks internally); remember to register it as a
+  /// transport observer.
   commit::Monitor* monitor() { return monitor_.get(); }
-  const tcs::ShardMap& shard_map() const { return shard_map_; }
-  const tcs::Certifier& certifier() const { return *certifier_; }
-  configsvc::SimpleConfigService& config_service() { return *cs_; }
-  const Options& options() const { return options_; }
 
- private:
-  std::vector<ProcessId> allocate_spares(ShardId shard, std::size_t n);
-  void release_spares(ShardId shard, const std::vector<ProcessId>& spares);
+ protected:
+  /// The assembly with no process spawned yet: the caller picks the
+  /// configuration service and calls spawn().
+  CommitSystem(Runtime& rt, const recon::ClusterParams& params, bool enable_monitor);
 
-  Runtime& rt_;
-  Options options_;
-  tcs::ShardMap shard_map_;
-  std::unique_ptr<tcs::Certifier> certifier_;
+  /// Bootstraps `cs` (reachable at `cs_endpoints`) with every shard's
+  /// pre-activated epoch-1 configuration — the first shard_size replicas,
+  /// the first of them leading — then spawns and boots the replicas.
+  template <typename Cs>
+  void spawn(Cs& cs, std::vector<ProcessId> cs_endpoints, bool leader_ships_accepts);
+  /// Spawns the reliable single-process configuration service at kCsPid.
+  configsvc::SimpleConfigService& spawn_simple_cs();
+
   std::unique_ptr<commit::Monitor> monitor_;
-  std::unique_ptr<configsvc::SimpleConfigService> cs_;
-  std::vector<std::unique_ptr<commit::Replica>> replicas_;
-  /// Reconfiguration may run on any worker thread, so the fresh-spare pool
-  /// is locked (commit::Cluster gets this for free from sim determinism).
-  std::mutex spares_mu_;
-  std::map<ShardId, std::vector<ProcessId>> free_spares_;
+  std::unique_ptr<configsvc::SimpleConfigService> simple_cs_;
+  std::map<ShardId, configsvc::ShardConfig> initial_;
 };
 
 }  // namespace ratc::rt

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "rt/commit_system.h"
+
 namespace ratc::rt {
 
 LoadGen::LoadGen(Runtime& rt, std::vector<ProcessId> coordinators, Options options)
@@ -15,7 +17,7 @@ LoadGen::LoadGen(Runtime& rt, std::vector<ProcessId> coordinators, Options optio
     auto c = std::make_unique<ClientState>();
     c->history = std::make_unique<tcs::History>();
     c->proc = std::make_unique<commit::Client>(
-        rt_, options_.first_pid + static_cast<ProcessId>(i), c->history.get());
+        rt_, CommitSystem::kClientBase + static_cast<ProcessId>(i), c->history.get());
     c->rng = std::make_unique<Rng>(options_.seed * 6364136223846793005ULL + i + 1);
     c->gen = std::make_unique<store::ContendedPayloadGen>(*c->rng, options_.keyspace);
     c->coordinator = coordinators_[i % coordinators_.size()];
@@ -27,11 +29,10 @@ LoadGen::LoadGen(Runtime& rt, std::vector<ProcessId> coordinators, Options optio
         if (const tcs::Payload* p = cp->history->payload_of(txn)) {
           cp->gen->observe_commit(*p);
         }
-        committed_.fetch_add(1, std::memory_order_acq_rel);
       }
       decided_.fetch_add(1, std::memory_order_acq_rel);
       if (cp->inflight > 0) --cp->inflight;
-      if (options_.pace == 0) pump(*cp);
+      pump(*cp);
     };
     rt_.spawn(c->proc.get());
     clients_.push_back(std::move(c));
@@ -43,20 +44,8 @@ LoadGen::~LoadGen() = default;
 void LoadGen::start() {
   for (auto& c : clients_) {
     ClientState* cp = c.get();
-    if (options_.pace == 0) {
-      rt_.schedule_for(cp->proc->id(), 0, [this, cp] { pump(*cp); });
-    } else {
-      rt_.schedule_for(cp->proc->id(), 0, [this, cp] { start_pacer(*cp); });
-    }
+    rt_.schedule_for(cp->proc->id(), 0, [this, cp] { pump(*cp); });
   }
-}
-
-// Open loop: a self-rearming pacer, blind to outstanding decisions.
-void LoadGen::start_pacer(ClientState& c) {
-  if (c.submitted >= options_.txns_per_client) return;
-  submit_batch(c);
-  ClientState* cp = &c;
-  rt_.schedule_for(c.proc->id(), options_.pace, [this, cp] { start_pacer(*cp); });
 }
 
 void LoadGen::pump(ClientState& c) {
@@ -81,16 +70,6 @@ void LoadGen::submit_batch(ClientState& c) {
   c.proc->certify_batch_remote(c.coordinator, batch);
 }
 
-std::vector<Duration> LoadGen::latencies() const {
-  std::vector<Duration> out;
-  for (const auto& c : clients_) {
-    for (TxnId txn : c->history->all_txns()) {
-      if (auto l = c->proc->latency(txn)) out.push_back(*l);
-    }
-  }
-  return out;
-}
-
 tcs::History LoadGen::merged_history() const {
   // Gather every client's events and replay them in time order.
   std::vector<const tcs::HistoryEvent*> events;
@@ -110,12 +89,6 @@ tcs::History LoadGen::merged_history() const {
     }
   }
   return merged;
-}
-
-std::size_t LoadGen::submitted() const {
-  std::size_t n = 0;
-  for (const auto& c : clients_) n += c->submitted;
-  return n;
 }
 
 }  // namespace ratc::rt

@@ -1,17 +1,15 @@
-// Closed/open-loop workload driver over the runtime seam.
+// Closed-loop workload driver over the runtime seam, for the threaded
+// runtime's tests.
 //
-// Spawns commit::Client processes (round-robin over the given coordinator
-// pids) and drives them entirely *from their own workers*: the first
-// submission is a 0-delay timer on the client's process, and every
-// subsequent submission happens inside the client's decision callback — so
-// each client's state (history, payload generator, rng, windows) is only
-// ever touched by one thread and needs no locks.  The only cross-thread
-// state is the aggregate decided/committed counters the main thread polls.
-//
-// Closed loop (pace == 0): each client keeps `window` transactions in
-// flight, topping up batch-by-batch as decisions land.  Open loop
-// (pace > 0): each client fires one batch every `pace` ticks regardless of
-// outstanding decisions.
+// Spawns commit::Client processes at CommitSystem::kClientBase onward
+// (round-robin over the given coordinator pids) and drives them entirely
+// *from their own workers*: the first submission is a 0-delay timer on the
+// client's process, and every subsequent submission happens inside the
+// client's decision callback — so each client's state (history, payload
+// generator, rng, windows) is only ever touched by one thread and needs no
+// locks.  The only cross-thread state is the aggregate decided counter the
+// main thread polls.  Each client keeps `window` batches in flight, topping
+// up batch-by-batch as decisions land.
 //
 // Payloads come from store::ContendedPayloadGen — the same contended
 // read-write mix the sim workloads use — over a keyspace that can stretch
@@ -41,14 +39,12 @@ class LoadGen {
     std::size_t batch_size = 1;
     /// Closed-loop window in *batches* per client.
     std::size_t window = 1;
-    /// Open loop when nonzero: one batch per client every `pace` ticks.
-    Duration pace = 0;
     /// Object universe of the contended payload mix.
     ObjectId keyspace = 1 << 20;
     std::uint64_t seed = 1;
-    ProcessId first_pid = 5000;  ///< CommitSystem::kClientBase
   };
 
+  /// Spawns the clients: construct before the runtime starts.
   LoadGen(Runtime& rt, std::vector<ProcessId> coordinators, Options options);
   ~LoadGen();
 
@@ -60,18 +56,13 @@ class LoadGen {
 
   std::size_t target_txns() const { return options_.clients * options_.txns_per_client; }
   std::size_t decided() const { return decided_.load(std::memory_order_acquire); }
-  std::size_t committed() const { return committed_.load(std::memory_order_acquire); }
   bool done() const { return decided() >= target_txns(); }
 
   // --- results (only after the runtime stopped) -----------------------------
 
-  /// certify-to-decide latencies in runtime time units (µs on the threaded
-  /// runtime), one entry per decided transaction.
-  std::vector<Duration> latencies() const;
   /// All clients' histories merged into one, ordered by event time — input
   /// for the history checkers.
   tcs::History merged_history() const;
-  std::size_t submitted() const;
 
  private:
   struct ClientState {
@@ -85,7 +76,6 @@ class LoadGen {
   };
 
   void pump(ClientState& c);
-  void start_pacer(ClientState& c);
   void submit_batch(ClientState& c);
 
   Runtime& rt_;
@@ -94,7 +84,6 @@ class LoadGen {
   std::vector<std::unique_ptr<ClientState>> clients_;
   std::atomic<std::uint64_t> next_txn_{1};
   std::atomic<std::size_t> decided_{0};
-  std::atomic<std::size_t> committed_{0};
 };
 
 }  // namespace ratc::rt

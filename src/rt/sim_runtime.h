@@ -1,9 +1,8 @@
 // rt::Runtime implemented by the deterministic simulator — the "testing
 // twin" side of the runtime seam.  A SimRuntime is embedded in every
 // `sim::Network` (with the send path wired) and in every `sim::Simulator`
-// (network-less, for processes that never send through the seam), so all
-// existing sim-typed harness code keeps working unchanged: protocol classes
-// take `rt::Runtime&` and offer delegating compat constructors that grab
+// (network-less, for processes that never send through the seam).
+// Protocol classes take `rt::Runtime&`; simulator harnesses hand them
 // `net.runtime()`.
 #pragma once
 

@@ -4,7 +4,6 @@
 
 #include <functional>
 #include <map>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -52,10 +51,7 @@ class ReplicaFrontend : public TcsFrontend {
   }
 
  private:
-  using Replica = std::remove_reference_t<decltype(std::declval<Cluster&>().replica(0, 0))>;
-  using Client = std::remove_reference_t<decltype(std::declval<Cluster&>().add_client())>;
-
-  Replica* pick_coordinator() {
+  commit::ReplicaCore* pick_coordinator() {
     const std::uint32_t shards = cluster_.shard_map().num_shards();
     for (std::uint32_t attempts = 0; attempts < 4 * shards; ++attempts) {
       ShardId s = next_shard_++ % shards;
@@ -63,7 +59,7 @@ class ReplicaFrontend : public TcsFrontend {
       if (cfg.members.empty()) continue;
       ProcessId pid = cfg.members[next_member_++ % cfg.members.size()];
       if (cluster_.sim().crashed(pid)) continue;
-      Replica& r = cluster_.replica_by_pid(pid);
+      commit::ReplicaCore& r = cluster_.replica_by_pid(pid);
       if (r.epoch() != cfg.epoch) continue;  // stale view: cannot coordinate
       return &r;
     }
@@ -71,7 +67,7 @@ class ReplicaFrontend : public TcsFrontend {
   }
 
   Cluster& cluster_;
-  Client& client_;
+  commit::Client& client_;
   std::uint32_t next_shard_ = 0;
   std::size_t next_member_ = 0;
   std::uint64_t next_read_member_ = 0;

@@ -30,114 +30,105 @@ std::string snapshot_verdict(const tcs::History& history) {
   return r.ok ? "" : "snapshot reads: " + r.error;
 }
 
-// The commit and RDMA clusters expose the same surface (current_config,
-// replica_by_pid, sim, certify_colocated clients); these helpers hold the
-// shared coordinator-pick and topology logic so it cannot drift between
-// the two harnesses.
-
-template <typename ClusterT, typename ClientT>
-bool submit_colocated(ClusterT& cluster, ClientT& client, Rng& rng,
-                      std::uint32_t num_shards, TxnId txn,
-                      const tcs::Payload& payload) {
-  for (int attempts = 0; attempts < 20; ++attempts) {
-    ShardId s = static_cast<ShardId>(rng.below(num_shards));
-    configsvc::ShardConfig cfg = cluster.current_config(s);
-    if (cfg.members.empty()) continue;
-    ProcessId pid = cfg.members[rng.below(cfg.members.size())];
-    if (cluster.sim().crashed(pid)) continue;
-    auto& r = cluster.replica_by_pid(pid);
-    if (r.epoch() != cfg.epoch) continue;  // stale view: cannot coordinate
-    client.certify_colocated(r, txn, payload);
-    return true;
-  }
-  return false;  // no live coordinator: the transaction stays undecided
-}
-
-/// Batched variant of submit_colocated: the same seeded coordinator pick,
-/// but the whole batch rides one certify_batch_colocated call.
-template <typename ClusterT, typename ClientT>
-bool submit_batch_colocated(
-    ClusterT& cluster, ClientT& client, Rng& rng, std::uint32_t num_shards,
-    const std::vector<std::pair<TxnId, tcs::Payload>>& batch) {
-  for (int attempts = 0; attempts < 20; ++attempts) {
-    ShardId s = static_cast<ShardId>(rng.below(num_shards));
-    configsvc::ShardConfig cfg = cluster.current_config(s);
-    if (cfg.members.empty()) continue;
-    ProcessId pid = cfg.members[rng.below(cfg.members.size())];
-    if (cluster.sim().crashed(pid)) continue;
-    auto& r = cluster.replica_by_pid(pid);
-    if (r.epoch() != cfg.epoch) continue;
-    client.certify_batch_colocated(r, batch);
-    return true;
-  }
-  return false;
-}
-
-template <typename ClusterT>
-std::vector<ProcessId> alive_config_members(ClusterT& cluster, ShardId s) {
-  std::vector<ProcessId> alive;
-  for (ProcessId m : cluster.current_config(s).members) {
-    if (!cluster.sim().crashed(m)) alive.push_back(m);
-  }
-  return alive;
-}
-
-template <typename ClusterT>
-std::vector<std::vector<ProcessId>> member_units(const ClusterT& cluster, ShardId s) {
-  std::vector<std::vector<ProcessId>> units;
-  for (ProcessId m : cluster.current_config(s).members) units.push_back({m});
-  return units;
-}
-
-template <typename ClusterT>
-std::vector<std::vector<ProcessId>> member_units_all(const ClusterT& cluster,
-                                                     std::uint32_t num_shards) {
-  std::vector<std::vector<ProcessId>> units;
-  for (ShardId s = 0; s < num_shards; ++s) {
-    for (auto& u : member_units(cluster, s)) units.push_back(std::move(u));
-  }
-  return units;
-}
-
 }  // namespace
 
-// --- commit ---------------------------------------------------------------------
+// --- commit and rdma ---------------------------------------------------------------
 
-CommitHarness::CommitHarness(std::uint64_t seed, const StackWorkload& w)
+commit::Cluster::Options CommitStack::options(std::uint64_t seed, const StackWorkload& w,
+                                              recon::PlacementPolicy* policy) {
+  return {.seed = seed,
+          .num_shards = w.num_shards,
+          .shard_size = w.shard_size,
+          .spares_per_shard = w.spares_per_shard,
+          .isolation = w.isolation,
+          .retry_timeout = w.retry_timeout,
+          .exponential_delays = w.exponential_delays,
+          .enable_tracer = w.capture_trace,
+          .enable_controller = w.autonomous_controller,
+          .controller_tuning = w.controller,
+          .placement_policy = policy,
+          .num_zones = w.num_zones,
+          .check_certifier_index = w.check_certifier_index};
+}
+
+void CommitStack::install_fault_injector(Cluster& c, const StackWorkload&,
+                                         sim::FaultInjector* fi) {
+  c.net().set_fault_injector(fi);
+}
+
+void CommitStack::reconfigure(Cluster& c, ShardId s, ProcessId by, Epoch epoch) {
+  c.reconfigure(s, by);
+  c.await_active_epoch(s, epoch + 1, 200'000);
+}
+
+rdma::Cluster::Options RdmaStack::options(std::uint64_t seed, const StackWorkload& w,
+                                          recon::PlacementPolicy* policy) {
+  return {.seed = seed,
+          .num_shards = w.num_shards,
+          .shard_size = w.shard_size,
+          .spares_per_shard = w.spares_per_shard,
+          .isolation = w.isolation,
+          .retry_timeout = w.retry_timeout,
+          .enable_tracer = w.capture_trace,
+          .enable_controller = w.autonomous_controller,
+          .controller_tuning = w.controller,
+          .placement_policy = policy,
+          .num_zones = w.num_zones,
+          .check_certifier_index = w.check_certifier_index};
+}
+
+void RdmaStack::install_fault_injector(Cluster& c, const StackWorkload& w,
+                                       sim::FaultInjector* fi) {
+  c.net().set_fault_injector(fi);
+  if (w.faults_on_fabric) c.fabric().set_fault_injector(fi);
+}
+
+void RdmaStack::reconfigure(Cluster& c, ShardId, ProcessId by, Epoch) {
+  Epoch before = c.current_epoch();
+  c.replica_by_pid(by).reconfigure();
+  c.await_active_epoch(before + 1, 200'000);
+}
+
+template <typename Stack>
+ReplicaHarness<Stack>::ReplicaHarness(std::uint64_t seed, const StackWorkload& w)
     : w_(w),
-      cluster_({.seed = seed,
-                .num_shards = w.num_shards,
-                .shard_size = w.shard_size,
-                .spares_per_shard = w.spares_per_shard,
-                .isolation = w.isolation,
-                .retry_timeout = w.retry_timeout,
-                .exponential_delays = w.exponential_delays,
-                .enable_tracer = w.capture_trace,
-                .enable_controller = w.autonomous_controller,
-                .controller_tuning = w.controller,
-                .placement_policy = select_placement(w, &zone_policy_),
-                .num_zones = w.num_zones,
-                .check_certifier_index = w.check_certifier_index}),
+      cluster_(Stack::options(seed, w, select_placement(w, &zone_policy_))),
       client_(&cluster_.add_client()) {}
 
-void CommitHarness::install_fault_injector(sim::FaultInjector* fi) {
-  cluster_.net().set_fault_injector(fi);
+template <typename Stack>
+commit::ReplicaCore* ReplicaHarness<Stack>::pick_coordinator(Rng& rng) {
+  for (int attempts = 0; attempts < 20; ++attempts) {
+    ShardId s = static_cast<ShardId>(rng.below(w_.num_shards));
+    configsvc::ShardConfig cfg = cluster_.current_config(s);
+    if (cfg.members.empty()) continue;
+    ProcessId pid = cfg.members[rng.below(cfg.members.size())];
+    if (cluster_.sim().crashed(pid)) continue;
+    auto& r = cluster_.replica_by_pid(pid);
+    if (r.epoch() != cfg.epoch) continue;  // stale view: cannot coordinate
+    return &r;
+  }
+  return nullptr;  // no live coordinator: the transaction stays undecided
 }
 
-void CommitHarness::set_on_decision(std::function<void(TxnId, tcs::Decision)> fn) {
-  client_->on_decision = std::move(fn);
+template <typename Stack>
+bool ReplicaHarness<Stack>::submit(Rng& rng, TxnId txn, const tcs::Payload& payload) {
+  commit::ReplicaCore* coordinator = pick_coordinator(rng);
+  if (coordinator == nullptr) return false;
+  client_->certify_colocated(*coordinator, txn, payload);
+  return true;
 }
 
-bool CommitHarness::submit(Rng& rng, TxnId txn, const tcs::Payload& payload) {
-  return submit_colocated(cluster_, *client_, rng, w_.num_shards, txn, payload);
-}
-
-bool CommitHarness::submit_batch(
+template <typename Stack>
+bool ReplicaHarness<Stack>::submit_batch(
     Rng& rng, const std::vector<std::pair<TxnId, tcs::Payload>>& batch) {
-  return submit_batch_colocated(cluster_, *client_, rng, w_.num_shards, batch);
+  commit::ReplicaCore* coordinator = pick_coordinator(rng);
+  if (coordinator == nullptr) return false;
+  client_->certify_batch_colocated(*coordinator, batch);
+  return true;
 }
 
-bool CommitHarness::snapshot_read(Rng& rng, const std::vector<ObjectId>& objects) {
+template <typename Stack>
+bool ReplicaHarness<Stack>::snapshot_read(Rng& rng, const std::vector<ObjectId>& objects) {
   ++reads_attempted_;
   bool served =
       cluster_.snapshot_read(objects, w_.read_staleness_bound, rng.below(64))
@@ -146,23 +137,38 @@ bool CommitHarness::snapshot_read(Rng& rng, const std::vector<ObjectId>& objects
   return served;
 }
 
-std::string CommitHarness::check_snapshot_reads() {
+template <typename Stack>
+std::string ReplicaHarness<Stack>::check_snapshot_reads() {
   return snapshot_verdict(cluster_.history());
 }
 
-std::vector<ProcessId> CommitHarness::alive_members(ShardId s) {
-  return alive_config_members(cluster_, s);
+template <typename Stack>
+std::vector<ProcessId> ReplicaHarness<Stack>::alive_members(ShardId s) {
+  std::vector<ProcessId> alive;
+  for (ProcessId m : cluster_.current_config(s).members) {
+    if (!cluster_.sim().crashed(m)) alive.push_back(m);
+  }
+  return alive;
 }
 
-std::vector<std::vector<ProcessId>> CommitHarness::fault_units(ShardId s) const {
-  return member_units(cluster_, s);
+template <typename Stack>
+std::vector<std::vector<ProcessId>> ReplicaHarness<Stack>::fault_units(ShardId s) const {
+  std::vector<std::vector<ProcessId>> units;
+  for (ProcessId m : cluster_.current_config(s).members) units.push_back({m});
+  return units;
 }
 
-std::vector<std::vector<ProcessId>> CommitHarness::all_units() const {
-  return member_units_all(cluster_, num_shards());
+template <typename Stack>
+std::vector<std::vector<ProcessId>> ReplicaHarness<Stack>::all_units() const {
+  std::vector<std::vector<ProcessId>> units;
+  for (ShardId s = 0; s < num_shards(); ++s) {
+    for (auto& u : fault_units(s)) units.push_back(std::move(u));
+  }
+  return units;
 }
 
-bool CommitHarness::crash_and_reconfigure(Rng& rng, ShardId s) {
+template <typename Stack>
+bool ReplicaHarness<Stack>::crash_and_reconfigure(Rng& rng, ShardId s) {
   configsvc::ShardConfig cfg = cluster_.current_config(s);
   std::vector<ProcessId> alive = alive_members(s);
   // Keep Assumption 1: only crash when the whole configuration is still up
@@ -175,134 +181,42 @@ bool CommitHarness::crash_and_reconfigure(Rng& rng, ShardId s) {
   if (!w_.harness_repair) return true;
   ProcessId survivor = kNoProcess;
   for (ProcessId m : alive) {
-    if (m != victim) survivor = m;
+    if (m == victim) continue;
+    survivor = m;
+    if (Stack::kFirstSurvivor) break;
   }
-  cluster_.reconfigure(s, survivor);
-  cluster_.await_active_epoch(s, cfg.epoch + 1, 200'000);
+  Stack::reconfigure(cluster_, s, survivor, cfg.epoch);
   return true;
 }
 
-bool CommitHarness::reconfigure_healthy(Rng& rng, ShardId s) {
+template <typename Stack>
+bool ReplicaHarness<Stack>::reconfigure_healthy(Rng& rng, ShardId s) {
   configsvc::ShardConfig cfg = cluster_.current_config(s);
   std::vector<ProcessId> alive = alive_members(s);
   if (alive.empty()) return false;
   // Any current member may trigger it (Fig. 1 line 33).
-  cluster_.reconfigure(s, alive[rng.below(alive.size())]);
-  cluster_.await_active_epoch(s, cfg.epoch + 1, 200'000);
+  Stack::reconfigure(cluster_, s, alive[rng.below(alive.size())], cfg.epoch);
   return true;
 }
 
-void CommitHarness::drain(Duration d, Rng& rng) {
+template <typename Stack>
+void ReplicaHarness<Stack>::drain(Duration d, Rng& rng) {
   (void)rng;
   cluster_.sim().run_until(cluster_.sim().now() + d);
 }
 
-std::string CommitHarness::check_linearization() {
+template <typename Stack>
+std::string ReplicaHarness<Stack>::check_linearization() {
   return lin_verdict(cluster_.history(), cluster_.certifier());
 }
 
-std::string CommitHarness::trace() {
+template <typename Stack>
+std::string ReplicaHarness<Stack>::trace() {
   return w_.capture_trace ? cluster_.tracer().render() : "";
 }
 
-// --- rdma -----------------------------------------------------------------------
-
-RdmaHarness::RdmaHarness(std::uint64_t seed, const StackWorkload& w)
-    : w_(w),
-      cluster_({.seed = seed,
-                .num_shards = w.num_shards,
-                .shard_size = w.shard_size,
-                .spares_per_shard = w.spares_per_shard,
-                .isolation = w.isolation,
-                .retry_timeout = w.retry_timeout,
-                .enable_tracer = w.capture_trace,
-                .enable_controller = w.autonomous_controller,
-                .controller_tuning = w.controller,
-                .placement_policy = select_placement(w, &zone_policy_),
-                .num_zones = w.num_zones,
-                .check_certifier_index = w.check_certifier_index}),
-      client_(&cluster_.add_client()) {}
-
-void RdmaHarness::install_fault_injector(sim::FaultInjector* fi) {
-  cluster_.net().set_fault_injector(fi);
-  if (w_.faults_on_fabric) cluster_.fabric().set_fault_injector(fi);
-}
-
-void RdmaHarness::set_on_decision(std::function<void(TxnId, tcs::Decision)> fn) {
-  client_->on_decision = std::move(fn);
-}
-
-bool RdmaHarness::submit(Rng& rng, TxnId txn, const tcs::Payload& payload) {
-  return submit_colocated(cluster_, *client_, rng, w_.num_shards, txn, payload);
-}
-
-bool RdmaHarness::submit_batch(
-    Rng& rng, const std::vector<std::pair<TxnId, tcs::Payload>>& batch) {
-  return submit_batch_colocated(cluster_, *client_, rng, w_.num_shards, batch);
-}
-
-bool RdmaHarness::snapshot_read(Rng& rng, const std::vector<ObjectId>& objects) {
-  ++reads_attempted_;
-  bool served =
-      cluster_.snapshot_read(objects, w_.read_staleness_bound, rng.below(64))
-          .has_value();
-  if (served) ++reads_served_;
-  return served;
-}
-
-std::string RdmaHarness::check_snapshot_reads() {
-  return snapshot_verdict(cluster_.history());
-}
-
-std::vector<ProcessId> RdmaHarness::alive_members(ShardId s) {
-  return alive_config_members(cluster_, s);
-}
-
-std::vector<std::vector<ProcessId>> RdmaHarness::fault_units(ShardId s) const {
-  return member_units(cluster_, s);
-}
-
-std::vector<std::vector<ProcessId>> RdmaHarness::all_units() const {
-  return member_units_all(cluster_, num_shards());
-}
-
-bool RdmaHarness::crash_and_reconfigure(Rng& rng, ShardId s) {
-  configsvc::ShardConfig cfg = cluster_.current_config(s);
-  std::vector<ProcessId> alive = alive_members(s);
-  if (alive.size() < cfg.members.size() || alive.size() <= 1) return false;
-  ProcessId victim = alive[rng.below(alive.size())];
-  cluster_.crash(victim);
-  if (!w_.harness_repair) return true;  // crash-only nemesis (see CommitHarness)
-  ProcessId survivor = victim == alive[0] ? alive[1] : alive[0];
-  Epoch before = cluster_.current_epoch();
-  cluster_.replica_by_pid(survivor).reconfigure();
-  cluster_.await_active_epoch(before + 1, 200'000);
-  return true;
-}
-
-bool RdmaHarness::reconfigure_healthy(Rng& rng, ShardId s) {
-  std::vector<ProcessId> alive = alive_members(s);
-  if (alive.empty()) return false;
-  // Global reconfiguration with no failure: the safe protocol's only (and
-  // most expensive) reconfiguration lever.
-  Epoch before = cluster_.current_epoch();
-  cluster_.replica_by_pid(alive[rng.below(alive.size())]).reconfigure();
-  cluster_.await_active_epoch(before + 1, 200'000);
-  return true;
-}
-
-void RdmaHarness::drain(Duration d, Rng& rng) {
-  (void)rng;
-  cluster_.sim().run_until(cluster_.sim().now() + d);
-}
-
-std::string RdmaHarness::check_linearization() {
-  return lin_verdict(cluster_.history(), cluster_.certifier());
-}
-
-std::string RdmaHarness::trace() {
-  return w_.capture_trace ? cluster_.tracer().render() : "";
-}
+template class ReplicaHarness<CommitStack>;
+template class ReplicaHarness<RdmaStack>;
 
 // --- baseline -------------------------------------------------------------------
 

@@ -171,23 +171,69 @@ class ContendedPayloadGen {
   std::map<ObjectId, Version> versions_;
 };
 
-/// Paper protocol (Fig. 1): shards of f+1 replicas plus spares, per-shard
-/// reconfiguration through the configuration service.
-class CommitHarness {
- public:
-  using Workload = StackWorkload;
+/// The per-stack hooks of ReplicaHarness for the paper protocol over
+/// messages (Fig. 1): per-shard reconfiguration through the configuration
+/// service.
+struct CommitStack {
+  using Cluster = commit::Cluster;
   static constexpr const char* kName = "commit";
   static constexpr std::uint64_t kWorkloadSalt = 0xabcdefULL;
   static constexpr Duration kPaceHi = 6;  // matches commit_random_test pacing
+  /// crash_and_reconfigure's survivor: the last live non-victim.
+  static constexpr bool kFirstSurvivor = false;
+  static Cluster::Options options(std::uint64_t seed, const StackWorkload& w,
+                                  recon::PlacementPolicy* policy);
+  static void install_fault_injector(Cluster& c, const StackWorkload& w,
+                                     sim::FaultInjector* fi);
+  /// `by` reconfigures shard s, then the run waits for the next shard epoch
+  /// after `epoch` to activate.
+  static void reconfigure(Cluster& c, ShardId s, ProcessId by, Epoch epoch);
+};
+
+/// The per-stack hooks for the RDMA protocol (Figs. 7-8) in safe global
+/// reconfiguration mode.
+struct RdmaStack {
+  using Cluster = rdma::Cluster;
+  static constexpr const char* kName = "rdma";
+  static constexpr std::uint64_t kWorkloadSalt = 0x5eedULL;
+  static constexpr Duration kPaceHi = 5;  // matches rdma_random_test pacing
+  /// crash_and_reconfigure's survivor: the first live non-victim.
+  static constexpr bool kFirstSurvivor = true;
+  static Cluster::Options options(std::uint64_t seed, const StackWorkload& w,
+                                  recon::PlacementPolicy* policy);
+  /// Also faults the one-sided fabric when w.faults_on_fabric is set.
+  static void install_fault_injector(Cluster& c, const StackWorkload& w,
+                                     sim::FaultInjector* fi);
+  /// `by` runs the global reconfiguration (the safe protocol's only lever,
+  /// whatever the shard), then the run waits for the next global epoch.
+  static void reconfigure(Cluster& c, ShardId s, ProcessId by, Epoch epoch);
+};
+
+/// One harness over both replica stacks (Stack = CommitStack or RdmaStack):
+/// shards of f+1 replicas plus spares, one co-located history-recording
+/// client, and the stack's reconfiguration lever.
+template <typename Stack>
+class ReplicaHarness {
+ public:
+  using Workload = StackWorkload;
+  static constexpr const char* kName = Stack::kName;
+  static constexpr std::uint64_t kWorkloadSalt = Stack::kWorkloadSalt;
+  static constexpr Duration kPaceHi = Stack::kPaceHi;
   static constexpr CheckerSet kCheckers{true, true, true};
 
-  CommitHarness(std::uint64_t seed, const StackWorkload& w);
+  ReplicaHarness(std::uint64_t seed, const StackWorkload& w);
 
   sim::Simulator& sim() { return cluster_.sim(); }
-  commit::Cluster& cluster() { return cluster_; }
-  void install_fault_injector(sim::FaultInjector* fi);
-  void set_on_decision(std::function<void(TxnId, tcs::Decision)> fn);
+  typename Stack::Cluster& cluster() { return cluster_; }
+  void install_fault_injector(sim::FaultInjector* fi) {
+    Stack::install_fault_injector(cluster_, w_, fi);
+  }
+  void set_on_decision(std::function<void(TxnId, tcs::Decision)> fn) {
+    client_->on_decision = std::move(fn);
+  }
   TxnId next_txn_id() { return cluster_.next_txn_id(); }
+  /// Submits through a live coordinator (seeded-random pick); false if none
+  /// is live.
   bool submit(Rng& rng, TxnId txn, const tcs::Payload& payload);
   /// Submits the whole batch through one live coordinator (one
   /// PREPARE_BATCH per shard leader); false if no coordinator is live.
@@ -206,7 +252,7 @@ class CommitHarness {
   /// every served read was a consistent, sufficiently fresh snapshot.
   std::string check_snapshot_reads();
 
-  std::uint32_t num_shards() const { return cluster_.num_shards(); }
+  std::uint32_t num_shards() const { return cluster_.shard_map().num_shards(); }
   std::vector<std::vector<ProcessId>> fault_units(ShardId s) const;
   std::vector<std::vector<ProcessId>> all_units() const;
   bool crash_and_reconfigure(Rng& rng, ShardId s);
@@ -227,66 +273,24 @@ class CommitHarness {
 
  private:
   std::vector<ProcessId> alive_members(ShardId s);
+  /// A live, epoch-current member of a seeded-random shard, or null.
+  commit::ReplicaCore* pick_coordinator(Rng& rng);
 
   StackWorkload w_;
   recon::ZoneAntiAffinityPolicy zone_policy_;  ///< selected by w.placement
-  commit::Cluster cluster_;
+  typename Stack::Cluster cluster_;
   commit::Client* client_;
   std::size_t reads_attempted_ = 0;
   std::size_t reads_served_ = 0;
 };
 
+/// Paper protocol (Fig. 1): shards of f+1 replicas plus spares, per-shard
+/// reconfiguration through the configuration service.
+using CommitHarness = ReplicaHarness<CommitStack>;
 /// RDMA protocol (Figs. 7-8) in safe global-reconfiguration mode.
-class RdmaHarness {
- public:
-  using Workload = StackWorkload;
-  static constexpr const char* kName = "rdma";
-  static constexpr std::uint64_t kWorkloadSalt = 0x5eedULL;
-  static constexpr Duration kPaceHi = 5;  // matches rdma_random_test pacing
-  static constexpr CheckerSet kCheckers{true, true, true};
-
-  RdmaHarness(std::uint64_t seed, const StackWorkload& w);
-
-  sim::Simulator& sim() { return cluster_.sim(); }
-  rdma::Cluster& cluster() { return cluster_; }
-  void install_fault_injector(sim::FaultInjector* fi);
-  void set_on_decision(std::function<void(TxnId, tcs::Decision)> fn);
-  TxnId next_txn_id() { return cluster_.next_txn_id(); }
-  bool submit(Rng& rng, TxnId txn, const tcs::Payload& payload);
-  bool submit_batch(Rng& rng,
-                    const std::vector<std::pair<TxnId, tcs::Payload>>& batch);
-  std::size_t decided_count() const { return client_->decided_count(); }
-  std::size_t committed_count() { return cluster_.history().committed_count(); }
-  /// CSN fast-path read; see CommitHarness::snapshot_read.
-  bool snapshot_read(Rng& rng, const std::vector<ObjectId>& objects);
-  std::size_t reads_attempted() const { return reads_attempted_; }
-  std::size_t reads_served() const { return reads_served_; }
-  std::string check_snapshot_reads();
-
-  std::uint32_t num_shards() const { return cluster_.shard_map().num_shards(); }
-  std::vector<std::vector<ProcessId>> fault_units(ShardId s) const;
-  std::vector<std::vector<ProcessId>> all_units() const;
-  bool crash_and_reconfigure(Rng& rng, ShardId s);
-  bool reconfigure_healthy(Rng& rng, ShardId s);
-  void drain(Duration d, Rng& rng);
-  std::size_t controller_attempts() const { return cluster_.controller_attempts(); }
-  recon::EngineStats engine_stats() const { return cluster_.engine_stats(); }
-  std::string spare_ledger_verdict() const { return cluster_.spare_ledger_verdict(); }
-
-  std::string verify() { return cluster_.verify(); }
-  std::string check_linearization();
-  std::string trace();
-
- private:
-  std::vector<ProcessId> alive_members(ShardId s);
-
-  StackWorkload w_;
-  recon::ZoneAntiAffinityPolicy zone_policy_;
-  rdma::Cluster cluster_;
-  rdma::Client* client_;
-  std::size_t reads_attempted_ = 0;
-  std::size_t reads_served_ = 0;
-};
+using RdmaHarness = ReplicaHarness<RdmaStack>;
+extern template class ReplicaHarness<CommitStack>;
+extern template class ReplicaHarness<RdmaStack>;
 
 /// Vanilla 2PC-over-Paxos baseline: shards of 2f+1 servers, each paired
 /// with a Paxos replica on the same machine.  Coordinator state is not

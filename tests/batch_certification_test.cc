@@ -496,7 +496,7 @@ TEST(BatchCrashStrike, RdmaRedrivesEveryItemOfAnOrphanedBatch) {
                          .shard_size = 2,
                          .spares_per_shard = 4,
                          .retry_timeout = 200});
-  rdma::Client& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   auto batch = disjoint_batch(cluster);
   rdma::Replica& coordinator = cluster.replica(0, 1);
   client.certify_batch_colocated(coordinator, batch);

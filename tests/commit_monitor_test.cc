@@ -27,7 +27,7 @@ bool mentions(const Monitor& m, const std::string& inv) {
 
 TEST(MonitorSensitivity, Invariant4a_ConflictingSlotDecisions) {
   sim::Simulator sim(1);
-  Monitor monitor(sim);
+  Monitor monitor(sim.runtime());
   DecisionMsg a{1, 0, 7, 42, Decision::kCommit};
   DecisionMsg b{2, 0, 7, 42, Decision::kAbort};  // same shard+slot, other way
   monitor.on_send(0, 1, 2, sim::AnyMessage(a));
@@ -39,7 +39,7 @@ TEST(MonitorSensitivity, Invariant4a_ConflictingSlotDecisions) {
 
 TEST(MonitorSensitivity, Invariant4b_ConflictingClientDecisions) {
   sim::Simulator sim(2);
-  Monitor monitor(sim);
+  Monitor monitor(sim.runtime());
   monitor.on_send(0, 1, 9, sim::AnyMessage(ClientDecision{5, Decision::kCommit}));
   monitor.on_send(0, 2, 9, sim::AnyMessage(ClientDecision{5, Decision::kAbort}));
   EXPECT_TRUE(mentions(monitor, "Invariant4b"));
@@ -47,7 +47,7 @@ TEST(MonitorSensitivity, Invariant4b_ConflictingClientDecisions) {
 
 TEST(MonitorSensitivity, Invariant4b_LocalVsRemoteConflict) {
   sim::Simulator sim(3);
-  Monitor monitor(sim);
+  Monitor monitor(sim.runtime());
   monitor.on_local_decision(5, Decision::kAbort);
   monitor.on_send(0, 2, 9, sim::AnyMessage(ClientDecision{5, Decision::kCommit}));
   EXPECT_TRUE(mentions(monitor, "Invariant4b"));
@@ -55,7 +55,7 @@ TEST(MonitorSensitivity, Invariant4b_LocalVsRemoteConflict) {
 
 TEST(MonitorSensitivity, Invariant3_AcceptAckBelowProbedEpoch) {
   sim::Simulator sim(4);
-  Monitor monitor(sim);
+  Monitor monitor(sim.runtime());
   // Process 7 acknowledges PROBE for epoch 5...
   monitor.on_send(0, 7, 1, sim::AnyMessage(ProbeAck{true, 5, 0}));
   // ...then acknowledges an ACCEPT at epoch 3.
@@ -65,7 +65,7 @@ TEST(MonitorSensitivity, Invariant3_AcceptAckBelowProbedEpoch) {
 
 TEST(MonitorSensitivity, Invariant6_ConflictingAccepts) {
   sim::Simulator sim(5);
-  Monitor monitor(sim);
+  Monitor monitor(sim.runtime());
   Accept a;
   a.epoch = 1;
   a.shard = 0;
@@ -81,7 +81,7 @@ TEST(MonitorSensitivity, Invariant6_ConflictingAccepts) {
 
 TEST(MonitorSensitivity, Invariant9_SameTxnTwoSlots) {
   sim::Simulator sim(6);
-  Monitor monitor(sim);
+  Monitor monitor(sim.runtime());
   Accept a;
   a.epoch = 1;
   a.shard = 0;

@@ -17,7 +17,7 @@ class CsUser : public sim::Process {
  public:
   CsUser(sim::Simulator& sim, sim::Network& net, ProcessId id,
          std::vector<ProcessId> endpoints)
-      : Process(sim, id, "cs-user"), client(sim, net, id, std::move(endpoints)) {}
+      : Process(sim, id, "cs-user"), client(net.runtime(), id, std::move(endpoints)) {}
 
   void on_message(ProcessId, const sim::AnyMessage& msg) override {
     client.handle(msg);
@@ -37,7 +37,7 @@ ShardConfig make_config(Epoch e, std::vector<ProcessId> members) {
 TEST(SimpleConfigService, GetLastOnEmptyReturnsInvalid) {
   sim::Simulator sim(1);
   sim::Network net(sim);
-  SimpleConfigService cs(sim, net, 1);
+  SimpleConfigService cs(net.runtime(), 1);
   sim.add_process(&cs);
   CsUser user(sim, net, 2, {cs.id()});
   sim.add_process(&user);
@@ -52,7 +52,7 @@ TEST(SimpleConfigService, GetLastOnEmptyReturnsInvalid) {
 TEST(SimpleConfigService, CasStoresAndNotifies) {
   sim::Simulator sim(2);
   sim::Network net(sim);
-  SimpleConfigService cs(sim, net, 1);
+  SimpleConfigService cs(net.runtime(), 1);
   sim.add_process(&cs);
   CsUser user(sim, net, 2, {cs.id()});
   sim.add_process(&user);
@@ -80,7 +80,7 @@ TEST(SimpleConfigService, CasStoresAndNotifies) {
 TEST(SimpleConfigService, CasFailsOnWrongExpectedEpoch) {
   sim::Simulator sim(3);
   sim::Network net(sim);
-  SimpleConfigService cs(sim, net, 1);
+  SimpleConfigService cs(net.runtime(), 1);
   sim.add_process(&cs);
   cs.bootstrap(0, make_config(3, {10, 11}));
   CsUser user(sim, net, 2, {cs.id()});
@@ -97,7 +97,7 @@ TEST(SimpleConfigService, CasFailsOnWrongExpectedEpoch) {
 TEST(SimpleConfigService, CasRequiresHigherEpoch) {
   sim::Simulator sim(4);
   sim::Network net(sim);
-  SimpleConfigService cs(sim, net, 1);
+  SimpleConfigService cs(net.runtime(), 1);
   sim.add_process(&cs);
   cs.bootstrap(0, make_config(3, {10, 11}));
   CsUser user(sim, net, 2, {cs.id()});
@@ -113,7 +113,7 @@ TEST(SimpleConfigService, CasRequiresHigherEpoch) {
 TEST(SimpleConfigService, ConcurrentCasOnlyOneWins) {
   sim::Simulator sim(5);
   sim::Network net(sim);
-  SimpleConfigService cs(sim, net, 1);
+  SimpleConfigService cs(net.runtime(), 1);
   sim.add_process(&cs);
   cs.bootstrap(0, make_config(1, {10, 11}));
   CsUser u1(sim, net, 2, {cs.id()});
@@ -133,7 +133,7 @@ TEST(SimpleConfigService, ConcurrentCasOnlyOneWins) {
 TEST(SimpleConfigService, GetSpecificEpoch) {
   sim::Simulator sim(6);
   sim::Network net(sim);
-  SimpleConfigService cs(sim, net, 1);
+  SimpleConfigService cs(net.runtime(), 1);
   sim.add_process(&cs);
   cs.bootstrap(0, make_config(1, {10, 11}));
   cs.bootstrap(0, make_config(2, {10, 12}));
@@ -159,7 +159,7 @@ TEST(SimpleConfigService, GetSpecificEpoch) {
 TEST(SimpleGlobalConfigService, CasAndGet) {
   sim::Simulator sim(7);
   sim::Network net(sim);
-  SimpleGlobalConfigService gcs(sim, net, 1);
+  SimpleGlobalConfigService gcs(net.runtime(), 1);
   sim.add_process(&gcs);
 
   GlobalConfig boot;
@@ -172,7 +172,7 @@ TEST(SimpleGlobalConfigService, CasAndGet) {
 
   struct GUser : sim::Process {
     GUser(sim::Simulator& s, sim::Network& n, ProcessId id, std::vector<ProcessId> eps)
-        : Process(s, id, "gcs-user"), client(s, n, id, std::move(eps)) {}
+        : Process(s, id, "gcs-user"), client(n.runtime(), id, std::move(eps)) {}
     void on_message(ProcessId, const sim::AnyMessage& msg) override { client.handle(msg); }
     GcsClient client;
   } user(sim, net, 2, {gcs.id()});

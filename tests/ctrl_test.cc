@@ -230,7 +230,7 @@ TEST(ReconControllerRdma, NudgeHealsCrashedMemberGlobally) {
                          .spares_per_shard = 2,
                          .retry_timeout = 100,
                          .enable_controller = true});
-  rdma::Client& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId warm = cluster.next_txn_id();
   client.certify_colocated(cluster.replica(0, 0), warm, payload_on({0, 9}, {0}));
   ASSERT_TRUE(cluster.sim().run_until_pred([&] { return client.decided(warm); },

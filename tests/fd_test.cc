@@ -13,7 +13,7 @@ namespace {
 class Target : public sim::Process {
  public:
   Target(sim::Simulator& sim, sim::Network& net, ProcessId id)
-      : Process(sim, id, "target"), responder_(net, id) {}
+      : Process(sim, id, "target"), responder_(net.runtime(), id) {}
   void on_message(ProcessId from, const sim::AnyMessage& msg) override {
     responder_.handle(from, msg);
   }
@@ -27,7 +27,7 @@ class Watcher : public sim::Process {
  public:
   Watcher(sim::Simulator& sim, sim::Network& net, ProcessId id,
           PingMonitor::Options opts = {})
-      : Process(sim, id, "watcher"), monitor(sim, net, id, opts) {
+      : Process(sim, id, "watcher"), monitor(net.runtime(), id, opts) {
     monitor.subscribe(
         {.on_suspect = [this](ProcessId p) { suspected.push_back(p); },
          .on_recover = [this](ProcessId p) { recovered.push_back(p); }});
@@ -136,7 +136,7 @@ TEST(FailureDetector, IdleMonitorLetsTheSimulationQuiesce) {
 class MutableTarget : public sim::Process {
  public:
   MutableTarget(sim::Simulator& sim, sim::Network& net, ProcessId id)
-      : Process(sim, id, "mutable"), responder_(net, id) {}
+      : Process(sim, id, "mutable"), responder_(net.runtime(), id) {}
   void on_message(ProcessId from, const sim::AnyMessage& msg) override {
     if (!muted) responder_.handle(from, msg);
   }
@@ -233,7 +233,7 @@ TEST(FailureDetector, CallbackUnsubscribingAPeerSuppressesItMidDispatch) {
   class TearingWatcher : public sim::Process {
    public:
     TearingWatcher(sim::Simulator& sim, sim::Network& net, ProcessId id)
-        : Process(sim, id, "tearing"), monitor(sim, net, id) {
+        : Process(sim, id, "tearing"), monitor(net.runtime(), id) {
       monitor.subscribe({.on_suspect = [this](ProcessId) {
         ++first_fired;
         monitor.unsubscribe(second_sub);

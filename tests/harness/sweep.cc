@@ -102,7 +102,7 @@ class PaxosHarness {
       opt.initial_leader = ids[0];
       auto& log = applied_[i];
       replicas_.push_back(std::make_unique<paxos::PaxosReplica>(
-          sim_, net_, ids[i], "hx" + std::to_string(i), opt,
+          net_.runtime(), ids[i], "hx" + std::to_string(i), opt,
           [&log](Slot, const sim::AnyMessage& cmd) {
             log.push_back(cmd.as<PaxosCmd>()->value);
           }));

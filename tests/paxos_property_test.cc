@@ -36,7 +36,7 @@ class ChaosHarness {
       opt.initial_leader = ids[0];
       auto& log = applied_[i];
       replicas_.push_back(std::make_unique<PaxosReplica>(
-          sim_, net_, ids[i], "p" + std::to_string(i), opt,
+          net_.runtime(), ids[i], "p" + std::to_string(i), opt,
           [&log](Slot, const sim::AnyMessage& cmd) {
             log.push_back(cmd.as<Cmd>()->value);
           }));

@@ -29,7 +29,7 @@ class Group {
       opt.initial_leader = ids[0];
       auto& log = applied[i];
       replicas.push_back(std::make_unique<PaxosReplica>(
-          sim, net, ids[i], "paxos" + std::to_string(i), opt,
+          net.runtime(), ids[i], "paxos" + std::to_string(i), opt,
           [&log](Slot, const sim::AnyMessage& cmd) {
             log.push_back(cmd.as<Cmd>()->value);
           }));

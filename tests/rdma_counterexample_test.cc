@@ -20,8 +20,19 @@
 namespace ratc::rdma {
 namespace {
 
+using commit::Client;
 using tcs::Decision;
 using tcs::Payload;
+
+/// Every decision externalized for `t`, duplicates included, in the order
+/// the client observed them.
+std::vector<Decision> decide_events(const tcs::History& history, TxnId t) {
+  std::vector<Decision> out;
+  for (const tcs::HistoryEvent& e : history.events()) {
+    if (e.kind == tcs::HistoryEvent::Kind::kDecide && e.txn == t) out.push_back(e.decision);
+  }
+  return out;
+}
 
 Payload cross_shard_payload() {
   // Objects 0 (shard 0) and 1 (shard 1) with 3 shards.
@@ -81,10 +92,10 @@ TEST(Figure4a, UnsafePerShardReconfigurationViolatesSafety) {
   // Step 6-7: pc, who never heard about the reconfiguration, persists the
   // old commit vote at p4 via RDMA — p4 cannot reject it — and commits.
   cluster.sim().run();
-  ASSERT_GE(client.observations().size(), 2u);
+  std::vector<Decision> seen = decide_events(cluster.history(), t);
+  ASSERT_GE(seen.size(), 2u);
   bool saw_abort = false, saw_commit = false;
-  for (const auto& [txn, d] : client.observations()) {
-    if (txn != t) continue;
+  for (Decision d : seen) {
     saw_abort |= d == Decision::kAbort;
     saw_commit |= d == Decision::kCommit;
   }
@@ -131,12 +142,7 @@ TEST(Figure4b, GlobalReconfigurationPreventsTheViolation) {
 
   // Exactly one decision was ever externalized; the stale write was
   // rejected by the closed/reincarnated connection.
-  std::size_t decisions_for_t = 0;
-  for (const auto& [txn, d] : client.observations()) {
-    (void)d;
-    if (txn == t) ++decisions_for_t;
-  }
-  EXPECT_EQ(decisions_for_t, 1u);
+  EXPECT_EQ(decide_events(cluster.history(), t).size(), 1u);
   EXPECT_TRUE(cluster.history().conflicting_decisions().empty());
   EXPECT_EQ(cluster.verify(), "") << cluster.monitor().violations().summary();
   EXPECT_GT(cluster.fabric().writes_rejected(), 0u);  // the stale write died

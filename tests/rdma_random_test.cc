@@ -13,6 +13,7 @@
 namespace ratc::rdma {
 namespace {
 
+using commit::Client;
 using tcs::Decision;
 using tcs::Payload;
 

@@ -232,7 +232,7 @@ TEST(ReconEngine, HappyPathProposesClampedConfigAndActivates) {
   sim::Simulator sim(1);
   ScriptedHooks hooks;
   hooks.stored[0][1] = {10, 11};
-  Engine engine(sim, kOwner, hooks, {.target_shard_size = 2});
+  Engine engine(sim.runtime(), kOwner, hooks, {.target_shard_size = 2});
 
   ASSERT_TRUE(engine.start({0}));
   EXPECT_FALSE(engine.start({0}));  // one attempt at a time
@@ -260,7 +260,7 @@ TEST(ReconEngine, DescendsThroughNeverActivatedEpoch) {
   ScriptedHooks hooks;
   hooks.stored[0][1] = {10, 11};
   hooks.stored[0][2] = {20};  // stored but never activated; 20 uninitialized
-  Engine engine(sim, kOwner, hooks, {.target_shard_size = 2, .probe_patience = 5});
+  Engine engine(sim.runtime(), kOwner, hooks, {.target_shard_size = 2, .probe_patience = 5});
 
   ASSERT_TRUE(engine.start({0}));
   ASSERT_EQ(hooks.probes.size(), 1u);  // probes epoch 2's membership first
@@ -285,7 +285,7 @@ TEST(ReconEngine, GivesUpBelowTheFirstEpoch) {
   sim::Simulator sim(3);
   ScriptedHooks hooks;
   hooks.stored[0][1] = {10};
-  Engine engine(sim, kOwner, hooks, {.probe_patience = 5});
+  Engine engine(sim.runtime(), kOwner, hooks, {.probe_patience = 5});
 
   ASSERT_TRUE(engine.start({0}));
   engine.on_probe_ack(10, 0, 2, /*initialized=*/false);
@@ -304,7 +304,7 @@ TEST(ReconEngine, SwallowedProbesKeepTheAttemptInFlight) {
   sim::Simulator sim(4);
   ScriptedHooks hooks;
   hooks.stored[0][1] = {10, 11};
-  Engine engine(sim, kOwner, hooks, {.probe_patience = 5});
+  Engine engine(sim.runtime(), kOwner, hooks, {.probe_patience = 5});
   ASSERT_TRUE(engine.start({0}));
   sim.run_until(2000);
   EXPECT_TRUE(engine.in_flight());
@@ -320,7 +320,7 @@ TEST(ReconEngine, CasLossReleasesEveryReservedSpare) {
   ScriptedHooks hooks;
   hooks.stored[0][1] = {10, 11};
   hooks.pool.spares = {50, 51};
-  Engine engine(sim, kOwner, hooks, {.target_shard_size = 3});
+  Engine engine(sim.runtime(), kOwner, hooks, {.target_shard_size = 3});
 
   ASSERT_TRUE(engine.start({0}));
   engine.on_probe_ack(10, 0, 2, true);  // sole responder: 2 spares reserved
@@ -361,7 +361,7 @@ TEST(ReconEngine, CasWinInstallsUsedAndReleasesUnusedSpares) {
   ScriptedHooks hooks;
   hooks.stored[0][1] = {10};
   hooks.pool.spares = {50, 51};
-  Engine engine(sim, kOwner, hooks, {.target_shard_size = 2, .policy = &policy});
+  Engine engine(sim.runtime(), kOwner, hooks, {.target_shard_size = 2, .policy = &policy});
 
   ASSERT_TRUE(engine.start({0}));
   engine.on_probe_ack(10, 0, 2, true);
@@ -377,7 +377,7 @@ TEST(ReconEngine, ObservedNewerEpochSupersedesInFlightAttempt) {
   sim::Simulator sim(7);
   ScriptedHooks hooks;
   hooks.stored[0][1] = {10, 11};
-  Engine engine(sim, kOwner, hooks, {});
+  Engine engine(sim.runtime(), kOwner, hooks, {});
 
   ASSERT_TRUE(engine.start({0}));
   engine.observe_epoch(0, 2);  // someone else installed our target epoch
@@ -395,7 +395,7 @@ TEST(ReconEngine, GlobalAttemptWaitsForEveryShardsCandidate) {
   ScriptedHooks hooks;
   hooks.stored[0][1] = {10, 11};
   hooks.stored[1][1] = {20, 21};
-  Engine engine(sim, kOwner, hooks, {.target_shard_size = 2});
+  Engine engine(sim.runtime(), kOwner, hooks, {.target_shard_size = 2});
 
   ASSERT_TRUE(engine.start({0, 1}));
   ASSERT_EQ(hooks.probes.size(), 4u);
@@ -431,7 +431,7 @@ TEST(ReconEngine, PlacementContextReachesThePolicy) {
   hooks.context.spare_pool = 3;
   hooks.context.zones[10] = "z1";
   hooks.context.load[10] = 42;
-  Engine engine(sim, kOwner, hooks, {.policy = &policy});
+  Engine engine(sim.runtime(), kOwner, hooks, {.policy = &policy});
   ASSERT_TRUE(engine.start({0}));
   engine.on_probe_ack(10, 0, 2, true);
   EXPECT_EQ(policy.seen.spare_pool, 3u);

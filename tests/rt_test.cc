@@ -13,7 +13,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -321,6 +323,65 @@ TEST(SimVsThreaded, ContendedWorkloadPassesCheckersOnThreads) {
   EXPECT_TRUE(tcsll.ok) << tcsll.summary();
   auto lin = checker::check_linearization(history, system.certifier());
   EXPECT_TRUE(lin.ok) << lin.error;
+}
+
+// --- reconfiguration on threads ------------------------------------------------
+
+/// Reads `read()` on `pid`'s own worker — a process's state may only be
+/// touched there while the runtime runs — and returns the value.
+template <typename Read>
+auto read_on_worker(rt::ThreadedRuntime& trt, ProcessId pid, Read read) {
+  auto value = std::make_shared<std::promise<decltype(read())>>();
+  auto ready = value->get_future();
+  trt.schedule_for(pid, 0, [value, read] { value->set_value(read()); });
+  return ready.get();
+}
+
+TEST(ThreadedReconfiguration, SpareReplacesCrashedFollower) {
+  // One Fig. 1 reconfiguration on real threads: the locked spare pool, the
+  // NEW_CONFIG/NEW_STATE install and the monitor's epoch-install checks.
+  rt::ThreadedRuntime trt({.threads = 4, .seed = 41});
+  rt::CommitSystem system(trt, {.num_shards = 2, .shard_size = 2, .spares_per_shard = 1});
+  trt.add_observer(system.monitor());
+  commit::Replica& leader = system.replica(0, 0);
+  commit::Replica& follower = system.replica(0, 1);
+  commit::Replica& spare = system.replica(0, 2);
+  // Spawns are only legal before start(); the crashed follower must not
+  // coordinate, so the coordinators are listed explicitly.
+  const std::vector<ProcessId> coordinators = {leader.id(), system.replica(1, 0).id(),
+                                               system.replica(1, 1).id()};
+  rt::LoadGen gen(trt, coordinators,
+                  {.clients = 4, .txns_per_client = 25, .batch_size = 1, .window = 2,
+                   .keyspace = 64, .seed = 41});
+  trt.start();
+
+  trt.crash(follower.id());
+  trt.schedule_for(leader.id(), 0, [&leader] { leader.reconfigure(0); });
+  ASSERT_TRUE(eventually(
+      [&] { return read_on_worker(trt, spare.id(), [&spare] { return spare.epoch(); }) == 2; }));
+  // Every coordinator routes by its own view of shard 0 (CONFIG_CHANGE).
+  for (ProcessId pid : coordinators) {
+    const commit::Replica& r = system.replica_by_pid(pid);
+    auto view_epoch = [&r] { return r.epoch_of(0); };
+    ASSERT_TRUE(eventually([&] { return read_on_worker(trt, pid, view_epoch) == 2; }));
+  }
+
+  // Shard 0 decides only with a live follower: finishing proves the spare
+  // took the crashed follower's place.
+  gen.start();
+  ASSERT_TRUE(eventually([&] { return gen.done(); }, 120s));
+  trt.stop();
+
+  EXPECT_TRUE(system.monitor()->violations().empty())
+      << system.monitor()->violations().summary();
+  tcs::History history = gen.merged_history();
+  EXPECT_TRUE(history.complete());
+  EXPECT_TRUE(history.conflicting_decisions().empty());
+  auto cg = checker::check_conflict_graph(history);
+  EXPECT_TRUE(cg.ok) << cg.error;
+  auto tcsll = checker::check_tcsll(system.monitor()->tcsll_input(
+      history, system.shard_map(), system.certifier()));
+  EXPECT_TRUE(tcsll.ok) << tcsll.summary();
 }
 
 // --- stress ------------------------------------------------------------------

@@ -254,7 +254,7 @@ TEST(SnapshotReadCluster, CommitFollowersServeViaMemberRotation) {
 TEST(SnapshotReadCluster, RdmaServesConsistentSnapshotWithZeroMessages) {
   rdma::Cluster cluster(
       {.seed = 11, .num_shards = 2, .shard_size = 2, .enable_tracer = true});
-  rdma::Client& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   commit_rounds(cluster, client, 3);
 
   std::size_t wire_before = cluster.tracer().entries().size();
