@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot paths: certification
 // checks, payload projection, the simulator's event loop, the end-to-end
-// certification pipeline, the read watermark and the history checkers.
+// certification pipeline, the read watermark, the threaded runtime's inbox
+// hop and the history checkers.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -9,6 +10,7 @@
 #include "commit/cluster.h"
 #include "commit/log.h"
 #include "common/random.h"
+#include "rt/inbox.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "tcs/certifier.h"
@@ -159,6 +161,40 @@ void BM_ReadWatermarkScan(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(w.log.scan_min_prepared_ts());
 }
 BENCHMARK(BM_ReadWatermarkScan)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// The inbox hop (rt/inbox.h).  ThreadedRuntime::spawn builds one inbox per
+// process, with one lane per worker plus the shared lane.
+void BM_InboxConstruct(benchmark::State& state) {
+  for (auto _ : state) {
+    rt::Inbox inbox(3);
+    benchmark::DoNotOptimize(&inbox);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_InboxConstruct);
+
+struct PingMsg {
+  static constexpr const char* kName = "PING";
+};
+
+// A burst pushed on one worker lane, then drained, in steady state: the
+// spare block recycles, so neither side locks or allocates.  The message is
+// built once and copied, so only the queue (plus a refcount) is timed.
+void BM_InboxPushPop(benchmark::State& state) {
+  const auto burst = static_cast<std::size_t>(state.range(0));
+  rt::Inbox inbox(3);
+  const sim::AnyMessage msg{PingMsg{}};
+  std::uint64_t sum = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < burst; ++i) {
+      inbox.push(0, rt::Envelope{static_cast<ProcessId>(i), msg});
+    }
+    inbox.drain(burst, [&sum](rt::Envelope& e) { sum += e.from; });
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(burst));
+}
+BENCHMARK(BM_InboxPushPop)->Arg(64);
 
 void BM_LinearizationChecker(benchmark::State& state) {
   // 16 committed transactions with a mix of dependencies.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 #include "sim/process.h"
 
@@ -60,8 +61,7 @@ void ThreadedRuntime::spawn(sim::Process* p) {
   rec->proc = p;
   rec->worker = next_worker_;
   next_worker_ = (next_worker_ + 1) % workers_.size();
-  rec->inbox = std::make_unique<Inbox>(
-      Inbox::Options{options_.lock_free_inbox, options_.inbox_capacity});
+  rec->inbox = std::make_unique<Inbox>(workers_.size());
   workers_[rec->worker]->procs.push_back(rec.get());
   procs_.emplace(p->id(), std::move(rec));
 }
@@ -121,9 +121,12 @@ void ThreadedRuntime::send(ProcessId from, ProcessId to, sim::AnyMessage msg) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  std::size_t widx = dst->worker;
-  dst->inbox->push(Envelope{from, std::move(msg)});
-  if (g_worker_rt != this || g_worker_index != widx) wake(widx);
+  // A worker of this runtime pushes into its own lane; every other thread
+  // shares the last one (rt/inbox.h).
+  bool on_worker = g_worker_rt == this;
+  std::size_t lane = on_worker ? g_worker_index : dst->inbox->shared_lane();
+  dst->inbox->push(lane, Envelope{from, std::move(msg)});
+  if (!on_worker || g_worker_index != dst->worker) wake(dst->worker);
 }
 
 void ThreadedRuntime::wake(std::size_t widx) {
@@ -155,10 +158,10 @@ void ThreadedRuntime::stop() {
   }
   // In-flight mail and timers die with the runtime, like a sim that stops
   // stepping; account for the mail so stats stay truthful.
-  Envelope env;
   for (auto& [id, rec] : procs_) {
     (void)id;
-    while (rec->inbox->try_pop(env)) dropped_.fetch_add(1, std::memory_order_relaxed);
+    std::size_t n = rec->inbox->drain(SIZE_MAX, [](Envelope&) {});
+    dropped_.fetch_add(n, std::memory_order_relaxed);
   }
   running_ = false;
 }
@@ -180,7 +183,6 @@ void ThreadedRuntime::worker_loop(std::size_t index) {
   g_worker_rt = this;
   g_worker_index = index;
   std::vector<Timer> due;
-  Envelope env;
   while (!stop_.load(std::memory_order_acquire)) {
     due.clear();
     Time next_deadline = pop_due_timers(w, due);
@@ -194,22 +196,21 @@ void ThreadedRuntime::worker_loop(std::size_t index) {
       t.fn();
     }
     for (ProcessRecord* rec : w.procs) {
-      std::size_t budget = kDrainBatch;
-      while (budget-- > 0 && rec->inbox->try_pop(env)) {
-        did_work = true;
-        if (rec->crashed.load(std::memory_order_acquire)) {
-          dropped_.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
+      ProcessId to = rec->proc->id();
+      std::size_t n = rec->inbox->drain(kDrainBatch, [&](Envelope& env) {
         Time t_now = now();
-        // on_deliver + on_message both run here, on the owner's worker —
-        // the per-process serialization the protocol code relies on.
-        for (auto* obs : observers_) {
-          obs->on_deliver(t_now, env.from, rec->proc->id(), env.msg);
+        // on_deliver/on_drop + on_message all run here, on the owner's
+        // worker — the per-process serialization the protocol code relies on.
+        if (rec->crashed.load(std::memory_order_acquire)) {
+          for (auto* obs : observers_) obs->on_drop(t_now, env.from, to, env.msg);
+          dropped_.fetch_add(1, std::memory_order_relaxed);
+          return;
         }
+        for (auto* obs : observers_) obs->on_deliver(t_now, env.from, to, env.msg);
         rec->proc->on_message(env.from, env.msg);
         delivered_.fetch_add(1, std::memory_order_relaxed);
-      }
+      });
+      if (n > 0) did_work = true;
     }
     if (did_work) continue;
     std::unique_lock<std::mutex> lock(w.mu);

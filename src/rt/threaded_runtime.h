@@ -6,18 +6,27 @@
 //    at spawn).  A process's handlers and timers all run on its worker, so
 //    per-process state needs no locking — exactly the guarantee protocol
 //    code already assumed under the simulator.
-//  * One MPSC Inbox per process (rt/inbox.h): any worker produces, the
-//    owning worker consumes.  Per-(sender,receiver) FIFO holds because a
-//    sender enqueues from one thread and the ring/deque preserves order.
+//  * One Inbox per process (rt/inbox.h), consumed by the owning worker.
+//    send() pushes into the lane of the calling worker, or into the shared
+//    lane when the caller is not one of this runtime's workers.
+//    Per-(sender,receiver) FIFO holds because a process's handlers and
+//    timers all run on its worker, so all of its sends use one lane, and
+//    each lane preserves order (mail sent before start() is the exception
+//    inbox.h orders).  The inbox is unbounded: overload costs memory, never
+//    a stalled sender; bounding it is admission control's job.
 //  * Per-worker timer min-heap; schedule_for() routes to the owner's
 //    worker.  now() is steady-clock microseconds since construction;
 //    protocol Durations (sim ticks) are scaled by Options::tick_us.
 //  * crash() flips an atomic flag; deliveries and timers for a crashed
 //    process are discarded at fire time, matching Simulator::crash.
 //  * NetworkObservers (the commit::Monitor tap) fire on_send on the
-//    *sender's* thread and on_deliver on the *receiver's* thread — every
-//    process-state read the monitor performs is of the acting process, so a
-//    thread-safe observer needs only its own internal lock.
+//    *sender's* thread and on_deliver on the *receiver's* worker.  on_drop
+//    fires on the sender's thread when the drop is found at send time
+//    (unknown or already-crashed destination), and on the receiver's worker
+//    when it is found at delivery (the receiver crashed with the mail
+//    queued).  Every process-state read the monitor performs is of the
+//    acting process, so a thread-safe observer needs only its own internal
+//    lock.
 //
 // Determinism does NOT hold here: interleavings are scheduler-dependent.
 // The sim twin owns reproducibility; this runtime owns wall-clock truth.
@@ -43,13 +52,13 @@ namespace ratc::rt {
 
 class ThreadedRuntime final : public Runtime {
  public:
+  /// `threads`, `tick_us` and `seed`; the inboxes take no option (their
+  /// lane count follows `threads`, their block size is a constant).
   struct Options {
     std::size_t threads = 4;
     /// One protocol Duration tick = this many microseconds of real time
     /// (timer granularity of retries, FD periods, probe patience...).
     Duration tick_us = 100;
-    bool lock_free_inbox = true;
-    std::size_t inbox_capacity = 1 << 16;
     std::uint64_t seed = 1;
   };
 
