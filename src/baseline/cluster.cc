@@ -38,9 +38,6 @@ BaselineCluster::BaselineCluster(Options options)
       sopt.shard_map = &shard_map_;
       sopt.certifier = certifier_.get();
       sopt.termination = options_.termination;
-      sopt.in_doubt_timeout = options_.in_doubt_timeout;
-      sopt.termination_retry_every = options_.termination_retry_every;
-      sopt.termination_max_rounds = options_.termination_max_rounds;
       auto server = std::make_unique<ShardServer>(net_->runtime(), server_pid(s, i), sopt);
       paxos::PaxosReplica::Options popt;
       popt.group = group;

@@ -100,10 +100,6 @@ class BaselineCluster {
     /// (participants query their peers), kPaxosCommit Gray & Lamport's
     /// non-blocking Paxos Commit.
     TerminationMode termination = TerminationMode::kClassical;
-    /// Forwarded to ShardServer::Options; unused under kClassical.
-    Duration in_doubt_timeout = 300;
-    Duration termination_retry_every = 160;
-    int termination_max_rounds = 5;
   };
 
   explicit BaselineCluster(Options options);

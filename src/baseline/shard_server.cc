@@ -9,7 +9,6 @@ using tcs::Decision;
 ShardServer::ShardServer(rt::Runtime& rt, ProcessId id, Options options)
     : Process(rt, id, "b" + std::to_string(id) + "/s" + std::to_string(options.shard)),
       options_(std::move(options)),
-      store_(options_.snapshot_history_depth),
       responder_(rt, id) {
   assert(options_.shard_map != nullptr && options_.certifier != nullptr);
   if (options_.termination != TerminationMode::kClassical) {
@@ -347,7 +346,7 @@ void ShardServer::note_in_doubt(TxnId t, ProcessId coordinator) {
     // decision message was lost, or it died and the failure detector's
     // pongs are partitioned): query after a generous in-doubt window.
     ts.timer_armed = true;
-    rt().schedule_for(id(), options_.in_doubt_timeout,
+    rt().schedule_for(id(), kInDoubtTimeout,
                        [this, t] { start_termination_round(t); });
   }
 }
@@ -379,8 +378,8 @@ void ShardServer::start_termination_round(TxnId t) {
   // leader, so a replica elected mid-protocol still gets its full budget;
   // the hard cap on total fires bounds a permanently-leaderless replica's
   // retry chain so every run quiesces.
-  const int hard_cap = 4 * options_.termination_max_rounds;
-  if (ts.leader_rounds >= options_.termination_max_rounds || ts.rounds >= hard_cap) {
+  const int hard_cap = 4 * kTerminationMaxRounds;
+  if (ts.leader_rounds >= kTerminationMaxRounds || ts.rounds >= hard_cap) {
     // Give up: every reachable participant is in doubt (the all-prepared
     // window), or — the only way under kPaxosCommit — some peer stayed
     // unreachable for every round.  The transaction stays blocked.
@@ -408,7 +407,7 @@ void ShardServer::start_termination_round(TxnId t) {
   // Re-arm regardless of leadership: answers may be lost to the very fault
   // that stranded the transaction, and this replica may be elected leader
   // between rounds.
-  rt().schedule_for(id(), options_.termination_retry_every,
+  rt().schedule_for(id(), kTerminationRetryEvery,
                      [this, t] { start_termination_round(t); });
 }
 

@@ -54,18 +54,17 @@ class ShardServer : public sim::Process {
     const tcs::Certifier* certifier = nullptr;
     /// What follows a coordinator crash (kClassical = blocking 2PC).
     TerminationMode termination = TerminationMode::kClassical;
-    /// In-doubt fallback: query peers this long after preparing even if the
-    /// failure detector never fires (covers a live coordinator whose
-    /// decision message was lost).
-    Duration in_doubt_timeout = 300;
-    /// Delay between termination query rounds.
-    Duration termination_retry_every = 160;
-    /// Query rounds before giving up (counted as blocked).
-    int termination_max_rounds = 5;
-    /// Committed versions retained per object for snapshot reads.
-    std::size_t snapshot_history_depth = 16;
     fd::PingMonitor::Options fd;
   };
+
+  /// In-doubt fallback: query peers this long after preparing even if the
+  /// failure detector never fires (covers a live coordinator whose decision
+  /// message was lost).
+  static constexpr Duration kInDoubtTimeout = 300;
+  /// Delay between termination query rounds.
+  static constexpr Duration kTerminationRetryEvery = 160;
+  /// Query rounds before giving up (counted as blocked).
+  static constexpr int kTerminationMaxRounds = 5;
 
   ShardServer(rt::Runtime& rt, ProcessId id, Options options);
 
@@ -138,7 +137,7 @@ class ShardServer : public sim::Process {
   /// Per-transaction termination progress (querier side).
   /// Followers re-arm the retry timer without consuming the query budget —
   /// a replica elected leader mid-protocol still gets its full
-  /// termination_max_rounds of queries; `rounds` (total fires, leader or
+  /// kTerminationMaxRounds of queries; `rounds` (total fires, leader or
   /// not) is capped separately so the retry chain always terminates and
   /// the simulation quiesces.
   struct TermState {
@@ -170,7 +169,7 @@ class ShardServer : public sim::Process {
   void clear_in_doubt(TxnId t, ProcessId coordinator);
   void on_coordinator_suspected(ProcessId coordinator);
   /// One query round: leaders broadcast, everyone re-arms the retry timer;
-  /// bounded by termination_max_rounds.
+  /// bounded by kTerminationMaxRounds.
   void start_termination_round(TxnId t);
   /// Answers `to` with the durable state of t (which must exist).
   void send_termination_answer(ProcessId to, TxnId t);

@@ -96,7 +96,6 @@ class Client : public sim::Process {
     return it->second;
   }
   std::size_t decided_count() const { return decisions_.size(); }
-  std::size_t submitted_count() const { return sent_.size(); }
 
   /// certify-to-decide latency in ticks (= message delays in unit-delay
   /// mode), for the latency experiments.

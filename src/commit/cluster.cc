@@ -40,9 +40,8 @@ Cluster::Cluster(Options options)
 
   std::vector<ProcessId> cs_endpoints;
   if (options.replicated_cs) {
-    configsvc::ReplicatedConfigService::Options ropt;
-    ropt.first_pid = kCsPid;
-    replicated_cs_ = std::make_unique<configsvc::ReplicatedConfigService>(sim_, net_, ropt);
+    static_assert(configsvc::ReplicatedConfigService::kFirstPid == kCsPid);
+    replicated_cs_ = std::make_unique<configsvc::ReplicatedConfigService>(sim_, net_);
     cs_endpoints = replicated_cs_->endpoints();
     spawn(*replicated_cs_, cs_endpoints, options.leader_ships_accepts);
   } else {

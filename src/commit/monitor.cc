@@ -287,7 +287,7 @@ void Monitor::maybe_complete(Acceptance& acc) {
   same_slot.push_back(AcceptKey{acc.shard, acc.epoch, acc.slot});
 }
 
-void Monitor::check_prefix_against_leader(const Replica& replica,
+void Monitor::check_prefix_against_leader(const ReplicaCore& replica,
                                           const Acceptance& acc,
                                           const char* invariant) {
   // Compare slots where both sides are defined: a follower log may have
@@ -311,7 +311,7 @@ void Monitor::check_prefix_against_leader(const Replica& replica,
   }
 }
 
-void Monitor::on_epoch_installed(const Replica& replica) {
+void Monitor::on_epoch_installed(const ReplicaCore& replica) {
   std::lock_guard<std::mutex> lock(mu_);
   // Inv 8: new_epoch never trails the process's own epoch.
   if (replica.new_epoch() < replica.epoch()) {

@@ -63,7 +63,7 @@ class Monitor : public sim::NetworkObserver, public CertificationObserver {
                         tcs::Decision vote, const tcs::Payload& payload,
                         std::vector<TxnId> committed_against,
                         std::vector<TxnId> prepared_against) override;
-  void on_epoch_installed(const Replica& replica);
+  void on_epoch_installed(const ReplicaCore& replica) override;
   void on_local_decision(TxnId txn, tcs::Decision d) override;
 
   // --- network tap -----------------------------------------------------------
@@ -85,9 +85,6 @@ class Monitor : public sim::NetworkObserver, public CertificationObserver {
   checker::TcsLLInput tcsll_input(const tcs::History& history,
                                   const tcs::ShardMap& shard_map,
                                   const tcs::Certifier& certifier) const;
-
-  /// Number of completed acceptances (diagnostics).
-  std::size_t accepted_count() const { return acceptances_.size(); }
 
  private:
   struct SnapshotEntry {
@@ -125,7 +122,7 @@ class Monitor : public sim::NetworkObserver, public CertificationObserver {
   const configsvc::ShardConfig* config_of(ShardId shard, Epoch epoch) const;
   void register_config_locked(ShardId shard, const configsvc::ShardConfig& config);
   void maybe_complete(Acceptance& acc);
-  void check_prefix_against_leader(const Replica& replica, const Acceptance& acc,
+  void check_prefix_against_leader(const ReplicaCore& replica, const Acceptance& acc,
                                    const char* invariant);
   void report(const std::string& invariant, const std::string& details);
 

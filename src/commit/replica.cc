@@ -1,7 +1,6 @@
 #include "commit/replica.h"
 
 #include "commit/monitor.h"
-#include "common/log.h"
 
 namespace ratc::commit {
 
@@ -10,15 +9,7 @@ using tcs::Decision;
 Replica::Replica(rt::Runtime& rt, ProcessId id, Options options)
     : ReplicaCore(rt, id, "r" + std::to_string(id) + "/s" + std::to_string(options.shard),
                   options, options.monitor),
-      leader_ships_accepts_(options.leader_ships_accepts),
-      monitor_(options.monitor),
-      cs_(rt, id, options_.cs_endpoints) {}
-
-const configsvc::ShardConfig& Replica::view(ShardId s) const {
-  static const configsvc::ShardConfig kInvalid;
-  auto it = views_.find(s);
-  return it == views_.end() ? kInvalid : it->second;
-}
+      leader_ships_accepts_(options.leader_ships_accepts) {}
 
 void Replica::bootstrap(Status status,
                         const std::map<ShardId, configsvc::ShardConfig>& all_views) {
@@ -161,114 +152,10 @@ void Replica::handle_decision(const DecisionMsg& m) {
   apply_decision(m.slot, m.txn, m.decision, m.csn_ts);  // line 32
 }
 
-// --- reconfiguration ----------------------------------------------------------
-
-void Replica::reconfigure(ShardId s) {
-  // The attempt lifecycle — probe/descend epoch search, placement, CAS with
-  // loser spare-release — is the shared reconfigurer core (recon::Engine);
-  // this replica only supplies the StackHooks below.  start() refuses while
-  // an attempt is in flight (line 34's probing guard).
-  engine_.start({s});
-}
-
-void Replica::handle_probe(ProcessId from, const Probe& m) {
-  // Line 41 pre: e ≥ new_epoch.
-  if (m.epoch < new_epoch_) return;
-  // Lines 42-44: stop processing transactions and acknowledge.
-  status_ = Status::kReconfiguring;
-  new_epoch_ = m.epoch;
-  rt().send_msg(id(), from, ProbeAck{initialized_, m.epoch, options_.shard});
-}
-
-void Replica::fetch_latest(const std::vector<ShardId>& shards,
-                           std::function<void(bool, recon::Snapshot)> cb) {
-  ShardId s = shards.front();  // per-shard reconfiguration: one shard
-  cs_.get_last(s, [s, cb](const configsvc::ShardConfig& cfg) {
-    if (!cfg.valid()) {  // nothing stored: cannot reconfigure an unborn shard
-      cb(false, {});
-      return;
-    }
-    recon::Snapshot snap;
-    snap.epoch = cfg.epoch;
-    snap.members[s] = cfg.members;
-    cb(true, snap);
-  });
-}
-
-void Replica::fetch_members_at(ShardId shard, Epoch epoch,
-                               std::function<void(bool, std::vector<ProcessId>)> cb) {
-  cs_.get(shard, epoch, [cb](bool found, const configsvc::ShardConfig& cfg) {
-    cb(found, cfg.members);
-  });
-}
-
-void Replica::submit(const recon::Proposal& proposal,
-                     std::function<void(bool)> done) {
-  const auto& [shard, next] = *proposal.shards.begin();
-  cs_.cas(shard, proposal.epoch - 1, next, std::move(done));
-}
-
-void Replica::activate(const recon::Proposal& proposal) {
-  // Line 50: hand the won configuration to its new leader.
-  const configsvc::ShardConfig& next = proposal.shards.begin()->second;
-  rt().send_msg(id(), next.leader, NewConfig{next.epoch, next.members});
-}
-
-void Replica::handle_new_config(const NewConfig& m) {
-  // Guard per the proof of Invariant 3: only accept configurations at least
-  // as new as the highest probed epoch.
-  if (m.epoch < new_epoch_) return;
-  new_epoch_ = m.epoch;
-  // Lines 57-58.
-  status_ = Status::kLeader;
-  configsvc::ShardConfig& v = views_[options_.shard];
-  v.epoch = m.epoch;
-  v.members = m.members;
-  v.leader = id();
-  take_over_log();  // line 59
-  if (monitor_) monitor_->on_epoch_installed(*this);
-  // Line 60: transfer state to the followers.
-  NewState ns;
-  ns.epoch = m.epoch;
-  ns.members = m.members;
-  ns.log = log();
-  for (ProcessId p : m.members) {
-    if (p != id()) rt().send_msg(id(), p, ns);
-  }
-  RATC_DEBUG(name() << " leads s" << options_.shard << " at epoch " << m.epoch);
-}
-
-void Replica::handle_new_state(ProcessId from, const NewState& m) {
-  // Line 62 pre: e ≥ new_epoch.
-  if (m.epoch < new_epoch_) return;
-  new_epoch_ = m.epoch;
-  // Lines 63-66.
-  initialized_ = true;
-  status_ = Status::kFollower;
-  configsvc::ShardConfig& v = views_[options_.shard];
-  v.epoch = m.epoch;
-  v.members = m.members;
-  v.leader = from;
-  install_log(m.log);
-  if (monitor_) monitor_->on_epoch_installed(*this);
-  RATC_DEBUG(name() << " follows " << process_name(from) << " in s" << options_.shard
-                    << " at epoch " << m.epoch);
-}
-
-void Replica::handle_config_change(const configsvc::ConfigChange& m) {
-  // Line 68 pre: epoch[s] < e ∧ s ≠ s0.
-  if (m.shard == options_.shard) return;
-  configsvc::ShardConfig& v = views_[m.shard];
-  if (v.epoch >= m.config.epoch) return;
-  v = m.config;  // line 69
-}
-
 // --- dispatch ----------------------------------------------------------------
 
 void Replica::on_message(ProcessId from, const sim::AnyMessage& msg) {
-  if (cs_.handle(msg)) return;
-  if (fd_responder_.handle(from, msg)) return;
-  if (handle_certification(from, msg)) return;
+  // The message data path first, then everything the core handles.
   if (const auto* a = msg.as<Accept>()) {
     handle_accept(from, *a);
   } else if (const auto* ab = msg.as<AcceptBatch>()) {
@@ -279,16 +166,8 @@ void Replica::on_message(ProcessId from, const sim::AnyMessage& msg) {
     handle_accept_ack_batch(from, *aab);
   } else if (const auto* d = msg.as<DecisionMsg>()) {
     handle_decision(*d);
-  } else if (const auto* pr = msg.as<Probe>()) {
-    handle_probe(from, *pr);
-  } else if (const auto* pra = msg.as<ProbeAck>()) {
-    engine_.on_probe_ack(from, pra->shard, pra->epoch, pra->initialized);
-  } else if (const auto* nc = msg.as<NewConfig>()) {
-    handle_new_config(*nc);
-  } else if (const auto* ns = msg.as<NewState>()) {
-    handle_new_state(from, *ns);
-  } else if (const auto* cc = msg.as<configsvc::ConfigChange>()) {
-    handle_config_change(*cc);
+  } else {
+    handle_core_message(from, msg);
   }
 }
 

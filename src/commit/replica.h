@@ -11,11 +11,13 @@
 //
 // The certification path — certify, the leader's prepare and vote, the
 // coordinator's decision rule, the follower fill and decision apply, the
-// retry timer and the CSN read surface — lives in commit::ReplicaCore,
-// shared with the RDMA replica.  This substrate keeps what is specific to
-// message passing: per-shard views, ACCEPT/ACCEPT_ACK/DECISION messages with
-// the follower-side epoch guard of line 22, and the Fig. 1 reconfiguration
-// install (PROBE, NEW_CONFIG, NEW_STATE, CONFIG_CHANGE).
+// retry timer and the CSN read surface — and Fig. 1's reconfiguration — the
+// per-shard views, PROBE, NEW_CONFIG, NEW_STATE, CONFIG_CHANGE and the
+// configuration-service hooks — live in commit::ReplicaCore, shared with
+// the RDMA replica.  This substrate keeps what is specific to message
+// passing: the bootstrap of its views, and the ACCEPT/ACCEPT_ACK/DECISION
+// messages with the follower-side epoch guard of line 22 (plus the E14
+// leader-driven replication ablation).
 //
 // Code comments cite figure line numbers.  Where the code departs from the
 // pseudocode it says why: messages carry participant lists (so any replica
@@ -28,7 +30,6 @@
 #include <vector>
 
 #include "commit/replica_core.h"
-#include "configsvc/client.h"
 
 namespace ratc::commit {
 
@@ -56,21 +57,6 @@ class Replica : public ReplicaCore {
   /// Initializes a fresh spare: knows the views but holds no shard state.
   void bootstrap_spare(const std::map<ShardId, configsvc::ShardConfig>& all_views);
 
-  // --- recovery API -------------------------------------------------------------
-
-  /// Initiates reconfiguration of shard s (line 33).  Any process may call
-  /// this when it suspects a failure in s.
-  void reconfigure(ShardId s);
-
-  // --- views (the epoch/members/leader arrays) ------------------------------
-
-  const configsvc::ShardConfig& view(ShardId s) const;
-  Epoch epoch_of(ShardId s) const override { return view(s).epoch; }
-  ProcessId leader_of(ShardId s) const override { return view(s).leader; }
-  const std::vector<ProcessId>& members_of(ShardId s) const override {
-    return view(s).members;
-  }
-
   void on_message(ProcessId from, const sim::AnyMessage& msg) override;
 
  private:
@@ -96,28 +82,7 @@ class Replica : public ReplicaCore {
   bool apply_accept(ProcessId from, const Accept& m, AcceptAck* ack,
                     ProcessId* coordinator);
 
-  // Fig. 1 reconfiguration install.
-  void handle_probe(ProcessId from, const Probe& m);                // line 40
-  void handle_new_config(const NewConfig& m);                       // line 56
-  void handle_new_state(ProcessId from, const NewState& m);         // line 61
-  void handle_config_change(const configsvc::ConfigChange& m);      // line 67
-
-  // recon::StackHooks — the per-shard configuration service adapter for the
-  // shared reconfigurer core (recon::Engine), which runs lines 33-55 + the
-  // CAS spare ledger.
-  void fetch_latest(const std::vector<ShardId>& shards,
-                    std::function<void(bool, recon::Snapshot)> cb) override;
-  void fetch_members_at(
-      ShardId shard, Epoch epoch,
-      std::function<void(bool, std::vector<ProcessId>)> cb) override;
-  void submit(const recon::Proposal& proposal,
-              std::function<void(bool)> done) override;
-  void activate(const recon::Proposal& proposal) override;
-
   const bool leader_ships_accepts_;
-  Monitor* const monitor_;
-  configsvc::CsClient cs_;
-  std::map<ShardId, configsvc::ShardConfig> views_;  // epoch/members/leader arrays
 };
 
 }  // namespace ratc::commit

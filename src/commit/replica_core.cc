@@ -14,14 +14,41 @@ ReplicaCore::ReplicaCore(rt::Runtime& rt, ProcessId id, std::string name,
                          const Options& options, CertificationObserver* observer)
     : Process(rt, id, std::move(name)),
       options_(options),
-      fd_responder_(rt, id),
+      cs_(rt, id, options_.cs_endpoints),
       engine_(rt, id, *this,
               {.target_shard_size = options_.target_shard_size,
                .probe_patience = options_.probe_patience,
                .policy = options_.placement_policy}),
       observer_(observer),
-      store_(options_.snapshot_history_depth) {
+      fd_responder_(rt, id) {
   assert(options_.shard_map != nullptr && options_.certifier != nullptr);
+}
+
+const configsvc::ShardConfig& ReplicaCore::view(ShardId s) const {
+  static const configsvc::ShardConfig kInvalid;
+  auto it = views_.find(s);
+  return it == views_.end() ? kInvalid : it->second;
+}
+
+bool ReplicaCore::handle_core_message(ProcessId from, const sim::AnyMessage& msg) {
+  // The certification path first: it carries almost every message.
+  if (handle_certification(from, msg) || fd_responder_.handle(from, msg) || cs_.handle(msg)) {
+    return true;
+  }
+  if (const auto* pr = msg.as<Probe>()) {
+    handle_probe(from, *pr);
+  } else if (const auto* pra = msg.as<ProbeAck>()) {
+    engine_.on_probe_ack(from, pra->shard, pra->epoch, pra->initialized);
+  } else if (const auto* nc = msg.as<NewConfig>()) {
+    handle_new_config(*nc);
+  } else if (const auto* ns = msg.as<NewState>()) {
+    handle_new_state(from, *ns);
+  } else if (const auto* cc = msg.as<configsvc::ConfigChange>()) {
+    handle_config_change(*cc);
+  } else {
+    return false;
+  }
+  return true;
 }
 
 // --- certification ----------------------------------------------------------
@@ -473,7 +500,90 @@ void ReplicaCore::install_log(const ReplicaLog& log) {
   }
 }
 
+// --- reconfiguration (Fig. 1 lines 33-69) ------------------------------------------
+
+void ReplicaCore::handle_probe(ProcessId from, const Probe& m) {
+  // Line 41 pre (Fig. 8 line 112): e ≥ new_epoch.
+  if (m.epoch < new_epoch_) return;
+  // Lines 42-44: stop processing transactions and acknowledge.
+  status_ = Status::kReconfiguring;
+  on_probed();
+  new_epoch_ = m.epoch;
+  rt().send_msg(id(), from, ProbeAck{initialized_, m.epoch, options_.shard});
+}
+
+void ReplicaCore::handle_new_config(const NewConfig& m) {
+  // Guard per the proof of Invariant 3: only accept configurations at least
+  // as new as the highest probed epoch.
+  if (m.epoch < new_epoch_) return;
+  new_epoch_ = m.epoch;
+  // Lines 57-58.
+  status_ = Status::kLeader;
+  configsvc::ShardConfig& v = views_[options_.shard];
+  v.epoch = m.epoch;
+  v.members = m.members;
+  v.leader = id();
+  take_over_log();  // line 59
+  if (observer_) observer_->on_epoch_installed(*this);
+  // Line 60: transfer state to the followers.
+  NewState ns;
+  ns.epoch = m.epoch;
+  ns.members = m.members;
+  ns.log = log();
+  for (ProcessId p : m.members) {
+    if (p != id()) rt().send_msg(id(), p, ns);
+  }
+  RATC_DEBUG(name() << " leads s" << options_.shard << " at epoch " << m.epoch);
+}
+
+void ReplicaCore::handle_new_state(ProcessId from, const NewState& m) {
+  // Line 62 pre: e ≥ new_epoch.
+  if (m.epoch < new_epoch_) return;
+  new_epoch_ = m.epoch;
+  // Lines 63-66.
+  initialized_ = true;
+  status_ = Status::kFollower;
+  configsvc::ShardConfig& v = views_[options_.shard];
+  v.epoch = m.epoch;
+  v.members = m.members;
+  v.leader = from;
+  install_log(m.log);
+  if (observer_) observer_->on_epoch_installed(*this);
+  RATC_DEBUG(name() << " follows " << process_name(from) << " in s" << options_.shard
+                    << " at epoch " << m.epoch);
+}
+
+void ReplicaCore::handle_config_change(const configsvc::ConfigChange& m) {
+  // Line 68 pre: epoch[s] < e ∧ s ≠ s0.
+  if (m.shard == options_.shard) return;
+  configsvc::ShardConfig& v = views_[m.shard];
+  if (v.epoch >= m.config.epoch) return;
+  v = m.config;  // line 69
+}
+
 // --- recon::StackHooks ------------------------------------------------------------
+
+void ReplicaCore::fetch_latest(const std::vector<ShardId>& shards,
+                               std::function<void(bool, recon::Snapshot)> cb) {
+  ShardId s = shards.front();  // per-shard reconfiguration: one shard
+  cs_.get_last(s, [s, cb](const configsvc::ShardConfig& cfg) {
+    if (!cfg.valid()) {  // nothing stored: cannot reconfigure an unborn shard
+      cb(false, {});
+      return;
+    }
+    recon::Snapshot snap;
+    snap.epoch = cfg.epoch;
+    snap.members[s] = cfg.members;
+    cb(true, snap);
+  });
+}
+
+void ReplicaCore::fetch_members_at(ShardId shard, Epoch epoch,
+                                   std::function<void(bool, std::vector<ProcessId>)> cb) {
+  cs_.get(shard, epoch, [cb](bool found, const configsvc::ShardConfig& cfg) {
+    cb(found, cfg.members);
+  });
+}
 
 void ReplicaCore::send_probe(ProcessId target, Epoch new_epoch) {
   rt().send_msg(id(), target, Probe{new_epoch});
@@ -488,6 +598,17 @@ void ReplicaCore::release_spares(ShardId shard, const std::vector<ProcessId>& sp
   // Losing a CAS (e.g. two reconfigurers racing) must not consume the fresh
   // spares the losing proposal reserved; the engine routes them back here.
   if (options_.release_spares) options_.release_spares(shard, spares);
+}
+
+void ReplicaCore::submit(const recon::Proposal& proposal, std::function<void(bool)> done) {
+  const auto& [shard, next] = *proposal.shards.begin();
+  cs_.cas(shard, proposal.epoch - 1, next, std::move(done));
+}
+
+void ReplicaCore::activate(const recon::Proposal& proposal) {
+  // Line 50: hand the won configuration to its new leader.
+  const configsvc::ShardConfig& next = proposal.shards.begin()->second;
+  rt().send_msg(id(), next.leader, NewConfig{next.epoch, next.members});
 }
 
 recon::PlacementContext ReplicaCore::placement_context(ShardId shard) {

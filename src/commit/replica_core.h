@@ -1,10 +1,10 @@
-// The certification core shared by both replica substrates.
+// The replica core shared by both replica substrates.
 //
 // Fig. 7's certification path is Fig. 1's, except that ACCEPT and DECISION
 // travel as one-sided writes; only reconfiguration really differs (Fig. 8
-// vs Fig. 1 lines 33-69).  ReplicaCore is that shared path, and
-// commit::Replica (messages) and rdma::Replica (the RDMA fabric) derive
-// from it.
+// vs Fig. 1 lines 33-69).  ReplicaCore is that shared path plus Fig. 1's
+// per-shard reconfiguration, and commit::Replica (messages) and
+// rdma::Replica (the RDMA fabric) derive from it.
 //
 // The core owns the certification state — the log, `next`, the witness
 // index, the coordinator map, the retry bookkeeping and the snapshot store —
@@ -12,16 +12,27 @@
 // the leader's prepare and vote (with the flat-scan cross-check), the
 // coordinator's PREPARE_ACK bookkeeping and decision rule, the follower
 // slot fill and decision apply, the retry timer, the read watermark, and
-// the takeover/install bookkeeping a new configuration needs.  A substrate
-// supplies only what differs, through the virtual hooks below:
-//   * epoch_of / leader_of / members_of: a shard in its current view;
+// the takeover/install bookkeeping a new configuration needs.
+//
+// It also owns Fig. 1's reconfiguration: the per-shard views (the epoch,
+// members and leader arrays), the configuration-service client, the
+// PROBE / NEW_CONFIG / NEW_STATE / CONFIG_CHANGE handlers and the four
+// per-shard recon::StackHooks (fetch_latest, fetch_members_at, submit,
+// activate) through which the shared recon::Engine runs lines 33-55.  This
+// is the default: the message-passing stack uses it as is, and rdma's Fig. 4a
+// strawman is exactly this reconfiguration over one-sided writes.  rdma's
+// safe mode overrides the views and the four hooks with Fig. 8's global
+// protocol.
+//
+// A substrate supplies only what differs, through the virtual hooks below:
 //   * replicate: the leader's results reach one follower (ACCEPT messages
 //     vs one-sided RAccept writes);
 //   * ship_decision: a decision reaches a shard's members (DECISION
 //     messages vs RDecision writes);
-//   * its reconfiguration install, which calls take_over_log/install_log.
-// Both stacks' monitors see the certification path through
-// CertificationObserver.
+//   * on_probed, and the view and reconfiguration hooks, where its
+//     reconfiguration is not Fig. 1's.
+// Both stacks' monitors see the certification path and every installed
+// epoch through CertificationObserver.
 #pragma once
 
 #include <functional>
@@ -36,6 +47,7 @@
 #include "commit/log.h"
 #include "commit/messages.h"
 #include "commit/witness_index.h"
+#include "configsvc/client.h"
 #include "configsvc/config.h"
 #include "fd/failure_detector.h"
 #include "recon/engine.h"
@@ -59,6 +71,8 @@ inline const char* to_string(Status s) {
   return "?";
 }
 
+class ReplicaCore;
+
 /// What a stack's monitor observes of the certification path.
 class CertificationObserver {
  public:
@@ -71,6 +85,9 @@ class CertificationObserver {
                                 std::vector<TxnId> prepared_against) = 0;
   /// A decision handed to a co-located client's callback.
   virtual void on_local_decision(TxnId txn, tcs::Decision d) = 0;
+  /// A replica installed a new epoch of its shard through Fig. 1's
+  /// NEW_CONFIG or NEW_STATE.
+  virtual void on_epoch_installed(const ReplicaCore& replica) { (void)replica; }
 };
 
 class ReplicaCore : public sim::Process, protected recon::StackHooks {
@@ -80,7 +97,7 @@ class ReplicaCore : public sim::Process, protected recon::StackHooks {
     ShardId shard = 0;
     const tcs::ShardMap* shard_map = nullptr;
     const tcs::Certifier* certifier = nullptr;
-    /// Configuration-service endpoints (rdma's safe mode: the global CS).
+    /// Configuration-service endpoints.
     std::vector<ProcessId> cs_endpoints;
     /// Desired configuration size (f+1); compute_membership tops up to this.
     std::size_t target_shard_size = 2;
@@ -118,9 +135,6 @@ class ReplicaCore : public sim::Process, protected recon::StackHooks {
     /// whole log.  Works in every build type, not just -DNDEBUG-less ones;
     /// sweeps and the randomized suites turn it on.
     bool check_certifier_index = false;
-    /// Versions per object the snapshot store retains for CSN reads; older
-    /// versions are evicted (reads below them report unserved, never wrong).
-    std::size_t snapshot_history_depth = 16;
   };
 
   // --- client API -------------------------------------------------------------
@@ -153,6 +167,13 @@ class ReplicaCore : public sim::Process, protected recon::StackHooks {
   /// Coordinator recovery for the transaction in slot k (line 70).
   void retry(Slot k);
 
+  /// Initiates reconfiguration of shard s (line 33).  Any process may call
+  /// this when it suspects a failure in s.  The attempt lifecycle — probe /
+  /// descend epoch search, placement, CAS with loser spare-release — is
+  /// recon::Engine's; start() refuses while an attempt is in flight (line
+  /// 34's probing guard).
+  void reconfigure(ShardId s) { engine_.start({s}); }
+
   // --- introspection (used by monitors, tests, benches) ---------------------
 
   ShardId shard() const { return options_.shard; }
@@ -167,11 +188,16 @@ class ReplicaCore : public sim::Process, protected recon::StackHooks {
   /// (stats + spare-ledger introspection for harnesses).
   const recon::Engine& recon_engine() const { return engine_; }
 
+  /// Shard s in this replica's Fig. 1 view (invalid if unknown).
+  const configsvc::ShardConfig& view(ShardId s) const;
   /// Shard s in this replica's current view: its epoch, leader and members
-  /// (config order).  The substrate's view, so the core never copies it.
-  virtual Epoch epoch_of(ShardId s) const = 0;
-  virtual ProcessId leader_of(ShardId s) const = 0;
-  virtual const std::vector<ProcessId>& members_of(ShardId s) const = 0;
+  /// (config order).  Fig. 1's per-shard views unless the substrate's
+  /// reconfiguration keeps another view (rdma's global configuration).
+  virtual Epoch epoch_of(ShardId s) const { return view(s).epoch; }
+  virtual ProcessId leader_of(ShardId s) const { return view(s).leader; }
+  virtual const std::vector<ProcessId>& members_of(ShardId s) const {
+    return view(s).members;
+  }
 
   // --- CSN read surface ------------------------------------------------------
   //
@@ -220,12 +246,18 @@ class ReplicaCore : public sim::Process, protected recon::StackHooks {
   virtual void reply_prepare_ack(ProcessId coordinator, PrepareAck ack);
   virtual void reply_prepare_ack_batch(ProcessId coordinator, PrepareAckBatch acks);
 
+  /// Runs when a PROBE freezes this replica (lines 42-44), before the ack:
+  /// rdma's safe mode severs its incoming connections here (Fig. 8 line 114).
+  virtual void on_probed() {}
+
   // --- what the substrates call -------------------------------------------------
 
-  /// Dispatches the messages of the shared certification path (CERTIFY,
-  /// CERTIFY_BATCH, PREPARE, PREPARE_ACK and their batches); false for any
-  /// other message.
-  bool handle_certification(ProcessId from, const sim::AnyMessage& msg);
+  /// Dispatches every message the core handles: configuration-service
+  /// replies, failure-detector pings, the certification path (CERTIFY,
+  /// CERTIFY_BATCH, PREPARE, PREPARE_ACK and their batches) and Fig. 1's
+  /// reconfiguration (PROBE, PROBE_ACK, NEW_CONFIG, NEW_STATE,
+  /// CONFIG_CHANGE); false for any other message.
+  bool handle_core_message(ProcessId from, const sim::AnyMessage& msg);
 
   /// The coordination's progress at shard s, or null if the coordination is
   /// unknown, decided, or has not heard from s.
@@ -255,22 +287,30 @@ class ReplicaCore : public sim::Process, protected recon::StackHooks {
 
   void arm_retry_timer();
 
-  // recon::StackHooks both substrates implement alike.
+  // recon::StackHooks: Fig. 1's per-shard configuration-service adapter
+  // for recon::Engine, which runs lines 33-55 plus the CAS spare ledger.
+  void fetch_latest(const std::vector<ShardId>& shards,
+                    std::function<void(bool, recon::Snapshot)> cb) override;
+  void fetch_members_at(ShardId shard, Epoch epoch,
+                        std::function<void(bool, std::vector<ProcessId>)> cb) override;
   void send_probe(ProcessId target, Epoch new_epoch) override;
   std::vector<ProcessId> reserve_spares(ShardId shard, std::size_t n) override;
   void release_spares(ShardId shard, const std::vector<ProcessId>& spares) override;
+  void submit(const recon::Proposal& proposal, std::function<void(bool)> done) override;
+  void activate(const recon::Proposal& proposal) override;
   recon::PlacementContext placement_context(ShardId shard) override;
 
   Options options_;
-  fd::Responder fd_responder_;
+  configsvc::CsClient cs_;
   /// The reconfigurer role (lines 33-55), shared with every other stack
-  /// through recon::Engine; the substrate supplies the remaining hooks.
+  /// through recon::Engine.
   recon::Engine engine_;
 
   // Fig. 1 process state the reconfiguration install writes.
   Status status_ = Status::kReconfiguring;
   bool initialized_ = false;
   Epoch new_epoch_ = kNoEpoch;
+  std::map<ShardId, configsvc::ShardConfig> views_;  // epoch/members/leader arrays
 
  private:
   struct CoordState {
@@ -296,6 +336,15 @@ class ReplicaCore : public sim::Process, protected recon::StackHooks {
   template <typename Items>
   void certify_batch(const Items& items, ProcessId client,
                      const std::function<void(TxnId, tcs::Decision, Time)>& cb);
+
+  /// The certification path's part of handle_core_message.
+  bool handle_certification(ProcessId from, const sim::AnyMessage& msg);
+
+  // Fig. 1 reconfiguration install.
+  void handle_probe(ProcessId from, const Probe& m);                // line 40
+  void handle_new_config(const NewConfig& m);                       // line 56
+  void handle_new_state(ProcessId from, const NewState& m);         // line 61
+  void handle_config_change(const configsvc::ConfigChange& m);      // line 67
 
   void handle_prepare(ProcessId from, const Prepare& m);            // line 4
   void handle_prepare_batch(ProcessId from, const PrepareBatch& m);
@@ -352,6 +401,7 @@ class ReplicaCore : public sim::Process, protected recon::StackHooks {
   void redrive_coordinations(const std::set<TxnId>& driven_this_tick);
 
   CertificationObserver* observer_;
+  fd::Responder fd_responder_;
 
   // Fig. 1 certification state.
   ReplicaLog log_;

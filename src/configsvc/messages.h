@@ -1,9 +1,14 @@
 // Configuration service message vocabulary (paper Sec. 3: compare_and_swap,
 // get_last, get, and CONFIG_CHANGE notifications; Sec. 5 global variants).
+// Every request carries a request id, which its reply echoes: the client
+// matches replies by it and the store executes each id at most once.
 #pragma once
+
+#include <optional>
 
 #include "common/types.h"
 #include "configsvc/config.h"
+#include "sim/message.h"
 
 namespace ratc::configsvc {
 
@@ -113,5 +118,24 @@ struct GlobalConfigChange {
   GlobalConfig config;
   std::size_t wire_size() const { return 16 + config.members.size() * 16; }
 };
+
+/// The request id `msg` carries if it is one of Ts, else nullopt.
+template <typename... Ts>
+std::optional<RequestId> request_id_of(const sim::AnyMessage& msg) {
+  std::optional<RequestId> id;
+  (void)((msg.is<Ts>() && (id = msg.as<Ts>()->req_id, true)) || ...);
+  return id;
+}
+
+/// Set iff `msg` is a request of either interface.
+inline std::optional<RequestId> request_id(const sim::AnyMessage& msg) {
+  return request_id_of<CsCas, CsGetLast, CsGet, GcsCas, GcsGetLast, GcsGet>(msg);
+}
+
+/// Set iff `msg` is a reply of either interface.
+inline std::optional<RequestId> reply_id(const sim::AnyMessage& msg) {
+  return request_id_of<CsCasReply, CsGetLastReply, CsGetReply, GcsCasReply,
+                       GcsGetLastReply, GcsGetReply>(msg);
+}
 
 }  // namespace ratc::configsvc

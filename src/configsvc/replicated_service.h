@@ -6,21 +6,18 @@
 // Each CS server is a pair of simulated processes: a *frontend* that speaks
 // the CS request protocol, and a Paxos replica that sequences commands.
 // The frontend whose Paxos replica currently leads wraps incoming requests
-// into commands; every server applies the same command sequence to its copy
-// of the configuration store; the leader's frontend sends replies and
-// CONFIG_CHANGE notifications.  Duplicate submissions (possible across
-// leader changes) are absorbed by remembering the reply per request id.
+// into commands; every server applies the same command sequence to its own
+// Store (store.h), whose reply cache absorbs the duplicate submissions that
+// client retries and leader changes produce.  The leader's frontend sends
+// the change notifications and then the reply.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <vector>
 
-#include "configsvc/config.h"
-#include "configsvc/messages.h"
+#include "configsvc/store.h"
 #include "paxos/replica.h"
 #include "sim/network.h"
-#include "sim/process.h"
 
 namespace ratc::configsvc {
 
@@ -32,48 +29,33 @@ struct CsCommand {
   std::size_t wire_size() const { return 8 + request.wire_size(); }
 };
 
-class CsServer : public sim::Process {
+class CsServer : public Frontend {
  public:
-  CsServer(rt::Runtime& rt, ProcessId id);
+  CsServer(rt::Runtime& rt, ProcessId id)
+      : Frontend(rt, id, "cs-frontend" + std::to_string(id)) {}
 
   void attach_paxos(paxos::PaxosReplica* paxos) { paxos_ = paxos; }
   paxos::PaxosReplica& paxos() { return *paxos_; }
-
-  void bootstrap(ShardId shard, ShardConfig config);
-  void subscribe(ProcessId p) { subscribers_.push_back(p); }
 
   void on_message(ProcessId from, const sim::AnyMessage& msg) override;
 
   /// Paxos apply upcall.
   void apply(Slot slot, const sim::AnyMessage& cmd);
 
-  const ShardConfig& last(ShardId shard) const;
-
  private:
-  sim::AnyMessage execute(const sim::AnyMessage& request, bool* cas_ok,
-                          ShardId* cas_shard);
-
-
   paxos::PaxosReplica* paxos_ = nullptr;
-  std::map<ShardId, std::map<Epoch, ShardConfig>> configs_;
-  std::map<ShardId, Epoch> last_epoch_;
-  std::vector<ProcessId> subscribers_;
-  /// Reply cache for at-most-once semantics across duplicate submissions.
-  std::map<RequestId, sim::AnyMessage> replies_;
 };
 
-/// Owns the full 2f+1 server group; a construction/operations convenience
-/// for tests and benches.
+/// Owns the full 2f+1 server group (f = 1); a construction/operations
+/// convenience for tests and benches.
 class ReplicatedConfigService {
  public:
-  struct Options {
-    std::size_t num_servers = 3;
-    /// Process ids: frontends get first_pid..first_pid+n-1, Paxos replicas
-    /// the following n ids.
-    ProcessId first_pid = 9000;
-  };
+  /// Frontends get kFirstPid..kFirstPid+2, the Paxos replicas the next three
+  /// ids.
+  static constexpr std::size_t kNumServers = 3;
+  static constexpr ProcessId kFirstPid = 9000;
 
-  ReplicatedConfigService(sim::Simulator& sim, sim::Network& net, Options options);
+  ReplicatedConfigService(sim::Simulator& sim, sim::Network& net);
 
   /// Frontend process ids — what protocol processes use as CS endpoints.
   std::vector<ProcessId> endpoints() const;

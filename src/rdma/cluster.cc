@@ -57,16 +57,12 @@ Cluster::Cluster(Options options)
     initial.members[s] = initial_members(s);
     initial.leaders[s] = initial.members[s].front();
   }
+  cs_ = std::make_unique<configsvc::SimpleConfigService>(rt_, kCsPid);
+  rt_.spawn(cs_.get());
   if (mode_ == ReconfigMode::kGlobalSafe) {
-    gcs_ = std::make_unique<configsvc::SimpleGlobalConfigService>(rt_, kCsPid);
-    rt_.spawn(gcs_.get());
-    gcs_->bootstrap(initial);
+    cs_->bootstrap(initial);
   } else {
-    cs_ = std::make_unique<configsvc::SimpleConfigService>(rt_, kCsPid);
-    rt_.spawn(cs_.get());
-    for (ShardId s = 0; s < options.num_shards; ++s) {
-      cs_->bootstrap(s, initial.shard(s));
-    }
+    for (ShardId s = 0; s < options.num_shards; ++s) cs_->bootstrap(s, initial.shard(s));
   }
   for (const auto& [s, members] : initial.members) {
     monitor_->register_members(s, initial.epoch, members, initial.leaders.at(s));
@@ -83,7 +79,10 @@ Cluster::Cluster(Options options)
         return std::make_unique<Replica>(rt_, *fabric_, pid, o);
       },
       [this](ProcessId pid) {
-        if (cs_) cs_->subscribe(pid);
+        // The strawman's replicas track other shards through CONFIG_CHANGE
+        // (Fig. 1 line 67); the global protocol's learn the configuration
+        // from CONFIG_PREPARE.
+        if (mode_ == ReconfigMode::kPerShardUnsafe) cs_->subscribe(pid);
       });
   // In the unsafe strawman, writes to spares must land too (no connection
   // management at all): open every member->spare path.
@@ -117,26 +116,25 @@ Cluster::Cluster(Options options)
       copt.mode = ctrl::ReconController::Mode::kDelegateGlobal;
       copt.tuning = options.controller_tuning;
       ctrl::ReconController& c = spawn_controller(std::move(copt));
-      gcs_->subscribe(c.id());
+      cs_->subscribe(c.id());
       c.bootstrap_global(initial);
     }
   }
 }
 
 configsvc::ShardConfig Cluster::current_config(ShardId s) const {
-  if (gcs_) return gcs_->last().shard(s);
-  return cs_->last(s);
+  return mode_ == ReconfigMode::kGlobalSafe ? cs_->last().shard(s) : cs_->last(s);
 }
 
 Epoch Cluster::current_epoch() const {
-  assert(gcs_ != nullptr);
-  return gcs_->last().epoch;
+  assert(mode_ == ReconfigMode::kGlobalSafe);
+  return cs_->last().epoch;
 }
 
 bool Cluster::await_active_epoch(Epoch at_least, std::size_t max_events) {
   assert(mode_ == ReconfigMode::kGlobalSafe);
   auto active = [&] {
-    const configsvc::GlobalConfig& cfg = gcs_->last();
+    const configsvc::GlobalConfig& cfg = cs_->last();
     if (cfg.epoch < at_least) return false;
     for (ProcessId m : cfg.all_members()) {
       if (sim_.crashed(m)) return false;

@@ -1,9 +1,9 @@
 // Simulator harness for the RDMA-based protocol: the rdma instantiation of
 // recon::ReplicaCluster (recon/cluster_support.h) on a SimHost — shards of
 // f+1 replicas plus spares, the history-recording clients — plus the
-// simulated RDMA fabric, the RdmaMonitor, and the global configuration
-// service (safe mode) or the per-shard one (unsafe strawman mode) with its
-// levers.
+// simulated RDMA fabric, the RdmaMonitor, and the configuration service,
+// used through its global interface (safe mode) or its per-shard one
+// (unsafe strawman mode), with its levers.
 #pragma once
 
 #include <functional>
@@ -91,7 +91,6 @@ class Cluster : public recon::SimHost, public recon::ReplicaCluster<Replica> {
   const ReconfigMode mode_;
   std::unique_ptr<Fabric> fabric_;
   std::unique_ptr<RdmaMonitor> monitor_;
-  std::unique_ptr<configsvc::SimpleGlobalConfigService> gcs_;
   std::unique_ptr<configsvc::SimpleConfigService> cs_;
 };
 

@@ -14,11 +14,8 @@ Replica::Replica(rt::Runtime& rt, Fabric& fabric, ProcessId id, Options options)
     : ReplicaCore(rt, id, "rr" + std::to_string(id) + "/s" + std::to_string(options.shard),
                   options, options.monitor),
       mode_(options.mode),
-      connect_retry_(options.connect_retry),
       ablate_flush_(options.ablate_flush),
-      fabric_(fabric),
-      gcs_(rt, id, options_.cs_endpoints),
-      cs_(rt, id, options_.cs_endpoints) {
+      fabric_(fabric) {
   fabric_.attach(
       id,
       [this](ProcessId from, const sim::AnyMessage& msg) { deliver_rdma(from, msg); },
@@ -26,28 +23,20 @@ Replica::Replica(rt::Runtime& rt, Fabric& fabric, ProcessId id, Options options)
 }
 
 Epoch Replica::epoch_of(ShardId s) const {
-  if (mode_ == ReconfigMode::kGlobalSafe) return epoch_;
-  auto it = views_.find(s);
-  return it == views_.end() ? kNoEpoch : it->second.epoch;
+  return mode_ == ReconfigMode::kGlobalSafe ? epoch_ : ReplicaCore::epoch_of(s);
 }
 
 ProcessId Replica::leader_of(ShardId s) const {
-  if (mode_ == ReconfigMode::kGlobalSafe) {
-    auto it = config_.leaders.find(s);
-    return it == config_.leaders.end() ? kNoProcess : it->second;
-  }
-  auto it = views_.find(s);
-  return it == views_.end() ? kNoProcess : it->second.leader;
+  if (mode_ != ReconfigMode::kGlobalSafe) return ReplicaCore::leader_of(s);
+  auto it = config_.leaders.find(s);
+  return it == config_.leaders.end() ? kNoProcess : it->second;
 }
 
 const std::vector<ProcessId>& Replica::members_of(ShardId s) const {
   static const std::vector<ProcessId> kNone;
-  if (mode_ == ReconfigMode::kGlobalSafe) {
-    auto it = config_.members.find(s);
-    return it == config_.members.end() ? kNone : it->second;
-  }
-  auto it = views_.find(s);
-  return it == views_.end() ? kNone : it->second.members;
+  if (mode_ != ReconfigMode::kGlobalSafe) return ReplicaCore::members_of(s);
+  auto it = config_.members.find(s);
+  return it == config_.members.end() ? kNone : it->second;
 }
 
 void Replica::bootstrap(Status status, const configsvc::GlobalConfig& config) {
@@ -56,12 +45,7 @@ void Replica::bootstrap(Status status, const configsvc::GlobalConfig& config) {
   epoch_ = config.epoch;
   new_epoch_ = config.epoch;
   config_ = config;
-  for (const auto& [s, members] : config.members) {
-    configsvc::ShardConfig& v = views_[s];
-    v.epoch = config.epoch;
-    v.members = members;
-    v.leader = config.leaders.at(s);
-  }
+  for (const auto& [s, members] : config.members) views_[s] = config.shard(s);
   // Epoch 1 is pre-activated: all connections open.
   for (ProcessId p : config.all_members()) {
     if (p == id()) continue;
@@ -77,12 +61,7 @@ void Replica::bootstrap_spare(const configsvc::GlobalConfig& config) {
   config_ = config;
   epoch_ = kNoEpoch;
   new_epoch_ = kNoEpoch;
-  for (const auto& [s, members] : config.members) {
-    configsvc::ShardConfig& v = views_[s];
-    v.epoch = config.epoch;
-    v.members = members;
-    v.leader = config.leaders.at(s);
-  }
+  for (const auto& [s, members] : config.members) views_[s] = config.shard(s);
   if (mode_ == ReconfigMode::kPerShardUnsafe) {
     // No connection management in the strawman: spares accept writes too.
     for (ProcessId p : config.all_members()) {
@@ -162,8 +141,8 @@ void Replica::deliver_rdma(ProcessId from, const sim::AnyMessage& msg) {
 // the engine waits for an initialized responder in EVERY shard (line 117)
 // before proposing, and activate() stages the fabric-aware install phase
 // (CONFIG_PREPARE dissemination).  Unsafe mode (the Fig. 4a strawman): the
-// Fig. 1 per-shard attempt, with NEW_CONFIG handed straight to the new
-// leader — reproducing the protocol the paper proves incorrect.
+// core's Fig. 1 per-shard attempt, with NEW_CONFIG handed straight to the
+// new leader — reproducing the protocol the paper proves incorrect.
 
 void Replica::reconfigure() {
   assert(mode_ == ReconfigMode::kGlobalSafe);
@@ -174,73 +153,47 @@ void Replica::reconfigure() {
 
 void Replica::reconfigure_shard(ShardId s) {
   assert(mode_ == ReconfigMode::kPerShardUnsafe);
-  engine_.start({s});
+  ReplicaCore::reconfigure(s);
 }
 
-void Replica::handle_probe(ProcessId from, const commit::Probe& m) {
-  // Line 112 pre (line 41 in unsafe mode).
-  if (m.epoch < new_epoch_) return;
-  status_ = Status::kReconfiguring;
-  if (mode_ == ReconfigMode::kGlobalSafe) {
-    // Line 114: sever all incoming RDMA connections — the guard that the
-    // unsafe variant lacks.
-    fabric_.close_all(id());
-    connections_.clear();
-  }
-  new_epoch_ = m.epoch;
-  rt().send_msg(id(), from, commit::ProbeAck{initialized_, m.epoch, options_.shard});
+void Replica::on_probed() {
+  // Line 114: sever all incoming RDMA connections — the guard that the
+  // unsafe variant lacks.
+  if (mode_ != ReconfigMode::kGlobalSafe) return;
+  fabric_.close_all(id());
+  connections_.clear();
 }
 
 void Replica::fetch_latest(const std::vector<ShardId>& shards,
                            std::function<void(bool, recon::Snapshot)> cb) {
-  if (mode_ == ReconfigMode::kGlobalSafe) {
-    // Lines 106-110: the global protocol probes every shard of the latest
-    // stored global configuration.
-    gcs_.get_last([cb](const configsvc::GlobalConfig& cfg) {
-      if (!cfg.valid()) {
-        cb(false, {});
-        return;
-      }
-      recon::Snapshot snap;
-      snap.epoch = cfg.epoch;
-      snap.members = cfg.members;
-      cb(true, snap);
-    });
-  } else {
-    ShardId s = shards.front();
-    cs_.get_last(s, [s, cb](const configsvc::ShardConfig& cfg) {
-      if (!cfg.valid()) {
-        cb(false, {});
-        return;
-      }
-      recon::Snapshot snap;
-      snap.epoch = cfg.epoch;
-      snap.members[s] = cfg.members;
-      cb(true, snap);
-    });
-  }
+  if (mode_ != ReconfigMode::kGlobalSafe) return ReplicaCore::fetch_latest(shards, std::move(cb));
+  // Lines 106-110: the global protocol probes every shard of the latest
+  // stored global configuration.
+  cs_.get_last([cb](const configsvc::GlobalConfig& cfg) {
+    if (!cfg.valid()) {
+      cb(false, {});
+      return;
+    }
+    recon::Snapshot snap;
+    snap.epoch = cfg.epoch;
+    snap.members = cfg.members;
+    cb(true, snap);
+  });
 }
 
 void Replica::fetch_members_at(ShardId shard, Epoch epoch,
                                std::function<void(bool, std::vector<ProcessId>)> cb) {
-  if (mode_ == ReconfigMode::kGlobalSafe) {
-    gcs_.get(epoch, [shard, cb](bool found, const configsvc::GlobalConfig& cfg) {
-      if (!found) {
-        cb(false, {});
-        return;
-      }
-      auto mit = cfg.members.find(shard);
-      if (mit == cfg.members.end()) {
-        cb(false, {});
-        return;
-      }
-      cb(true, mit->second);
-    });
-  } else {
-    cs_.get(shard, epoch, [cb](bool found, const configsvc::ShardConfig& cfg) {
-      cb(found, cfg.members);
-    });
+  if (mode_ != ReconfigMode::kGlobalSafe) {
+    return ReplicaCore::fetch_members_at(shard, epoch, std::move(cb));
   }
+  cs_.get(epoch, [shard, cb](bool found, const configsvc::GlobalConfig& cfg) {
+    auto mit = cfg.members.find(shard);
+    if (!found || mit == cfg.members.end()) {
+      cb(false, {});
+      return;
+    }
+    cb(true, mit->second);
+  });
 }
 
 namespace {
@@ -257,27 +210,19 @@ configsvc::GlobalConfig to_global(const recon::Proposal& proposal) {
 
 void Replica::submit(const recon::Proposal& proposal,
                      std::function<void(bool)> done) {
-  if (mode_ == ReconfigMode::kGlobalSafe) {
-    gcs_.cas(proposal.epoch - 1, to_global(proposal), std::move(done));
-  } else {
-    const auto& [shard, next] = *proposal.shards.begin();
-    cs_.cas(shard, proposal.epoch - 1, next, std::move(done));
-  }
+  if (mode_ != ReconfigMode::kGlobalSafe) return ReplicaCore::submit(proposal, std::move(done));
+  cs_.cas(proposal.epoch - 1, to_global(proposal), std::move(done));
 }
 
 void Replica::activate(const recon::Proposal& proposal) {
-  if (mode_ == ReconfigMode::kGlobalSafe) {
-    // Lines 131-136 start here: disseminate CONFIG_PREPARE to the whole new
-    // membership; activation (RNEW_CONFIG) waits for every ack.
-    recon_config_ = to_global(proposal);
-    installing_ = true;
-    config_prepare_acks_.clear();
-    for (ProcessId p : recon_config_.all_members()) {
-      rt().send_msg(id(), p, ConfigPrepare{recon_config_.epoch, recon_config_});
-    }
-  } else {
-    const configsvc::ShardConfig& next = proposal.shards.begin()->second;
-    rt().send_msg(id(), next.leader, commit::NewConfig{next.epoch, next.members});
+  if (mode_ != ReconfigMode::kGlobalSafe) return ReplicaCore::activate(proposal);
+  // Lines 131-136 start here: disseminate CONFIG_PREPARE to the whole new
+  // membership; activation (RNEW_CONFIG) waits for every ack.
+  recon_config_ = to_global(proposal);
+  installing_ = true;
+  config_prepare_acks_.clear();
+  for (ProcessId p : recon_config_.all_members()) {
+    rt().send_msg(id(), p, ConfigPrepare{recon_config_.epoch, recon_config_});
   }
 }
 
@@ -349,7 +294,7 @@ void Replica::open_connections_to(const std::vector<ProcessId>& peers) {
 }
 
 void Replica::arm_connect_retry() {
-  rt().schedule_for(id(), connect_retry_, [this, e = epoch_] {
+  rt().schedule_for(id(), kConnectRetry, [this, e = epoch_] {
     if (epoch_ != e || status_ == Status::kReconfiguring) return;
     bool missing = false;
     for (ProcessId p : config_.all_members()) {
@@ -380,58 +325,11 @@ void Replica::handle_connect_ack(ProcessId from, const ConnectAck& m) {
   connections_.insert(from);
 }
 
-// --- reconfiguration: per-shard unsafe mode (Fig. 4a strawman) -----------------
-
-void Replica::handle_new_config_unsafe(const commit::NewConfig& m) {
-  if (m.epoch < new_epoch_) return;
-  new_epoch_ = m.epoch;
-  status_ = Status::kLeader;
-  configsvc::ShardConfig& v = views_[options_.shard];
-  v.epoch = m.epoch;
-  v.members = m.members;
-  v.leader = id();
-  take_over_log();
-  commit::NewState ns;
-  ns.epoch = m.epoch;
-  ns.members = m.members;
-  ns.log = log();
-  for (ProcessId p : m.members) {
-    if (p != id()) rt().send_msg(id(), p, ns);
-  }
-}
-
-void Replica::handle_new_state_unsafe(ProcessId from, const commit::NewState& m) {
-  if (m.epoch < new_epoch_) return;
-  new_epoch_ = m.epoch;
-  initialized_ = true;
-  status_ = Status::kFollower;
-  configsvc::ShardConfig& v = views_[options_.shard];
-  v.epoch = m.epoch;
-  v.members = m.members;
-  v.leader = from;
-  install_log(m.log);
-}
-
-void Replica::handle_config_change(const configsvc::ConfigChange& m) {
-  if (m.shard == options_.shard) return;
-  configsvc::ShardConfig& v = views_[m.shard];
-  if (v.epoch >= m.config.epoch) return;
-  v = m.config;
-}
-
 // --- dispatch -------------------------------------------------------------------
 
 void Replica::on_message(ProcessId from, const sim::AnyMessage& msg) {
-  if (mode_ == ReconfigMode::kGlobalSafe ? gcs_.handle(msg) : cs_.handle(msg)) {
-    return;
-  }
-  if (fd_responder_.handle(from, msg)) return;
-  if (handle_certification(from, msg)) return;
-  if (const auto* pr = msg.as<commit::Probe>()) {
-    handle_probe(from, *pr);
-  } else if (const auto* pra = msg.as<commit::ProbeAck>()) {
-    engine_.on_probe_ack(from, pra->shard, pra->epoch, pra->initialized);
-  } else if (const auto* cp = msg.as<ConfigPrepare>()) {
+  if (handle_core_message(from, msg)) return;
+  if (const auto* cp = msg.as<ConfigPrepare>()) {
     handle_config_prepare(from, *cp);
   } else if (const auto* cpa = msg.as<ConfigPrepareAck>()) {
     handle_config_prepare_ack(from, *cpa);
@@ -443,12 +341,6 @@ void Replica::on_message(ProcessId from, const sim::AnyMessage& msg) {
     handle_connect(from, *cn);
   } else if (const auto* cna = msg.as<ConnectAck>()) {
     handle_connect_ack(from, *cna);
-  } else if (const auto* nc2 = msg.as<commit::NewConfig>()) {
-    handle_new_config_unsafe(*nc2);
-  } else if (const auto* ns2 = msg.as<commit::NewState>()) {
-    handle_new_state_unsafe(from, *ns2);
-  } else if (const auto* cc = msg.as<configsvc::ConfigChange>()) {
-    handle_config_change(*cc);
   } else if (msg.as<ctrl::NudgeReconfig>() != nullptr) {
     // A reconfiguration controller suspects a member: run the global
     // reconfiguration (Fig. 8).  No-op while one is already in flight:

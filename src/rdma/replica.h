@@ -13,15 +13,16 @@
 //
 // Everything else of Fig. 7 is Fig. 1's certification path, which lives in
 // commit::ReplicaCore, shared with commit::Replica.  This substrate keeps
-// the view (global configuration or per-shard views), the one-sided
-// RAccept/RDecision writes with their write-token ack matching, and the
-// reconfiguration install.
+// the one-sided RAccept/RDecision writes with their write-token ack
+// matching, and Fig. 8's global reconfiguration (ReconfigMode::kGlobalSafe):
+// the global configuration as the view, and the global-service hooks and
+// fabric-aware install that replace the core's Fig. 1 ones.
 //
-// The replica also implements ReconfigMode::kPerShardUnsafe: the Fig. 1
-// reconfiguration (per-shard, no connection management) combined with the
-// RDMA data path.  This is the protocol the paper proves INCORRECT via the
-// Figure 4a counter-example; tests use it to reproduce the violation and
-// to show the global protocol prevents it (experiment E7).
+// ReconfigMode::kPerShardUnsafe keeps the core's default instead: Fig. 1's
+// per-shard reconfiguration (no connection management) over the RDMA data
+// path.  This is the protocol the paper proves INCORRECT via the Figure 4a
+// counter-example; tests use it to reproduce the violation and to show the
+// global protocol prevents it (experiment E7).
 #pragma once
 
 #include <cstdint>
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "commit/replica_core.h"
-#include "configsvc/client.h"
 #include "rdma/fabric.h"
 #include "rdma/messages.h"
 
@@ -51,7 +51,6 @@ class Replica : public commit::ReplicaCore {
  public:
   struct Options : commit::ReplicaCore::Options {
     ReconfigMode mode = ReconfigMode::kGlobalSafe;
-    Duration connect_retry = 5;
     /// ABLATION (tests only): skip the flush() at NEW_CONFIG (Fig. 8 line
     /// 142).  Unsafe: acknowledged-but-unpolled writes are dropped from the
     /// state transfer even though coordinators may have externalized
@@ -69,14 +68,12 @@ class Replica : public commit::ReplicaCore {
 
   /// Global reconfiguration (safe mode, Fig. 8 line 103).
   void reconfigure();
-  /// Per-shard reconfiguration (unsafe mode only).
+  /// Per-shard reconfiguration (unsafe mode only): the core's Fig. 1
+  /// reconfigure(s).
   void reconfigure_shard(ShardId s);
 
-  const configsvc::GlobalConfig& global_config() const { return config_; }
-  const std::set<ProcessId>& connections() const { return connections_; }
-
   /// The view: the single system epoch and the global configuration in safe
-  /// mode, the per-shard views in the unsafe strawman.
+  /// mode, the core's per-shard views in the unsafe strawman.
   Epoch epoch_of(ShardId s) const override;
   ProcessId leader_of(ShardId s) const override;
   const std::vector<ProcessId>& members_of(ShardId s) const override;
@@ -98,13 +95,13 @@ class Replica : public commit::ReplicaCore {
   void deliver_rdma(ProcessId from, const sim::AnyMessage& msg);
   void handle_rdma_ack(const RdmaAck& ack);
 
-  // Reconfiguration (Fig. 8 for safe mode; Fig. 1 lines 33-69 for unsafe).
-  // The probe/descend/placement/CAS lifecycle lives in recon::Engine; the
-  // hooks below adapt it to the global (GCS) and per-shard (CS) substrates.
-  // What stays here is the probed side (handle_probe) and the safe mode's
-  // fabric-aware install phase (CONFIG_PREPARE .. CONNECT, Fig. 8 lines
-  // 131-162), which the engine triggers through activate().
-  void handle_probe(ProcessId from, const commit::Probe& m);
+  // Fig. 8 reconfiguration (safe mode).  The probe/descend/placement/CAS
+  // lifecycle lives in recon::Engine, the PROBE handler in the core; the
+  // hooks below point the engine at the global configuration service, and
+  // activate() starts the fabric-aware install phase (CONFIG_PREPARE ..
+  // CONNECT, Fig. 8 lines 131-162).  In unsafe mode each defers to the
+  // core's Fig. 1 version.
+  void on_probed() override;
   void handle_config_prepare(ProcessId from, const ConfigPrepare& m);
   void handle_config_prepare_ack(ProcessId from, const ConfigPrepareAck& m);
   void handle_new_config(const RNewConfig& m);
@@ -113,11 +110,6 @@ class Replica : public commit::ReplicaCore {
   void handle_connect_ack(ProcessId from, const ConnectAck& m);
   void open_connections_to(const std::vector<ProcessId>& peers);
   void arm_connect_retry();
-
-  // Unsafe-mode reconfiguration (per-shard, Fig. 1 shape).
-  void handle_new_config_unsafe(const commit::NewConfig& m);
-  void handle_new_state_unsafe(ProcessId from, const commit::NewState& m);
-  void handle_config_change(const configsvc::ConfigChange& m);
 
   // recon::StackHooks.
   void fetch_latest(const std::vector<ShardId>& shards,
@@ -129,18 +121,17 @@ class Replica : public commit::ReplicaCore {
               std::function<void(bool)> done) override;
   void activate(const recon::Proposal& proposal) override;
 
+  /// How often a replica re-sends CONNECT to members it has no connection
+  /// to yet.
+  static constexpr Duration kConnectRetry = 5;
+
   const ReconfigMode mode_;
-  const Duration connect_retry_;
   const bool ablate_flush_;
   Fabric& fabric_;
-  configsvc::GcsClient gcs_;
-  configsvc::CsClient cs_;  // unsafe mode
 
   Epoch epoch_ = kNoEpoch;  ///< the single system epoch (safe mode)
   configsvc::GlobalConfig config_;
   configsvc::GlobalConfig pending_config_;  ///< staged by CONFIG_PREPARE
-  /// Unsafe mode: per-shard views, as in Fig. 1.
-  std::map<ShardId, configsvc::ShardConfig> views_;
   std::set<ProcessId> connections_;
 
   // The safe mode's install phase, staged by activate().

@@ -106,7 +106,6 @@ class ReplicaCluster : public PidLayout {
 
   // --- reconfigurers: replicas (Fig. 1 / Fig. 8) and controllers (src/ctrl/) --
 
-  bool has_controller() const { return !controllers_.empty(); }
   ctrl::ReconController& controller(ShardId s) { return *controllers_.at(s); }
   /// Total reconfiguration attempts started by the controllers.
   std::size_t controller_attempts() const {

@@ -39,14 +39,12 @@ void Network::send(ProcessId from, ProcessId to, AnyMessage msg) {
   if (sim_.crashed(from)) return;
   Time now = sim_.now();
   for (auto* obs : observers_) obs->on_send(now, from, to, msg);
-  if (options_.record_stats) {
-    auto& t = traffic_[from];
-    ++t.msgs_sent;
-    t.bytes_sent += msg.wire_size();
-    ++t.sent_by_type[msg.type_name()];
-    ++total_messages_;
-    total_bytes_ += msg.wire_size();
-  }
+  auto& t = traffic_[from];
+  ++t.msgs_sent;
+  t.bytes_sent += msg.wire_size();
+  ++t.sent_by_type[msg.type_name()];
+  ++total_messages_;
+  total_bytes_ += msg.wire_size();
   MessageFate fate;
   if (fault_ != nullptr) fate = fault_->on_message(now, from, to, msg);
   if (fate.drop) {
@@ -74,12 +72,10 @@ void Network::deliver(ProcessId from, ProcessId to, const AnyMessage& msg) {
     return;
   }
   for (auto* obs : observers_) obs->on_deliver(now, from, to, msg);
-  if (options_.record_stats) {
-    auto& t = traffic_[to];
-    ++t.msgs_received;
-    t.bytes_received += msg.wire_size();
-    ++t.received_by_type[msg.type_name()];
-  }
+  auto& t = traffic_[to];
+  ++t.msgs_received;
+  t.bytes_received += msg.wire_size();
+  ++t.received_by_type[msg.type_name()];
   RATC_TRACE("deliver t=" << now << " " << process_name(from) << "->"
                           << process_name(to) << " " << msg.type_name());
   p->on_message(from, msg);

@@ -58,8 +58,6 @@ class Network {
   struct Options {
     /// Samples the propagation delay of one message.  Defaults to unit delay.
     std::function<Duration(Rng&, ProcessId from, ProcessId to)> delay;
-    /// If true, traffic statistics are recorded (small map overhead).
-    bool record_stats = true;
   };
 
   static Options unit_delay_options();

@@ -159,7 +159,7 @@ TEST(SimpleConfigService, GetSpecificEpoch) {
 TEST(SimpleGlobalConfigService, CasAndGet) {
   sim::Simulator sim(7);
   sim::Network net(sim);
-  SimpleGlobalConfigService gcs(net.runtime(), 1);
+  SimpleConfigService gcs(net.runtime(), 1);
   sim.add_process(&gcs);
 
   GlobalConfig boot;
@@ -170,12 +170,7 @@ TEST(SimpleGlobalConfigService, CasAndGet) {
   boot.leaders[1] = 20;
   gcs.bootstrap(boot);
 
-  struct GUser : sim::Process {
-    GUser(sim::Simulator& s, sim::Network& n, ProcessId id, std::vector<ProcessId> eps)
-        : Process(s, id, "gcs-user"), client(n.runtime(), id, std::move(eps)) {}
-    void on_message(ProcessId, const sim::AnyMessage& msg) override { client.handle(msg); }
-    GcsClient client;
-  } user(sim, net, 2, {gcs.id()});
+  CsUser user(sim, net, 2, {gcs.id()});
   sim.add_process(&user);
 
   std::optional<GlobalConfig> got;
@@ -205,7 +200,7 @@ TEST(SimpleGlobalConfigService, CasAndGet) {
 TEST(ReplicatedConfigService, EndToEndCasAndQueries) {
   sim::Simulator sim(8);
   sim::Network net(sim);
-  ReplicatedConfigService rcs(sim, net, {});
+  ReplicatedConfigService rcs(sim, net);
   CsUser user(sim, net, 2, rcs.endpoints());
   sim.add_process(&user);
 
@@ -225,7 +220,7 @@ TEST(ReplicatedConfigService, EndToEndCasAndQueries) {
 TEST(ReplicatedConfigService, SurvivesLeaderCrashWithClientRetry) {
   sim::Simulator sim(9);
   sim::Network net(sim);
-  ReplicatedConfigService rcs(sim, net, {});
+  ReplicatedConfigService rcs(sim, net);
   rcs.bootstrap(0, make_config(1, {10, 11}));
   CsUser user(sim, net, 2, rcs.endpoints());
   sim.add_process(&user);
@@ -246,7 +241,7 @@ TEST(ReplicatedConfigService, SurvivesLeaderCrashWithClientRetry) {
 TEST(ReplicatedConfigService, NotifiesSubscribers) {
   sim::Simulator sim(10);
   sim::Network net(sim);
-  ReplicatedConfigService rcs(sim, net, {});
+  ReplicatedConfigService rcs(sim, net);
   struct Sub : sim::Process {
     using Process::Process;
     int changes = 0;
@@ -264,6 +259,77 @@ TEST(ReplicatedConfigService, NotifiesSubscribers) {
   sim.run();
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(sub.changes, 1);
+}
+
+/// Drops, or delays by `delay` ticks, the first message of type M.
+template <typename M>
+class FirstMessageFault : public sim::FaultInjector {
+ public:
+  explicit FirstMessageFault(sim::MessageFate fate) : fate_(fate) {}
+  sim::MessageFate on_message(Time, ProcessId, ProcessId, const sim::AnyMessage& msg) override {
+    if (!msg.is<M>() || hit_) return {};
+    hit_ = true;
+    return fate_;
+  }
+
+ private:
+  sim::MessageFate fate_;
+  bool hit_ = false;
+};
+
+/// The two ways a CAS reply goes missing for longer than the client's retry
+/// period: lost, or late.
+const sim::MessageFate kLostOrLate[] = {{.drop = true},
+                                        {.extra_delay = 2 * CsClient::kRetryEvery}};
+
+// A CAS that won but whose reply went missing is re-sent by the client.  The
+// store must answer the retry with the first execution's reply: executing it
+// again would answer "lost" for a configuration that was stored.
+TEST(ConfigServiceAtMostOnce, RetriedShardCasReportsItsWin) {
+  for (const sim::MessageFate& fate : kLostOrLate) {
+    sim::Simulator sim(12);
+    sim::Network net(sim);
+    FirstMessageFault<CsCasReply> fault(fate);
+    net.set_fault_injector(&fault);
+    SimpleConfigService cs(net.runtime(), 1);
+    sim.add_process(&cs);
+    cs.bootstrap(0, make_config(1, {10, 11}));
+    CsUser user(sim, net, 2, {cs.id()});
+    sim.add_process(&user);
+
+    std::vector<bool> results;
+    user.client.cas(0, 1, make_config(2, {10, 12}), [&](bool r) { results.push_back(r); });
+    sim.run();
+    EXPECT_EQ(results, std::vector<bool>{true}) << "drop=" << fate.drop;
+    EXPECT_EQ(cs.last(0).epoch, 2u);
+  }
+}
+
+TEST(ConfigServiceAtMostOnce, RetriedGlobalCasReportsItsWin) {
+  for (const sim::MessageFate& fate : kLostOrLate) {
+    sim::Simulator sim(13);
+    sim::Network net(sim);
+    FirstMessageFault<GcsCasReply> fault(fate);
+    net.set_fault_injector(&fault);
+    SimpleConfigService cs(net.runtime(), 1);
+    sim.add_process(&cs);
+    GlobalConfig boot;
+    boot.epoch = 1;
+    boot.members[0] = {10, 11};
+    boot.leaders[0] = 10;
+    cs.bootstrap(boot);
+    CsUser user(sim, net, 2, {cs.id()});
+    sim.add_process(&user);
+
+    GlobalConfig next = boot;
+    next.epoch = 2;
+    next.members[0] = {10, 12};
+    std::vector<bool> results;
+    user.client.cas(1, next, [&](bool r) { results.push_back(r); });
+    sim.run();
+    EXPECT_EQ(results, std::vector<bool>{true}) << "drop=" << fate.drop;
+    EXPECT_EQ(cs.last().epoch, 2u);
+  }
 }
 
 }  // namespace
