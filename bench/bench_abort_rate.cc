@@ -140,7 +140,7 @@ struct CrashRunResult {
 CrashRunResult baseline_crash_run(baseline::TerminationMode mode) {
   baseline::BaselineCluster cluster({.seed = 41, .num_shards = 2, .shard_size = 3,
                                      .termination = mode});
-  baseline::BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   store::VersionedStore db;
   Rng rng(99);
   std::map<TxnId, tcs::Payload> payloads;
@@ -165,7 +165,7 @@ CrashRunResult baseline_crash_run(baseline::TerminationMode mode) {
       if (cluster.sim().crashed(coordinator)) return;  // never submitted
       TxnId t = cluster.next_txn_id();
       payloads[t] = p;
-      client.certify(coordinator, t, p);
+      client.certify_remote(coordinator, t, p);
       ShardId s = cluster.shard_map().shards_of(p).front();
       if (i >= kTxns / 3 && !struck[s]) {
         struck[s] = true;

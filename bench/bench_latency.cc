@@ -55,12 +55,12 @@ Duration rdma_colocated(std::uint32_t shards) {
 
 Duration baseline_remote(std::uint32_t shards) {
   baseline::BaselineCluster cluster({.seed = 4, .num_shards = shards, .shard_size = 3});
-  baseline::BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   std::vector<ObjectId> objs;
   for (std::uint32_t s = 0; s < shards; ++s) objs.push_back(s);
   TxnId t = cluster.next_txn_id();
   tcs::Payload p = payload_on(objs, objs);
-  client.certify(cluster.coordinator_for(p), t, p);
+  client.certify_remote(cluster.coordinator_for(p), t, p);
   cluster.sim().run();
   return *client.latency(t);
 }

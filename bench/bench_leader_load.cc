@@ -45,10 +45,10 @@ Load measure_ours() {
 
 Load measure_baseline() {
   baseline::BaselineCluster cluster({.seed = 2, .num_shards = 1, .shard_size = 3});
-  baseline::BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   for (int i = 0; i < kTxns; ++i) {
     tcs::Payload p = payload_on({static_cast<ObjectId>(i)}, {static_cast<ObjectId>(i)});
-    client.certify(cluster.coordinator_for(p), cluster.next_txn_id(), p);
+    client.certify_remote(cluster.coordinator_for(p), cluster.next_txn_id(), p);
   }
   cluster.sim().run();
   // The baseline leader = shard server 0 + its Paxos replica (one machine).

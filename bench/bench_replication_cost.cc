@@ -55,13 +55,13 @@ Cost measure_baseline(std::size_t f, baseline::TerminationMode mode,
                       std::uint64_t seed) {
   baseline::BaselineCluster cluster({.seed = seed, .num_shards = 2,
                                      .shard_size = 2 * f + 1, .termination = mode});
-  baseline::BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   const std::size_t n = txns();
   for (std::size_t i = 0; i < n; ++i) {
     tcs::Payload p =
         payload_on({static_cast<ObjectId>(2 * i), static_cast<ObjectId>(2 * i + 1)},
                    {static_cast<ObjectId>(2 * i)});
-    client.certify(cluster.coordinator_for(p), cluster.next_txn_id(), p);
+    client.certify_remote(cluster.coordinator_for(p), cluster.next_txn_id(), p);
   }
   cluster.sim().run();
   Cost c;

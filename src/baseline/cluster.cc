@@ -1,36 +1,23 @@
 #include "baseline/cluster.h"
 
-#include <algorithm>
 #include <cassert>
-#include <set>
 #include <stdexcept>
 
 namespace ratc::baseline {
 
-namespace {
-constexpr ProcessId kServerBase = 100;
-constexpr ProcessId kShardStride = 100;
-constexpr ProcessId kPaxosOffset = 50;
-constexpr ProcessId kClientBase = 5000;
-}  // namespace
-
 BaselineCluster::BaselineCluster(Options options)
-    : options_(options), sim_(options.seed), shard_map_(options.num_shards) {
-  sim::Network::Options nopt = options_.exponential_delays
-                                   ? sim::Network::exponential_delay_options(
-                                         options_.delay_mean)
-                                   : sim::Network::unit_delay_options();
-  net_ = std::make_unique<sim::Network>(sim_, nopt);
-  certifier_ = tcs::make_certifier(options_.isolation);
-  if (options_.enable_tracer) {
-    tracer_ = std::make_unique<sim::Tracer>();
-    net_->add_observer(tracer_.get());
-  }
+    : SimHost(options.seed, options.exponential_delays
+                                ? sim::Network::exponential_delay_options(5.0)
+                                : sim::Network::unit_delay_options()),
+      options_(options),
+      shard_map_(options.num_shards),
+      certifier_(tcs::make_certifier(options.isolation)) {
+  if (options_.enable_tracer) attach_tracer();
 
   for (ShardId s = 0; s < options_.num_shards; ++s) {
     std::vector<ProcessId> group;
     for (std::size_t i = 0; i < options_.shard_size; ++i) {
-      group.push_back(paxos_pid(s, i));
+      group.push_back(paxos_twin(server_pid(s, i)));
     }
     for (std::size_t i = 0; i < options_.shard_size; ++i) {
       ShardServer::Options sopt;
@@ -38,14 +25,14 @@ BaselineCluster::BaselineCluster(Options options)
       sopt.shard_map = &shard_map_;
       sopt.certifier = certifier_.get();
       sopt.termination = options_.termination;
-      auto server = std::make_unique<ShardServer>(net_->runtime(), server_pid(s, i), sopt);
+      auto server = std::make_unique<ShardServer>(net_.runtime(), server_pid(s, i), sopt);
       paxos::PaxosReplica::Options popt;
       popt.group = group;
       popt.initial_leader = group[0];
       ShardServer* raw = server.get();
       auto paxos = std::make_unique<paxos::PaxosReplica>(
-          net_->runtime(), paxos_pid(s, i), "bpaxos" + std::to_string(paxos_pid(s, i)),
-          popt, [raw](Slot slot, const sim::AnyMessage& cmd) { raw->apply(slot, cmd); });
+          net_.runtime(), group[i], "bpaxos" + std::to_string(group[i]), popt,
+          [raw](Slot slot, const sim::AnyMessage& cmd) { raw->apply(slot, cmd); });
       server->attach_paxos(paxos.get());
       sim_.add_process(server.get());
       sim_.add_process(paxos.get());
@@ -53,7 +40,6 @@ BaselineCluster::BaselineCluster(Options options)
       paxoses_.push_back(std::move(paxos));
     }
     leader_[s] = server_pid(s, 0);
-    epoch_[s] = 1;
   }
   // Install the full routing table at every server.
   for (auto& server : servers_) {
@@ -62,11 +48,7 @@ BaselineCluster::BaselineCluster(Options options)
 }
 
 ProcessId BaselineCluster::server_pid(ShardId s, std::size_t idx) const {
-  return kServerBase + s * kShardStride + static_cast<ProcessId>(idx);
-}
-
-ProcessId BaselineCluster::paxos_pid(ShardId s, std::size_t idx) const {
-  return kServerBase + s * kShardStride + kPaxosOffset + static_cast<ProcessId>(idx);
+  return kReplicaBase + s * kShardStride + static_cast<ProcessId>(idx);
 }
 
 ShardServer& BaselineCluster::server(ShardId s, std::size_t idx) {
@@ -86,32 +68,12 @@ std::vector<ProcessId> BaselineCluster::shard_servers(ShardId s) const {
   return out;
 }
 
-ProcessId BaselineCluster::paxos_twin(ProcessId server) const {
-  return server + kPaxosOffset;
-}
-
-configsvc::ShardConfig BaselineCluster::current_config(ShardId s) const {
-  configsvc::ShardConfig cfg;
-  cfg.epoch = epoch_.at(s);
-  cfg.members = shard_servers(s);
-  cfg.leader = leader_.at(s);
-  return cfg;
-}
-
 ProcessId BaselineCluster::leader_server(ShardId s) const { return leader_.at(s); }
 
 ProcessId BaselineCluster::coordinator_for(const tcs::Payload& payload) const {
   std::vector<ShardId> parts = shard_map_.shards_of(payload);
   assert(!parts.empty());
   return leader_.at(parts.front());
-}
-
-BaselineClient& BaselineCluster::add_client() {
-  ProcessId pid = kClientBase + static_cast<ProcessId>(clients_.size());
-  auto c = std::make_unique<BaselineClient>(net_->runtime(), pid, &history_);
-  sim_.add_process(c.get());
-  clients_.push_back(std::move(c));
-  return *clients_.back();
 }
 
 void BaselineCluster::crash_server(ProcessId server) {
@@ -122,7 +84,6 @@ void BaselineCluster::crash_server(ProcessId server) {
 void BaselineCluster::elect_leader(ShardId s, ProcessId new_leader) {
   server_by_pid(new_leader).paxos().start_election();
   leader_[s] = new_leader;
-  ++epoch_[s];
   // Repoint the routing tables (in a real deployment clients discover this
   // via the Paxos leader hint; the harness shortcuts that).
   for (auto& sv : servers_) sv->set_shard_leader(s, new_leader);
@@ -144,34 +105,14 @@ std::optional<tcs::Csn> BaselineCluster::snapshot_read(
     const std::vector<ObjectId>& objects, Duration staleness_bound,
     std::uint64_t member_hint) {
   (void)member_hint;  // leader-gated: there is exactly one eligible server
-  if (objects.empty()) return std::nullopt;
-  std::set<ShardId> shards;
-  for (ObjectId o : objects) shards.insert(shard_map_.shard_of(o));
-  std::map<ShardId, ShardServer*> serving;
-  tcs::Csn snapshot = tcs::watermark_at(sim_.now());
-  for (ShardId s : shards) {
-    ProcessId pid = leader_.at(s);
-    if (sim_.crashed(pid)) return std::nullopt;
-    ShardServer& sv = server_by_pid(pid);
-    if (!sv.can_serve_reads()) return std::nullopt;  // electing or lagging
-    serving[s] = &sv;
-    snapshot = std::min(snapshot, sv.read_watermark());
-  }
-  if (staleness_bound > 0 && snapshot.ts + staleness_bound < sim_.now()) {
-    return std::nullopt;
-  }
-  tcs::SnapshotReadRecord rec;
-  rec.time = sim_.now();
-  rec.snapshot = snapshot;
-  rec.staleness_bound = staleness_bound;
-  for (ObjectId o : objects) {
-    ShardServer* sv = serving.at(shard_map_.shard_of(o));
-    std::optional<store::VersionedValue> v = sv->snapshot_store().read_at(o, snapshot);
-    if (!v) return std::nullopt;
-    rec.observations.push_back({o, v->version, v->value});
-  }
-  history_.record_snapshot_read(std::move(rec));
-  return snapshot;
+  return serve_snapshot_read(shard_map_, objects, staleness_bound,
+                             [this](ShardId s) -> const ShardServer* {
+                               ProcessId pid = leader_.at(s);
+                               if (sim_.crashed(pid)) return nullptr;
+                               const ShardServer& sv = server_by_pid(pid);
+                               // Electing or lagging leaders do not serve.
+                               return sv.can_serve_reads() ? &sv : nullptr;
+                             });
 }
 
 std::string BaselineCluster::verify() const {

@@ -4,7 +4,10 @@
 // takes effect.  This is the "vanilla scheme" of the paper's introduction,
 // whose latency is 7 message delays from the coordinator, against which
 // experiments E2-E4 compare.  Every TerminationMode (baseline/termination.h),
-// Paxos Commit included, speaks this one vocabulary.
+// Paxos Commit included, speaks this one vocabulary.  The client boundary is
+// the replica stacks' own: commit::CertifyRequest and CertifyBatchRequest in,
+// commit::ClientDecision out (commit/messages.h), so every client is a
+// commit::Client in remote mode.
 #pragma once
 
 #include <vector>
@@ -15,14 +18,6 @@
 #include "tcs/payload.h"
 
 namespace ratc::baseline {
-
-/// Client -> coordinator (the leader server of one involved shard).
-struct BCertify {
-  static constexpr const char* kName = "B_CERTIFY";
-  TxnId txn = 0;
-  tcs::Payload payload;
-  std::size_t wire_size() const { return 16 + payload.wire_size(); }
-};
 
 /// Coordinator -> participant shard leader: replicate-and-prepare.
 struct SubmitPrepare {
@@ -37,19 +32,6 @@ struct SubmitPrepare {
   Time prepare_ts = 0;
   std::size_t wire_size() const {
     return 40 + payload.wire_size() + participants.size() * 4;
-  }
-};
-
-/// Client -> coordinator: one CERTIFY round for a whole batch (items are
-/// handled in order, each as an independent 2PC instance).  Batches of one
-/// are never sent — the scalar BCertify is used instead.
-struct BCertifyBatch {
-  static constexpr const char* kName = "B_CERTIFY_BATCH";
-  std::vector<BCertify> items;
-  std::size_t wire_size() const {
-    std::size_t n = 16;
-    for (const BCertify& it : items) n += it.wire_size();
-    return n;
   }
 };
 
@@ -78,14 +60,6 @@ struct SubmitDecide {
   static constexpr const char* kName = "B_SUBMIT_DECIDE";
   TxnId txn = 0;
   tcs::Decision decision = tcs::Decision::kAbort;
-};
-
-/// Coordinator -> client.
-struct BClientDecision {
-  static constexpr const char* kName = "B_DECISION_CLIENT";
-  TxnId txn = 0;
-  tcs::Decision decision = tcs::Decision::kAbort;
-  Time csn_ts = 0;  ///< csn(t).ts for commits (the coordinator's stamp)
 };
 
 // --- termination (kCooperative and kPaxosCommit; see baseline/termination.h) ---

@@ -23,10 +23,10 @@ ShardServer::ShardServer(rt::Runtime& rt, ProcessId id, Options options)
 void ShardServer::on_message(ProcessId from, const sim::AnyMessage& msg) {
   if (responder_.handle(from, msg)) return;
   if (fd_monitor_ && fd_monitor_->handle(from, msg)) return;
-  if (const auto* c = msg.as<BCertify>()) {
-    handle_certify(from, *c);
-  } else if (const auto* cb = msg.as<BCertifyBatch>()) {
-    handle_certify_batch(from, *cb);
+  if (const auto* c = msg.as<commit::CertifyRequest>()) {
+    handle_certify(from, {c, 1});
+  } else if (const auto* cb = msg.as<commit::CertifyBatchRequest>()) {
+    handle_certify(from, cb->items);
   } else if (const auto* sp = msg.as<SubmitPrepare>()) {
     handle_submit_prepare(*sp);
   } else if (const auto* spb = msg.as<SubmitPrepareBatch>()) {
@@ -42,52 +42,26 @@ void ShardServer::on_message(ProcessId from, const sim::AnyMessage& msg) {
   }
 }
 
-void ShardServer::handle_certify(ProcessId from, const BCertify& m) {
-  // This server coordinates the 2PC round.  It should be the leader server
-  // of one involved shard (clients route there).
-  std::vector<ShardId> participants = options_.shard_map->shards_of(m.payload);
-  if (participants.empty()) {
-    rt().send_msg(id(), from, BClientDecision{m.txn, Decision::kCommit});
-    return;
-  }
-  CoordState& c = coord_[m.txn];
-  c.participants = participants;
-  c.client = from;
-  // One CSN stamp per transaction, replicated with every shard's prepare:
-  // the baseline's csn(t).ts.  Workload clients only write version v+1
-  // after observing v's commit, so stamp order agrees with version order.
-  c.prepare_ts = rt().now();
-  for (ShardId s : participants) {
-    SubmitPrepare sp;
-    sp.txn = m.txn;
-    sp.payload = options_.shard_map->project(m.payload, s);
-    sp.participants = participants;
-    sp.client = from;
-    sp.coordinator = id();
-    sp.prepare_ts = c.prepare_ts;
-    if (s == options_.shard) {
-      handle_submit_prepare(sp);  // local shard: no network hop
-    } else {
-      rt().send_msg(id(), shard_leader(s), sp);
-    }
-  }
-}
-
-void ShardServer::handle_certify_batch(ProcessId from, const BCertifyBatch& m) {
-  // Each item is an independent 2PC instance; the batch only coalesces the
-  // per-shard replicate-and-prepare traffic (one SubmitPrepareBatch per
-  // shard leader, one Paxos append there).
+void ShardServer::handle_certify(ProcessId from,
+                                 std::span<const commit::CertifyRequest> items) {
+  // This server coordinates each item's 2PC round.  It should be the leader
+  // server of one involved shard (clients route there).  Each shard leader
+  // gets one SubmitPrepareBatch (one Paxos append there), or the scalar
+  // SubmitPrepare for a single item.
   std::map<ShardId, SubmitPrepareBatch> per_shard;
-  for (const BCertify& item : m.items) {
+  for (const commit::CertifyRequest& item : items) {
     std::vector<ShardId> participants = options_.shard_map->shards_of(item.payload);
     if (participants.empty()) {
-      rt().send_msg(id(), from, BClientDecision{item.txn, Decision::kCommit});
+      rt().send_msg(id(), from, commit::ClientDecision{item.txn, Decision::kCommit});
       continue;
     }
     CoordState& c = coord_[item.txn];
     c.participants = participants;
     c.client = from;
-    c.prepare_ts = rt().now();  // one stamp per item (see handle_certify)
+    // One CSN stamp per transaction, replicated with every shard's prepare:
+    // the baseline's csn(t).ts.  Workload clients only write version v+1
+    // after observing v's commit, so stamp order agrees with version order.
+    c.prepare_ts = rt().now();
     for (ShardId s : participants) {
       SubmitPrepare sp;
       sp.txn = item.txn;
@@ -266,8 +240,8 @@ void ShardServer::apply_decide(const CmdDecide& c) {
     // coordinator state died with it, yet everything needed to finish the
     // round (client, participants, and now the decision) is in the
     // replicated state.  The current leader adopts the duties; duplicates
-    // are harmless (the client deduplicates, decide application is
-    // idempotent).
+    // are harmless (the client acts on the first decision and records the
+    // repeat in its history, decide application is idempotent).
     ++term_stats_.adopted_coordinations;
     announce_decision(c.txn, c.decision, st.participants, st.client, csn_ts);
   }
@@ -481,7 +455,7 @@ void ShardServer::resolve_in_doubt(TxnId t, Decision d) {
   clear_in_doubt(t, st.coordinator);
   // Adopt the outcome: durable in our own group, propagated to the peer
   // shards (idempotent at apply), and the stranded client is answered (it
-  // deduplicates decisions).  A termination-resolved commit's csn is the
+  // acts on its first decision).  A termination-resolved commit's csn is the
   // replicated coordinator stamp — the same value the dead coordinator
   // would have externalized.
   paxos_->submit(sim::AnyMessage(CmdDecide{t, d}));
@@ -493,7 +467,7 @@ void ShardServer::announce_decision(TxnId t, Decision d,
                                     const std::vector<ShardId>& participants,
                                     ProcessId client, Time csn_ts) {
   if (client != kNoProcess) {
-    rt().send_msg(id(), client, BClientDecision{t, d, csn_ts});
+    rt().send_msg(id(), client, commit::ClientDecision{t, d, csn_ts});
   }
   for (ShardId s : participants) {
     if (s == options_.shard) continue;

@@ -32,10 +32,12 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "baseline/messages.h"
 #include "baseline/termination.h"
+#include "commit/messages.h"
 #include "fd/failure_detector.h"
 #include "paxos/replica.h"
 #include "sim/process.h"
@@ -148,8 +150,10 @@ class ShardServer : public sim::Process {
     std::map<ShardId, PeerTxnState> answers;
   };
 
-  void handle_certify(ProcessId from, const BCertify& m);
-  void handle_certify_batch(ProcessId from, const BCertifyBatch& m);
+  /// Coordinates a CERTIFY (one item) or CERTIFY_BATCH round: each item is
+  /// an independent 2PC instance; the batch only coalesces the per-shard
+  /// replicate-and-prepare traffic.
+  void handle_certify(ProcessId from, std::span<const commit::CertifyRequest> items);
   void handle_submit_prepare(const SubmitPrepare& m);
   /// Replicates the whole batch through ONE Paxos append (CmdPrepareBatch).
   void handle_submit_prepare_batch(const SubmitPrepareBatch& m);

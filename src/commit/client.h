@@ -1,12 +1,14 @@
 // Client process: submits transactions for certification and records the
-// TCS history (certify/decide actions) that the checkers consume.  Both
-// replica stacks use it: a co-located coordinator is any commit::ReplicaCore
-// (the message-passing or the RDMA replica).
+// TCS history (certify/decide actions) that the checkers consume.  All
+// three stacks use it: a co-located coordinator is any commit::ReplicaCore
+// (the message-passing or the RDMA replica), and the 2PC baseline's shard
+// servers take its remote CERTIFY / CERTIFY_BATCH and answer with
+// DECISION_CLIENT.
 //
 // Two modes, matching the paper's latency discussion (Sec. 3):
 //  * remote: certify is a message to the coordinator replica, and the
 //    decision comes back in a DECISION message (5 message delays after the
-//    coordinator starts);
+//    coordinator starts; the baseline's only mode);
 //  * co-located: the client shares a machine with its coordinator; certify
 //    and the decision callback are local (4 message delays total).
 #pragma once

@@ -59,9 +59,6 @@ Cluster::Cluster(Options options)
       copt.mode = ctrl::ReconController::Mode::kPerShardCas;
       copt.cs_endpoints = cs_endpoints;
       copt.tuning = options.controller_tuning;
-      // One placement knob drives replicas and controllers alike unless the
-      // controller tuning pins its own policy.
-      if (copt.tuning.policy == nullptr) copt.tuning.policy = options.placement_policy;
       ctrl::ReconController& c = spawn_controller(std::move(copt));
       if (simple_cs_) simple_cs_->subscribe(c.id());
       if (replicated_cs_) replicated_cs_->subscribe(c.id());
@@ -96,7 +93,9 @@ bool Cluster::await_active_epoch(ShardId s, Epoch at_least, std::size_t max_even
 std::optional<tcs::Csn> Cluster::snapshot_read(const std::vector<ObjectId>& objects,
                                                Duration staleness_bound,
                                                std::uint64_t member_hint) {
-  return commit::serve_snapshot_read(*this, objects, staleness_bound, member_hint);
+  return serve_snapshot_read(shard_map(), objects, staleness_bound, [&](ShardId s) {
+    return recon::epoch_current_member(*this, s, member_hint);
+  });
 }
 
 checker::TcsLLResult Cluster::check_tcsll() const {

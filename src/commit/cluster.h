@@ -51,10 +51,9 @@ class Cluster : public recon::SimHost, public rt::CommitSystem {
     /// (src/ctrl/): failure-detector-driven healing with no harness levers.
     bool enable_controller = false;
     ctrl::ControllerTuning controller_tuning;
-    /// Membership policy consulted by every reconfigurer in the cluster —
-    /// replica-driven (Fig. 1) and, unless controller_tuning.policy is set,
-    /// the controllers too.  Null selects recon::ReplaceSuspectsPolicy.
-    /// Non-owning.
+    /// Membership policy consulted by every reconfigurer in the cluster,
+    /// replica-driven (Fig. 1) and controllers alike.  Null selects
+    /// recon::ReplaceSuspectsPolicy.  Non-owning.
     recon::PlacementPolicy* placement_policy = nullptr;
     /// When nonzero, replicas get synthetic zone labels ("z0".."z<n-1>",
     /// assigned round-robin by per-shard index) surfaced to placement
@@ -87,9 +86,10 @@ class Cluster : public recon::SimHost, public rt::CommitSystem {
   // --- read-only snapshot transactions (CSN fast path) -------------------------
 
   /// Executes a read-only transaction over `objects` at one consistent
-  /// snapshot with ZERO certification messages (commit::serve_snapshot_read:
-  /// member_hint rotates the serving member, so followers serve too).
-  /// Returns the snapshot, or nullopt when the read could not be served.
+  /// snapshot with ZERO certification messages (SimHost::serve_snapshot_read,
+  /// served per shard by recon::epoch_current_member: member_hint rotates
+  /// the serving member, so followers serve too).  Returns the snapshot, or
+  /// nullopt when the read could not be served.
   std::optional<tcs::Csn> snapshot_read(const std::vector<ObjectId>& objects,
                                         Duration staleness_bound = 0,
                                         std::uint64_t member_hint = 0);

@@ -55,7 +55,6 @@
 #include "store/versioned_store.h"
 #include "tcs/certifier.h"
 #include "tcs/csn.h"
-#include "tcs/history.h"
 #include "tcs/shard_map.h"
 
 namespace ratc::commit {
@@ -452,64 +451,6 @@ A accept_for(const PrepareAck& ack) {
   a.meta = ack.meta;
   a.prepare_ts = ack.prepare_ts;
   return a;
-}
-
-/// A read-only transaction over `objects` at one consistent snapshot with
-/// ZERO certification messages, for either stack's cluster: per involved
-/// shard, one live member holding the authoritative epoch is consulted
-/// (member_hint rotates the pick, so followers serve too), the snapshot is
-/// the minimum of their CSN watermarks, and every object resolves locally
-/// from that member's multi-version store.  Served reads are recorded in the
-/// history for checker::check_snapshot_reads.  Returns the snapshot, or
-/// nullopt when the read could not be served: no suitable member for some
-/// shard, version history truncated below the snapshot, or — with
-/// staleness_bound > 0 — the snapshot lagging `now` by more than the bound.
-template <typename Cluster>
-std::optional<tcs::Csn> serve_snapshot_read(Cluster& cluster,
-                                            const std::vector<ObjectId>& objects,
-                                            Duration staleness_bound,
-                                            std::uint64_t member_hint) {
-  if (objects.empty()) return std::nullopt;
-  const tcs::ShardMap& shard_map = cluster.shard_map();
-  Time now = cluster.sim().now();
-  // One serving member per involved shard: alive and holding the
-  // authoritative epoch (the same gate coordinators pass).  A replica mid
-  // state transfer reports the old epoch and is skipped.
-  std::set<ShardId> shards;
-  for (ObjectId o : objects) shards.insert(shard_map.shard_of(o));
-  std::map<ShardId, const ReplicaCore*> serving;
-  tcs::Csn snapshot = tcs::watermark_at(now);
-  for (ShardId s : shards) {
-    configsvc::ShardConfig cfg = cluster.current_config(s);
-    if (cfg.members.empty()) return std::nullopt;
-    const ReplicaCore* pick = nullptr;
-    for (std::size_t i = 0; i < cfg.members.size(); ++i) {
-      ProcessId pid = cfg.members[(member_hint + i) % cfg.members.size()];
-      if (cluster.sim().crashed(pid)) continue;
-      const ReplicaCore& r = cluster.replica_by_pid(pid);
-      if (r.epoch() != cfg.epoch) continue;
-      pick = &r;
-      break;
-    }
-    if (pick == nullptr) return std::nullopt;
-    serving[s] = pick;
-    snapshot = std::min(snapshot, pick->read_watermark());
-  }
-  if (staleness_bound > 0 && snapshot.ts + staleness_bound < now) {
-    return std::nullopt;  // lagging beyond the caller's bound
-  }
-  tcs::SnapshotReadRecord rec;
-  rec.time = now;
-  rec.snapshot = snapshot;
-  rec.staleness_bound = staleness_bound;
-  for (ObjectId o : objects) {
-    const ReplicaCore* r = serving.at(shard_map.shard_of(o));
-    std::optional<store::VersionedValue> v = r->snapshot_store().read_at(o, snapshot);
-    if (!v) return std::nullopt;  // version history truncated below snapshot
-    rec.observations.push_back({o, v->version, v->value});
-  }
-  cluster.history().record_snapshot_read(std::move(rec));
-  return snapshot;
 }
 
 }  // namespace ratc::commit

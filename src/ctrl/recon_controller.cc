@@ -15,9 +15,9 @@ ReconController::ReconController(rt::Runtime& rt, ProcessId id, Options options)
       fd_(rt, id, options_.tuning.fd),
       engine_(rt, id, *this,
               {.target_shard_size = options_.target_shard_size,
-               .probe_patience = options_.tuning.probe_patience,
-               .policy = options_.tuning.policy}),
-      backoff_(options_.tuning.backoff_initial) {
+               .probe_patience = kProbePatience,
+               .policy = options_.placement_policy}),
+      backoff_(kBackoffInitial) {
   fd_.subscribe({.on_suspect = [this](ProcessId p) { on_suspect(p); },
                  .on_recover = [this](ProcessId p) { on_recover(p); }});
 }
@@ -91,12 +91,12 @@ void ReconController::maybe_act() {
 void ReconController::start_attempt() {
   Time now = rt().now();
   if (last_attempt_at_ != 0 &&
-      now - last_attempt_at_ >= options_.tuning.backoff_reset_after) {
-    backoff_ = options_.tuning.backoff_initial;  // new incident, fresh budget
+      now - last_attempt_at_ >= kBackoffResetAfter) {
+    backoff_ = kBackoffInitial;  // new incident, fresh budget
   }
   last_attempt_at_ = now;
   next_allowed_ = now + backoff_;
-  backoff_ = std::min(backoff_ * 2, options_.tuning.backoff_max);
+  backoff_ = std::min(backoff_ * 2, kBackoffMax);
   ++attempts_;
   ++round_;
   arm_watchdog();
@@ -108,7 +108,7 @@ void ReconController::start_attempt() {
 }
 
 void ReconController::arm_watchdog() {
-  rt().schedule_for(id(), options_.tuning.attempt_timeout, [this, r = round_] {
+  rt().schedule_for(id(), kAttemptTimeout, [this, r = round_] {
     if (round_ != r) return;  // a newer attempt owns the state
     if (engine_.in_flight()) {
       // Probes swallowed (e.g. every probed member crashed or partitioned

@@ -41,8 +41,8 @@
 // central): a one-way-partitioned replica is alive but silent towards the
 // controller, and acting on every suspicion would thrash epochs.  The
 // controller therefore applies hysteresis — exponential backoff between
-// attempts per shard (ControllerTuning::backoff_*), reset only after a
-// quiet period — so any false-suspicion storm of bounded length initiates
+// attempts per shard (kBackoffInitial doubling up to kBackoffMax), reset only
+// after a quiet period — so any false-suspicion storm of bounded length initiates
 // only O(log) epochs, and recovery (the suspect answering pings again)
 // stops the loop before the next attempt fires.  Safety never depends on
 // suspicion accuracy: a falsely-replaced replica costs one epoch, not an
@@ -85,6 +85,9 @@ class ReconController : public sim::Process, private recon::StackHooks {
     std::vector<ProcessId> cs_endpoints;
     std::size_t target_shard_size = 2;
     ControllerTuning tuning;
+    /// Membership policy: the cluster's placement_policy, as for every other
+    /// reconfigurer; null selects recon::ReplaceSuspectsPolicy.  Non-owning.
+    recon::PlacementPolicy* placement_policy = nullptr;
     /// Fresh-spare allocator shared with the replicas (the cluster's pool).
     std::function<std::vector<ProcessId>(ShardId, std::size_t)> allocate_spares;
     /// Returns spares consumed by a proposal whose CAS lost the race; they
@@ -105,6 +108,22 @@ class ReconController : public sim::Process, private recon::StackHooks {
     std::size_t cas_losses = 0;        ///< CAS races lost (kPerShardCas)
     std::size_t nudges = 0;            ///< delegated triggers (kDelegateGlobal)
   };
+
+  /// Hysteresis: minimum gap between controller-initiated attempts for one
+  /// shard, doubling per attempt up to the cap.  This is what bounds the
+  /// epoch churn a falsely-suspected (live but half-partitioned) replica
+  /// can cause.
+  static constexpr Duration kBackoffInitial = 40;
+  static constexpr Duration kBackoffMax = 1280;
+  /// A quiet period this long resets the backoff to its initial value.
+  static constexpr Duration kBackoffResetAfter = 2000;
+  /// Watchdog: an attempt (probe round / delegated nudge) that produces
+  /// neither a new epoch nor a definitive failure within this window is
+  /// abandoned and, if suspects remain, retried under backoff.  Also covers
+  /// stored-but-never-activated (stuck) epochs.
+  static constexpr Duration kAttemptTimeout = 300;
+  /// Probing-descent patience, as in the replica reconfigurer.
+  static constexpr Duration kProbePatience = 5;
 
   ReconController(rt::Runtime& rt, ProcessId id, Options options);
 

@@ -162,7 +162,9 @@ bool Cluster::await_active_shard_epoch(ShardId s, Epoch at_least,
 std::optional<tcs::Csn> Cluster::snapshot_read(const std::vector<ObjectId>& objects,
                                                Duration staleness_bound,
                                                std::uint64_t member_hint) {
-  return commit::serve_snapshot_read(*this, objects, staleness_bound, member_hint);
+  return serve_snapshot_read(shard_map(), objects, staleness_bound, [&](ShardId s) {
+    return recon::epoch_current_member(*this, s, member_hint);
+  });
 }
 
 std::string Cluster::verify() const {

@@ -77,8 +77,9 @@ class Cluster : public recon::SimHost, public recon::ReplicaCluster<Replica> {
   RdmaMonitor& monitor() { return *monitor_; }
 
   /// Read-only snapshot transaction with ZERO certification messages and no
-  /// fabric flush (see rdma::Replica's CSN read surface), served by the same
-  /// commit::serve_snapshot_read as the message-passing stack.
+  /// fabric flush (see rdma::Replica's CSN read surface), served like the
+  /// message-passing stack's: SimHost::serve_snapshot_read with
+  /// recon::epoch_current_member.
   std::optional<tcs::Csn> snapshot_read(const std::vector<ObjectId>& objects,
                                         Duration staleness_bound = 0,
                                         std::uint64_t member_hint = 0);

@@ -19,9 +19,12 @@
 // its initial configuration type and its configuration service.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -36,6 +39,7 @@
 #include "sim/simulator.h"
 #include "sim/trace.h"
 #include "tcs/certifier.h"
+#include "tcs/csn.h"
 #include "tcs/history.h"
 #include "tcs/shard_map.h"
 
@@ -227,6 +231,7 @@ class ReplicaCluster : public PidLayout {
   /// delegating ones leave that to the replicas they nudge.
   ctrl::ReconController& spawn_controller(ctrl::ReconController::Options copt) {
     copt.target_shard_size = params_.shard_size;
+    copt.placement_policy = params_.placement_policy;
     copt.placement_context = [this](ShardId s) { return placement_context(s); };
     if (copt.mode == ctrl::ReconController::Mode::kPerShardCas) share_spare_pool(copt);
     ProcessId pid = kCtrlBase + copt.shard;
@@ -295,10 +300,11 @@ class ReplicaCluster : public PidLayout {
   std::map<ProcessId, std::string> zones_;
 };
 
-/// The simulator half of a simulator cluster: the Simulator and its Network,
-/// the optional tracer, and the history-recording clients.  A simulator
-/// cluster lists it as its first base, because a base is constructed before
-/// the next one and the assembly binds to net().runtime().
+/// The simulator half of a simulator cluster, for all three stacks: the
+/// Simulator and its Network, the optional tracer, the history-recording
+/// clients and the snapshot-read routine.  A simulator cluster lists it as
+/// its first base, because a base is constructed before the next one and the
+/// assembly binds to net().runtime().
 class SimHost {
  public:
   sim::Simulator& sim() { return sim_; }
@@ -315,6 +321,48 @@ class SimHost {
     return *clients_.back();
   }
   TxnId next_txn_id() { return next_txn_++; }
+
+  /// A read-only transaction over `objects` at one consistent snapshot with
+  /// ZERO certification messages, for any stack: `serving(s)` names the
+  /// server that serves involved shard s (null: none may), the snapshot is
+  /// the minimum of their CSN watermarks, and every object resolves locally
+  /// from its server's multi-version store.  Served reads are recorded in
+  /// history() for checker::check_snapshot_reads.  Returns the snapshot, or
+  /// nullopt when the read could not be served: no server for some shard,
+  /// version history truncated below the snapshot, or — with
+  /// staleness_bound > 0 — the snapshot lagging `now` by more than the bound.
+  template <typename Serving>
+  std::optional<tcs::Csn> serve_snapshot_read(const tcs::ShardMap& shard_map,
+                                              const std::vector<ObjectId>& objects,
+                                              Duration staleness_bound, Serving serving) {
+    if (objects.empty()) return std::nullopt;
+    Time now = sim_.now();
+    std::set<ShardId> shards;
+    for (ObjectId o : objects) shards.insert(shard_map.shard_of(o));
+    std::map<ShardId, decltype(serving(ShardId{}))> server;
+    tcs::Csn snapshot = tcs::watermark_at(now);
+    for (ShardId s : shards) {
+      auto pick = serving(s);
+      if (pick == nullptr) return std::nullopt;
+      server[s] = pick;
+      snapshot = std::min(snapshot, pick->read_watermark());
+    }
+    if (staleness_bound > 0 && snapshot.ts + staleness_bound < now) {
+      return std::nullopt;  // lagging beyond the caller's bound
+    }
+    tcs::SnapshotReadRecord rec;
+    rec.time = now;
+    rec.snapshot = snapshot;
+    rec.staleness_bound = staleness_bound;
+    for (ObjectId o : objects) {
+      std::optional<store::VersionedValue> v =
+          server.at(shard_map.shard_of(o))->snapshot_store().read_at(o, snapshot);
+      if (!v) return std::nullopt;  // version history truncated below snapshot
+      rec.observations.push_back({o, v->version, v->value});
+    }
+    history_.record_snapshot_read(std::move(rec));
+    return snapshot;
+  }
 
  protected:
   SimHost(std::uint64_t seed, sim::Network::Options nopt)
@@ -335,6 +383,24 @@ class SimHost {
   std::vector<std::unique_ptr<commit::Client>> clients_;
   TxnId next_txn_ = 1;
 };
+
+/// The member that serves a replica stack's snapshot reads of shard s: one
+/// that is alive and holds the authoritative epoch (the gate coordinators
+/// pass; a replica mid state transfer reports the old epoch and is
+/// skipped), searched from `member_hint` on, so rotating the hint lets
+/// followers serve too.  Null when no member qualifies.
+template <typename Cluster>
+const commit::ReplicaCore* epoch_current_member(Cluster& cluster, ShardId s,
+                                                std::uint64_t member_hint) {
+  configsvc::ShardConfig cfg = cluster.current_config(s);
+  for (std::size_t i = 0; i < cfg.members.size(); ++i) {
+    ProcessId pid = cfg.members[(member_hint + i) % cfg.members.size()];
+    if (cluster.sim().crashed(pid)) continue;
+    const commit::ReplicaCore& r = cluster.replica_by_pid(pid);
+    if (r.epoch() == cfg.epoch) return &r;
+  }
+  return nullptr;
+}
 
 /// Runs the TCS-LL checker (Fig. 6) over a recorded execution, fed by a
 /// stack's monitor (null: the input is unavailable, reported as a failure).

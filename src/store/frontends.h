@@ -1,5 +1,7 @@
 // TcsFrontend adapters for the three TCS implementations, so the same
 // WorkloadRunner (and hence the same benches/examples) can drive them all.
+// Every frontend drives one history-recording commit::Client: co-located
+// with its coordinators on the replica stacks, remote on the baseline.
 #pragma once
 
 #include <functional>
@@ -14,13 +16,12 @@
 
 namespace ratc::store {
 
-/// The paper protocol over messages (Fig. 1) or over the RDMA fabric
-/// (Figs. 7-8).  Coordinators round-robin over the current members of all
-/// shards (co-located clients: 4-delay path).
+/// What every frontend shares: the cluster and its one client, whose
+/// decisions feed the runner.
 template <typename Cluster>
-class ReplicaFrontend : public TcsFrontend {
+class ClientFrontend : public TcsFrontend {
  public:
-  explicit ReplicaFrontend(Cluster& cluster)
+  explicit ClientFrontend(Cluster& cluster)
       : cluster_(cluster), client_(cluster.add_client()) {
     client_.on_decision = [this](TxnId t, tcs::Decision d) {
       if (on_decision) on_decision(t, d);
@@ -28,6 +29,19 @@ class ReplicaFrontend : public TcsFrontend {
   }
 
   TxnId next_txn_id() override { return cluster_.next_txn_id(); }
+
+ protected:
+  Cluster& cluster_;
+  commit::Client& client_;
+};
+
+/// The paper protocol over messages (Fig. 1) or over the RDMA fabric
+/// (Figs. 7-8).  Coordinators round-robin over the current members of all
+/// shards (co-located clients: 4-delay path).
+template <typename Cluster>
+class ReplicaFrontend : public ClientFrontend<Cluster> {
+ public:
+  using ClientFrontend<Cluster>::ClientFrontend;
 
   void submit(TxnId txn, const tcs::Payload& payload) override {
     auto* coord = pick_coordinator();
@@ -66,8 +80,8 @@ class ReplicaFrontend : public TcsFrontend {
     return nullptr;
   }
 
-  Cluster& cluster_;
-  commit::Client& client_;
+  using ClientFrontend<Cluster>::cluster_;
+  using ClientFrontend<Cluster>::client_;
   std::uint32_t next_shard_ = 0;
   std::size_t next_member_ = 0;
   std::uint64_t next_read_member_ = 0;
@@ -78,24 +92,17 @@ using RdmaFrontend = ReplicaFrontend<rdma::Cluster>;
 
 /// Vanilla 2PC-over-Paxos baseline, in whichever termination mode the
 /// cluster was built with (Paxos Commit included).
-class BaselineFrontend : public TcsFrontend {
+class BaselineFrontend : public ClientFrontend<baseline::BaselineCluster> {
  public:
-  explicit BaselineFrontend(baseline::BaselineCluster& cluster)
-      : cluster_(cluster), client_(cluster.add_client()) {
-    client_.on_decision = [this](TxnId t, tcs::Decision d) {
-      if (on_decision) on_decision(t, d);
-    };
-  }
-
-  TxnId next_txn_id() override { return cluster_.next_txn_id(); }
+  using ClientFrontend::ClientFrontend;
 
   void submit(TxnId txn, const tcs::Payload& payload) override {
-    client_.certify(cluster_.coordinator_for(payload), txn, payload);
+    client_.certify_remote(cluster_.coordinator_for(payload), txn, payload);
   }
 
   /// The baseline routes each transaction to the leader of its first
   /// participant shard, so a batch is re-grouped by coordinator; each group
-  /// becomes one B_CERTIFY_BATCH and (per participant shard) one Paxos
+  /// becomes one CERTIFY_BATCH and (per participant shard) one Paxos
   /// append.
   void submit_batch(
       const std::vector<std::pair<TxnId, tcs::Payload>>& batch) override {
@@ -104,7 +111,7 @@ class BaselineFrontend : public TcsFrontend {
       groups[cluster_.coordinator_for(item.second)].push_back(item);
     }
     for (auto& [coordinator, group] : groups) {
-      client_.certify_batch(coordinator, group);
+      client_.certify_batch_remote(coordinator, group);
     }
   }
 
@@ -113,10 +120,6 @@ class BaselineFrontend : public TcsFrontend {
     // Leader-gated (no member rotation): see BaselineCluster::snapshot_read.
     return cluster_.snapshot_read(objects, staleness_bound);
   }
-
- private:
-  baseline::BaselineCluster& cluster_;
-  baseline::BaselineClient& client_;
 };
 
 }  // namespace ratc::store

@@ -11,26 +11,36 @@ namespace ratc::store {
 
 namespace {
 
-/// Resolves StackWorkload::placement against the policies the harness owns.
-/// Null means "engine default" (recon::ReplaceSuspectsPolicy).
-recon::PlacementPolicy* select_placement(const StackWorkload& w,
-                                         recon::ZoneAntiAffinityPolicy* zone) {
+/// Resolves StackWorkload::placement.  Null means "engine default"
+/// (recon::ReplaceSuspectsPolicy).
+recon::PlacementPolicy* select_placement(const StackWorkload& w) {
+  // Stateless, so one instance serves every harness on every thread.
+  static recon::ZoneAntiAffinityPolicy zone_anti_affinity;
   if (w.placement.empty() || w.placement == "replace-suspects") return nullptr;
-  if (w.placement == "zone-anti-affinity") return zone;
+  if (w.placement == "zone-anti-affinity") return &zone_anti_affinity;
   throw std::invalid_argument("unknown StackWorkload::placement: " + w.placement);
 }
 
-std::string lin_verdict(const tcs::History& history, const tcs::Certifier& certifier) {
-  checker::LinearizationResult lin = checker::check_linearization(history, certifier);
-  return lin.ok ? "" : "linearization: " + lin.error;
-}
+}  // namespace
 
-std::string snapshot_verdict(const tcs::History& history) {
-  checker::SnapshotReadResult r = checker::check_snapshot_reads(history);
+// --- shared -------------------------------------------------------------------------
+
+template <typename Harness, typename Cluster>
+std::string HarnessBase<Harness, Cluster>::check_snapshot_reads() {
+  checker::SnapshotReadResult r = checker::check_snapshot_reads(cluster_.history());
   return r.ok ? "" : "snapshot reads: " + r.error;
 }
 
-}  // namespace
+template <typename Harness, typename Cluster>
+std::string HarnessBase<Harness, Cluster>::check_linearization() {
+  checker::LinearizationResult lin =
+      checker::check_linearization(cluster_.history(), cluster_.certifier());
+  return lin.ok ? "" : "linearization: " + lin.error;
+}
+
+template class HarnessBase<CommitHarness, commit::Cluster>;
+template class HarnessBase<RdmaHarness, rdma::Cluster>;
+template class HarnessBase<BaselineHarness, baseline::BaselineCluster>;
 
 // --- commit and rdma ---------------------------------------------------------------
 
@@ -91,9 +101,7 @@ void RdmaStack::reconfigure(Cluster& c, ShardId, ProcessId by, Epoch) {
 
 template <typename Stack>
 ReplicaHarness<Stack>::ReplicaHarness(std::uint64_t seed, const StackWorkload& w)
-    : w_(w),
-      cluster_(Stack::options(seed, w, select_placement(w, &zone_policy_))),
-      client_(&cluster_.add_client()) {}
+    : Base(w, Stack::options(seed, w, select_placement(w))) {}
 
 template <typename Stack>
 commit::ReplicaCore* ReplicaHarness<Stack>::pick_coordinator(Rng& rng) {
@@ -128,21 +136,6 @@ bool ReplicaHarness<Stack>::submit_batch(
 }
 
 template <typename Stack>
-bool ReplicaHarness<Stack>::snapshot_read(Rng& rng, const std::vector<ObjectId>& objects) {
-  ++reads_attempted_;
-  bool served =
-      cluster_.snapshot_read(objects, w_.read_staleness_bound, rng.below(64))
-          .has_value();
-  if (served) ++reads_served_;
-  return served;
-}
-
-template <typename Stack>
-std::string ReplicaHarness<Stack>::check_snapshot_reads() {
-  return snapshot_verdict(cluster_.history());
-}
-
-template <typename Stack>
 std::vector<ProcessId> ReplicaHarness<Stack>::alive_members(ShardId s) {
   std::vector<ProcessId> alive;
   for (ProcessId m : cluster_.current_config(s).members) {
@@ -155,15 +148,6 @@ template <typename Stack>
 std::vector<std::vector<ProcessId>> ReplicaHarness<Stack>::fault_units(ShardId s) const {
   std::vector<std::vector<ProcessId>> units;
   for (ProcessId m : cluster_.current_config(s).members) units.push_back({m});
-  return units;
-}
-
-template <typename Stack>
-std::vector<std::vector<ProcessId>> ReplicaHarness<Stack>::all_units() const {
-  std::vector<std::vector<ProcessId>> units;
-  for (ShardId s = 0; s < num_shards(); ++s) {
-    for (auto& u : fault_units(s)) units.push_back(std::move(u));
-  }
   return units;
 }
 
@@ -205,45 +189,25 @@ void ReplicaHarness<Stack>::drain(Duration d, Rng& rng) {
   cluster_.sim().run_until(cluster_.sim().now() + d);
 }
 
-template <typename Stack>
-std::string ReplicaHarness<Stack>::check_linearization() {
-  return lin_verdict(cluster_.history(), cluster_.certifier());
-}
-
-template <typename Stack>
-std::string ReplicaHarness<Stack>::trace() {
-  return w_.capture_trace ? cluster_.tracer().render() : "";
-}
-
 template class ReplicaHarness<CommitStack>;
 template class ReplicaHarness<RdmaStack>;
 
 // --- baseline -------------------------------------------------------------------
 
 BaselineHarness::BaselineHarness(std::uint64_t seed, const StackWorkload& w)
-    : w_(w),
-      cluster_({.seed = seed,
-                .num_shards = w.num_shards,
-                .shard_size = w.shard_size,
-                .isolation = w.isolation,
-                .exponential_delays = w.exponential_delays,
-                .enable_tracer = w.capture_trace,
-                .termination = w.termination}),
-      client_(&cluster_.add_client()) {}
-
-void BaselineHarness::install_fault_injector(sim::FaultInjector* fi) {
-  cluster_.net().set_fault_injector(fi);
-}
-
-void BaselineHarness::set_on_decision(std::function<void(TxnId, tcs::Decision)> fn) {
-  client_->on_decision = std::move(fn);
-}
+    : HarnessBase(w, {.seed = seed,
+                      .num_shards = w.num_shards,
+                      .shard_size = w.shard_size,
+                      .isolation = w.isolation,
+                      .exponential_delays = w.exponential_delays,
+                      .enable_tracer = w.capture_trace,
+                      .termination = w.termination}) {}
 
 bool BaselineHarness::submit(Rng& rng, TxnId txn, const tcs::Payload& payload) {
   (void)rng;  // routing is deterministic: the leader of the first shard
   ProcessId coordinator = cluster_.coordinator_for(payload);
   if (cluster_.sim().crashed(coordinator)) return false;
-  client_->certify(coordinator, txn, payload);
+  client_->certify_remote(coordinator, txn, payload);
   return true;
 }
 
@@ -257,23 +221,10 @@ bool BaselineHarness::submit_batch(
   bool any = false;
   for (auto& [coordinator, group] : groups) {
     if (cluster_.sim().crashed(coordinator)) continue;
-    client_->certify_batch(coordinator, group);
+    client_->certify_batch_remote(coordinator, group);
     any = true;
   }
   return any;
-}
-
-bool BaselineHarness::snapshot_read(Rng& rng, const std::vector<ObjectId>& objects) {
-  (void)rng;  // leader-gated: no member rotation to randomize
-  ++reads_attempted_;
-  bool served =
-      cluster_.snapshot_read(objects, w_.read_staleness_bound).has_value();
-  if (served) ++reads_served_;
-  return served;
-}
-
-std::string BaselineHarness::check_snapshot_reads() {
-  return snapshot_verdict(cluster_.history());
 }
 
 std::vector<ProcessId> BaselineHarness::alive_servers(ShardId s) {
@@ -290,14 +241,6 @@ std::vector<std::vector<ProcessId>> BaselineHarness::fault_units(ShardId s) cons
   std::vector<std::vector<ProcessId>> units;
   for (ProcessId m : cluster_.shard_servers(s)) {
     units.push_back({m, cluster_.paxos_twin(m)});
-  }
-  return units;
-}
-
-std::vector<std::vector<ProcessId>> BaselineHarness::all_units() const {
-  std::vector<std::vector<ProcessId>> units;
-  for (ShardId s = 0; s < cluster_.num_shards(); ++s) {
-    for (auto& u : fault_units(s)) units.push_back(std::move(u));
   }
   return units;
 }
@@ -367,14 +310,6 @@ std::string BaselineHarness::verify() {
     }
   }
   return problems;
-}
-
-std::string BaselineHarness::check_linearization() {
-  return lin_verdict(cluster_.history(), cluster_.certifier());
-}
-
-std::string BaselineHarness::trace() {
-  return w_.capture_trace ? cluster_.tracer().render() : "";
 }
 
 }  // namespace ratc::store

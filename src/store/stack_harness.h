@@ -4,8 +4,11 @@
 // included), promoted out of the test harness so sweeps, benches and
 // examples all build, fault and check a stack the same way.
 //
-// Each harness owns a fully assembled cluster plus a history-recording
-// client and exposes:
+// Each harness owns a fully assembled cluster plus one history-recording
+// commit::Client (co-located with its coordinators on the replica stacks,
+// remote on the baseline); HarnessBase holds that pair and the surface that
+// only reads it — counts, read counters, the snapshot-read and
+// linearization verdicts, the fault units and the trace.  Each exposes:
 //   * construction from a shared StackWorkload (per-stack knobs that do not
 //     apply are ignored);
 //   * submission through a live coordinator (seeded-random pick, so a run
@@ -45,6 +48,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -171,6 +175,62 @@ class ContendedPayloadGen {
   std::map<ObjectId, Version> versions_;
 };
 
+/// What every stack harness shares, written once: the cluster, its one
+/// history-recording commit::Client, the snapshot-read counters, and the
+/// surface that only reads them.  `Harness` (CRTP) supplies fault_units.
+template <typename Harness, typename Cluster>
+class HarnessBase {
+ public:
+  using Workload = StackWorkload;
+
+  sim::Simulator& sim() { return cluster_.sim(); }
+  Cluster& cluster() { return cluster_; }
+  void set_on_decision(std::function<void(TxnId, tcs::Decision)> fn) {
+    client_->on_decision = std::move(fn);
+  }
+  TxnId next_txn_id() { return cluster_.next_txn_id(); }
+  std::size_t decided_count() const { return client_->decided_count(); }
+  std::size_t committed_count() { return cluster_.history().committed_count(); }
+  std::size_t reads_attempted() const { return reads_attempted_; }
+  std::size_t reads_served() const { return reads_served_; }
+  /// Runs the snapshot-read checker over the recorded history; empty iff
+  /// every served read was a consistent, sufficiently fresh snapshot.
+  std::string check_snapshot_reads();
+  std::string check_linearization();
+  std::string trace() { return w_.capture_trace ? cluster_.tracer().render() : ""; }
+
+  std::uint32_t num_shards() const { return cluster_.shard_map().num_shards(); }
+  /// Every shard's fault units, shard by shard.
+  std::vector<std::vector<ProcessId>> all_units() const {
+    std::vector<std::vector<ProcessId>> units;
+    for (ShardId s = 0; s < num_shards(); ++s) {
+      for (auto& u : static_cast<const Harness&>(*this).fault_units(s)) {
+        units.push_back(std::move(u));
+      }
+    }
+    return units;
+  }
+
+ protected:
+  HarnessBase(const StackWorkload& w, typename Cluster::Options options)
+      : w_(w), cluster_(std::move(options)), client_(&cluster_.add_client()) {}
+
+  /// Counts one snapshot read; true iff it was served.
+  bool count_read(const std::optional<tcs::Csn>& snapshot) {
+    ++reads_attempted_;
+    if (snapshot) ++reads_served_;
+    return snapshot.has_value();
+  }
+
+  StackWorkload w_;
+  Cluster cluster_;
+  commit::Client* client_;
+
+ private:
+  std::size_t reads_attempted_ = 0;
+  std::size_t reads_served_ = 0;
+};
+
 /// The per-stack hooks of ReplicaHarness for the paper protocol over
 /// messages (Fig. 1): per-shard reconfiguration through the configuration
 /// service.
@@ -213,9 +273,9 @@ struct RdmaStack {
 /// shards of f+1 replicas plus spares, one co-located history-recording
 /// client, and the stack's reconfiguration lever.
 template <typename Stack>
-class ReplicaHarness {
+class ReplicaHarness
+    : public HarnessBase<ReplicaHarness<Stack>, typename Stack::Cluster> {
  public:
-  using Workload = StackWorkload;
   static constexpr const char* kName = Stack::kName;
   static constexpr std::uint64_t kWorkloadSalt = Stack::kWorkloadSalt;
   static constexpr Duration kPaceHi = Stack::kPaceHi;
@@ -223,15 +283,9 @@ class ReplicaHarness {
 
   ReplicaHarness(std::uint64_t seed, const StackWorkload& w);
 
-  sim::Simulator& sim() { return cluster_.sim(); }
-  typename Stack::Cluster& cluster() { return cluster_; }
   void install_fault_injector(sim::FaultInjector* fi) {
     Stack::install_fault_injector(cluster_, w_, fi);
   }
-  void set_on_decision(std::function<void(TxnId, tcs::Decision)> fn) {
-    client_->on_decision = std::move(fn);
-  }
-  TxnId next_txn_id() { return cluster_.next_txn_id(); }
   /// Submits through a live coordinator (seeded-random pick); false if none
   /// is live.
   bool submit(Rng& rng, TxnId txn, const tcs::Payload& payload);
@@ -239,22 +293,16 @@ class ReplicaHarness {
   /// PREPARE_BATCH per shard leader); false if no coordinator is live.
   bool submit_batch(Rng& rng,
                     const std::vector<std::pair<TxnId, tcs::Payload>>& batch);
-  std::size_t decided_count() const { return client_->decided_count(); }
-  std::size_t committed_count() { return cluster_.history().committed_count(); }
   /// Issues one read-only snapshot transaction over `objects` through the
   /// CSN fast path (zero certification messages); true iff it was served.
   /// Consumes only the caller's rng — drivers pass a dedicated read stream
   /// so the update trace is untouched.
-  bool snapshot_read(Rng& rng, const std::vector<ObjectId>& objects);
-  std::size_t reads_attempted() const { return reads_attempted_; }
-  std::size_t reads_served() const { return reads_served_; }
-  /// Runs the snapshot-read checker over the recorded history; empty iff
-  /// every served read was a consistent, sufficiently fresh snapshot.
-  std::string check_snapshot_reads();
+  bool snapshot_read(Rng& rng, const std::vector<ObjectId>& objects) {
+    return this->count_read(
+        cluster_.snapshot_read(objects, w_.read_staleness_bound, rng.below(64)));
+  }
 
-  std::uint32_t num_shards() const { return cluster_.shard_map().num_shards(); }
   std::vector<std::vector<ProcessId>> fault_units(ShardId s) const;
-  std::vector<std::vector<ProcessId>> all_units() const;
   bool crash_and_reconfigure(Rng& rng, ShardId s);
   bool reconfigure_healthy(Rng& rng, ShardId s);
   void drain(Duration d, Rng& rng);
@@ -268,20 +316,16 @@ class ReplicaHarness {
   std::string spare_ledger_verdict() const { return cluster_.spare_ledger_verdict(); }
 
   std::string verify() { return cluster_.verify(); }
-  std::string check_linearization();
-  std::string trace();
 
  private:
+  using Base = HarnessBase<ReplicaHarness, typename Stack::Cluster>;
+  using Base::client_;
+  using Base::cluster_;
+  using Base::w_;
+
   std::vector<ProcessId> alive_members(ShardId s);
   /// A live, epoch-current member of a seeded-random shard, or null.
   commit::ReplicaCore* pick_coordinator(Rng& rng);
-
-  StackWorkload w_;
-  recon::ZoneAntiAffinityPolicy zone_policy_;  ///< selected by w.placement
-  typename Stack::Cluster cluster_;
-  commit::Client* client_;
-  std::size_t reads_attempted_ = 0;
-  std::size_t reads_served_ = 0;
 };
 
 /// Paper protocol (Fig. 1): shards of f+1 replicas plus spares, per-shard
@@ -300,9 +344,8 @@ extern template class ReplicaHarness<RdmaStack>;
 /// TCS-LL oracle exists for this stack: verify() checks decision agreement
 /// across replicas and shards plus the serializability conflict graph, and
 /// the black-box linearization DFS still applies.
-class BaselineHarness {
+class BaselineHarness : public HarnessBase<BaselineHarness, baseline::BaselineCluster> {
  public:
-  using Workload = StackWorkload;
   static constexpr const char* kName = "baseline";
   static constexpr std::uint64_t kWorkloadSalt = 0xba5e11eULL;
   static constexpr Duration kPaceHi = 6;
@@ -310,29 +353,21 @@ class BaselineHarness {
 
   BaselineHarness(std::uint64_t seed, const StackWorkload& w);
 
-  sim::Simulator& sim() { return cluster_.sim(); }
-  baseline::BaselineCluster& cluster() { return cluster_; }
-  void install_fault_injector(sim::FaultInjector* fi);
-  void set_on_decision(std::function<void(TxnId, tcs::Decision)> fn);
-  TxnId next_txn_id() { return cluster_.next_txn_id(); }
+  void install_fault_injector(sim::FaultInjector* fi) { cluster_.net().set_fault_injector(fi); }
   bool submit(Rng& rng, TxnId txn, const tcs::Payload& payload);
   /// Groups the batch by 2PC coordinator (the leader of each transaction's
-  /// first shard) and sends one B_CERTIFY_BATCH per group; false if every
+  /// first shard) and sends one CERTIFY_BATCH per group; false if every
   /// group's coordinator is crashed.
   bool submit_batch(Rng& rng,
                     const std::vector<std::pair<TxnId, tcs::Payload>>& batch);
-  std::size_t decided_count() const { return client_->decided_count(); }
-  std::size_t committed_count() { return cluster_.history().committed_count(); }
   /// CSN fast-path read, leader-gated for the baseline (no all-follower-ack
-  /// rule, so only caught-up Paxos leaders serve); true iff served.
-  bool snapshot_read(Rng& rng, const std::vector<ObjectId>& objects);
-  std::size_t reads_attempted() const { return reads_attempted_; }
-  std::size_t reads_served() const { return reads_served_; }
-  std::string check_snapshot_reads();
+  /// rule, so only caught-up Paxos leaders serve); true iff served.  The
+  /// rng is not consumed: there is no member rotation to randomize.
+  bool snapshot_read(Rng&, const std::vector<ObjectId>& objects) {
+    return count_read(cluster_.snapshot_read(objects, w_.read_staleness_bound));
+  }
 
-  std::uint32_t num_shards() const { return cluster_.num_shards(); }
   std::vector<std::vector<ProcessId>> fault_units(ShardId s) const;
-  std::vector<std::vector<ProcessId>> all_units() const;
   bool crash_and_reconfigure(Rng& rng, ShardId s);
   bool reconfigure_healthy(Rng& rng, ShardId s);
   void drain(Duration d, Rng& rng);
@@ -347,8 +382,6 @@ class BaselineHarness {
   /// Decision agreement across servers + the serializability conflict
   /// graph over the committed projection (skipped for other isolations).
   std::string verify();
-  std::string check_linearization();
-  std::string trace();
 
  protected:
   static StackWorkload with_termination(StackWorkload w, baseline::TerminationMode m) {
@@ -358,12 +391,6 @@ class BaselineHarness {
 
  private:
   std::vector<ProcessId> alive_servers(ShardId s);
-
-  StackWorkload w_;
-  baseline::BaselineCluster cluster_;
-  baseline::BaselineClient* client_;
-  std::size_t reads_attempted_ = 0;
-  std::size_t reads_served_ = 0;
 };
 
 /// The baseline with cooperative termination bolted on (participants

@@ -167,11 +167,11 @@ TEST(TerminationProtocol, RecoversDecisionStrandedInCoordinatorShardLog) {
   // COMMIT; classical 2PC strands the peer shard and the client forever.
   for (bool coop : {false, true}) {
     BaselineCluster cluster(coop_options(1, coop));
-    BaselineClient& client = cluster.add_client();
+    commit::Client& client = cluster.add_client();
     TxnId t = cluster.next_txn_id();
     Payload p = make_payload({0, 1}, {0, 1}, 0, 1);
     ProcessId coordinator = cluster.coordinator_for(p);
-    client.certify(coordinator, t, p);
+    client.certify_remote(coordinator, t, p);
     ASSERT_TRUE(cluster.sim().run_until_pred(
         [&] { return cluster.server(1, 0).has_prepared(t); }));
     cluster.sim().run_until(cluster.sim().now() + 1);
@@ -209,12 +209,12 @@ TEST(TerminationProtocol, StrandedParticipantResolvesViaInDoubtTimeout) {
   // the object forever.
   for (bool coop : {false, true}) {
     BaselineCluster cluster(coop_options(2, coop));
-    BaselineClient& client = cluster.add_client();
+    commit::Client& client = cluster.add_client();
     harness::Nemesis nemesis(cluster.sim(), 7);
     cluster.net().set_fault_injector(&nemesis);
     TxnId t = cluster.next_txn_id();
     Payload p = make_payload({0, 1}, {0, 1}, 0, 1);
-    client.certify(cluster.coordinator_for(p), t, p);
+    client.certify_remote(cluster.coordinator_for(p), t, p);
     ASSERT_TRUE(cluster.sim().run_until_pred(
         [&] { return cluster.server(1, 0).has_prepared(t); }));
     nemesis.isolate_one_way(
@@ -233,10 +233,19 @@ TEST(TerminationProtocol, StrandedParticipantResolvesViaInDoubtTimeout) {
     // adopted the commit, so T2 reads the new version and commits.
     TxnId t2 = cluster.next_txn_id();
     Payload p2 = make_payload({1}, {1}, coop ? 1 : 0, 2);
-    client.certify(cluster.coordinator_for(p2), t2, p2);
+    client.certify_remote(cluster.coordinator_for(p2), t2, p2);
     cluster.sim().run();
     ASSERT_TRUE(client.decided(t2));
     EXPECT_EQ(client.decision(t2), coop ? Decision::kCommit : Decision::kAbort);
+    // Coop: the stranded participant also answers the client once it
+    // resolves.  The history records that repeated decision (it is what
+    // verify()'s conflicting-decisions check reads), and the two agree.
+    std::size_t decides_of_t = 0;
+    for (const auto& ev : cluster.history().events()) {
+      if (ev.kind == tcs::HistoryEvent::Kind::kDecide && ev.txn == t) ++decides_of_t;
+    }
+    EXPECT_EQ(decides_of_t, coop ? 2u : 1u);
+    EXPECT_TRUE(cluster.history().conflicting_decisions().empty());
     EXPECT_EQ(cluster.verify(), "");
   }
 }
@@ -249,7 +258,7 @@ TEST(TerminationProtocol, NeverPreparedPeerForeclosesAbortAndReleasesObjects) {
   // poisoned object on shard 0 is released for later transactions.
   for (bool coop : {false, true}) {
     BaselineCluster cluster(coop_options(3, coop));
-    BaselineClient& client = cluster.add_client();
+    commit::Client& client = cluster.add_client();
     harness::Nemesis nemesis(cluster.sim(), 9);
     cluster.net().set_fault_injector(&nemesis);
     TxnId t = cluster.next_txn_id();
@@ -258,7 +267,7 @@ TEST(TerminationProtocol, NeverPreparedPeerForeclosesAbortAndReleasesObjects) {
     nemesis.isolate(
         {cluster.leader_server(1), cluster.paxos_twin(cluster.leader_server(1))},
         30, /*lossy=*/true);
-    client.certify(coordinator, t, p);
+    client.certify_remote(coordinator, t, p);
     ASSERT_TRUE(cluster.sim().run_until_pred(
         [&] { return cluster.server(0, 1).has_prepared(t); }));
     cluster.sim().run_until(cluster.sim().now() + 1);
@@ -282,7 +291,7 @@ TEST(TerminationProtocol, NeverPreparedPeerForeclosesAbortAndReleasesObjects) {
     // T2 touches T1's object on shard 0: poisoned iff T1 stays prepared.
     TxnId t2 = cluster.next_txn_id();
     Payload p2 = make_payload({0}, {0}, 0, 2);
-    client.certify(cluster.coordinator_for(p2), t2, p2);
+    client.certify_remote(cluster.coordinator_for(p2), t2, p2);
     cluster.sim().run();
     ASSERT_TRUE(client.decided(t2));
     EXPECT_EQ(client.decision(t2), coop ? Decision::kCommit : Decision::kAbort);
@@ -297,11 +306,11 @@ TEST(TerminationProtocol, AllPreparedWindowRemainsBlockedButSafe) {
   // NOT invent a decision — the transaction stays blocked (the irreducible
   // 2PC window) and the give-up counter records it.
   BaselineCluster cluster(coop_options(4, /*coop=*/true));
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0, 1}, {0, 1}, 0, 1);
   ProcessId coordinator = cluster.coordinator_for(p);
-  client.certify(coordinator, t, p);
+  client.certify_remote(coordinator, t, p);
   ASSERT_TRUE(cluster.sim().run_until_pred(
       [&] { return cluster.server(1, 0).has_prepared(t); }));
   cluster.crash_server(coordinator);
@@ -322,7 +331,7 @@ TEST(TerminationProtocol, ToggleOffKeepsStatsZeroAndFailureFreeRunsIdentical) {
   // the toggle, and the classical cluster reports all-zero metrics.
   for (bool coop : {false, true}) {
     BaselineCluster cluster(coop_options(5, coop));
-    BaselineClient& client = cluster.add_client();
+    commit::Client& client = cluster.add_client();
     std::vector<TxnId> txns;
     for (int i = 0; i < 20; ++i) {
       TxnId t = cluster.next_txn_id();
@@ -330,7 +339,7 @@ TEST(TerminationProtocol, ToggleOffKeepsStatsZeroAndFailureFreeRunsIdentical) {
       ObjectId a = static_cast<ObjectId>(2 * i);
       ObjectId b = static_cast<ObjectId>(2 * i + 1);
       Payload p = make_payload({a, b}, {a}, 0, 1);
-      client.certify(cluster.coordinator_for(p), t, p);
+      client.certify_remote(cluster.coordinator_for(p), t, p);
     }
     cluster.sim().run();
     for (TxnId t : txns) EXPECT_EQ(client.decision(t), Decision::kCommit);

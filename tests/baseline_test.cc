@@ -22,20 +22,20 @@ Payload make_payload(std::vector<ObjectId> reads, std::vector<ObjectId> writes,
 
 TEST(Baseline, SingleShardCommit) {
   BaselineCluster cluster({.seed = 1, .num_shards = 1, .shard_size = 3});
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0}, {0}, 0, 1);
-  client.certify(cluster.coordinator_for(p), t, p);
+  client.certify_remote(cluster.coordinator_for(p), t, p);
   cluster.sim().run();
   EXPECT_EQ(client.decision(t), Decision::kCommit);
 }
 
 TEST(Baseline, CrossShardCommitWithAllReplicasApplying) {
   BaselineCluster cluster({.seed = 2, .num_shards = 2, .shard_size = 3});
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0, 1}, {0, 1}, 0, 1);
-  client.certify(cluster.coordinator_for(p), t, p);
+  client.certify_remote(cluster.coordinator_for(p), t, p);
   cluster.sim().run();
   ASSERT_EQ(client.decision(t), Decision::kCommit);
   // Every replica of both shards applied the decision (state machine).
@@ -49,12 +49,12 @@ TEST(Baseline, CrossShardCommitWithAllReplicasApplying) {
 
 TEST(Baseline, ConflictAborts) {
   BaselineCluster cluster({.seed = 3, .num_shards = 1, .shard_size = 3});
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId t1 = cluster.next_txn_id(), t2 = cluster.next_txn_id();
   Payload p1 = make_payload({0}, {0}, 0, 1);
   Payload p2 = make_payload({0}, {0}, 0, 1);
-  client.certify(cluster.coordinator_for(p1), t1, p1);
-  client.certify(cluster.coordinator_for(p2), t2, p2);
+  client.certify_remote(cluster.coordinator_for(p1), t1, p1);
+  client.certify_remote(cluster.coordinator_for(p2), t2, p2);
   cluster.sim().run();
   int commits = (client.decision(t1) == Decision::kCommit ? 1 : 0) +
                 (client.decision(t2) == Decision::kCommit ? 1 : 0);
@@ -67,10 +67,10 @@ TEST(Baseline, CrossShardLatencyIsSevenDelaysPlusSubmission) {
   // Paper Sec. 1/3: the vanilla scheme takes 7 message delays to learn a
   // decision (from the coordinator; +1 for the client's submission hop).
   BaselineCluster cluster({.seed = 4, .num_shards = 2, .shard_size = 3});
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0, 1}, {0}, 0, 1);
-  client.certify(cluster.coordinator_for(p), t, p);
+  client.certify_remote(cluster.coordinator_for(p), t, p);
   cluster.sim().run();
   ASSERT_TRUE(client.decided(t));
   EXPECT_EQ(client.latency(t), 8u);  // 1 submit + 7 protocol
@@ -80,10 +80,10 @@ TEST(Baseline, SingleShardFastPathStillNeedsDurableDecision) {
   // Even single-shard transactions pay two Paxos round trips (prepare +
   // decision) before the reply: 4 delays + reply, +1 submit.
   BaselineCluster cluster({.seed = 5, .num_shards = 1, .shard_size = 3});
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0}, {0}, 0, 1);
-  client.certify(cluster.coordinator_for(p), t, p);
+  client.certify_remote(cluster.coordinator_for(p), t, p);
   cluster.sim().run();
   ASSERT_TRUE(client.decided(t));
   EXPECT_EQ(client.latency(t), 6u);  // submit + 2x(phase2a+phase2b) + reply
@@ -94,13 +94,13 @@ TEST(Baseline, PaxosLeaderCarriesReplicationLoad) {
   // leader relays every replication round: 2 Phase2a fan-outs per
   // transaction it hosts.
   BaselineCluster cluster({.seed = 6, .num_shards = 1, .shard_size = 3});
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   const int kTxns = 20;
   for (int i = 0; i < kTxns; ++i) {
     TxnId t = cluster.next_txn_id();
     Payload p = make_payload({static_cast<ObjectId>(i)}, {static_cast<ObjectId>(i)},
                              0, 1);
-    client.certify(cluster.coordinator_for(p), t, p);
+    client.certify_remote(cluster.coordinator_for(p), t, p);
   }
   cluster.sim().run();
   // The shard's Paxos leader sent 2 commands * 2 followers Phase2a messages
@@ -111,7 +111,7 @@ TEST(Baseline, PaxosLeaderCarriesReplicationLoad) {
 
 TEST(Baseline, ManyTransactionsAcrossShards) {
   BaselineCluster cluster({.seed = 7, .num_shards = 3, .shard_size = 3});
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   std::vector<TxnId> txns;
   for (int i = 0; i < 60; ++i) {
     TxnId t = cluster.next_txn_id();
@@ -119,7 +119,7 @@ TEST(Baseline, ManyTransactionsAcrossShards) {
     ObjectId a = static_cast<ObjectId>(3 * i);
     ObjectId b = static_cast<ObjectId>(3 * i + 1);
     Payload p = make_payload({a, b}, {a}, 0, 1);
-    client.certify(cluster.coordinator_for(p), t, p);
+    client.certify_remote(cluster.coordinator_for(p), t, p);
   }
   cluster.sim().run();
   for (TxnId t : txns) EXPECT_EQ(client.decision(t), Decision::kCommit);
@@ -129,10 +129,10 @@ TEST(Baseline, ManyTransactionsAcrossShards) {
 
 TEST(Baseline, SurvivesMinorityFailureViaElection) {
   BaselineCluster cluster({.seed = 8, .num_shards = 2, .shard_size = 3});
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId t1 = cluster.next_txn_id();
   Payload p1 = make_payload({0, 1}, {0}, 0, 1);
-  client.certify(cluster.coordinator_for(p1), t1, p1);
+  client.certify_remote(cluster.coordinator_for(p1), t1, p1);
   cluster.sim().run();
   ASSERT_EQ(client.decision(t1), Decision::kCommit);
 
@@ -142,7 +142,7 @@ TEST(Baseline, SurvivesMinorityFailureViaElection) {
 
   TxnId t2 = cluster.next_txn_id();
   Payload p2 = make_payload({2, 3}, {2}, 0, 1);
-  client.certify(cluster.coordinator_for(p2), t2, p2);
+  client.certify_remote(cluster.coordinator_for(p2), t2, p2);
   cluster.sim().run();
   EXPECT_EQ(client.decision(t2), Decision::kCommit);
   // The new leader's state machine retains t1's commit.
@@ -152,13 +152,13 @@ TEST(Baseline, SurvivesMinorityFailureViaElection) {
 TEST(Baseline, SnapshotIsolationVariant) {
   BaselineCluster cluster(
       {.seed = 9, .num_shards = 1, .shard_size = 3, .isolation = "snapshot-isolation"});
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId t1 = cluster.next_txn_id(), t2 = cluster.next_txn_id();
   // Write skew commits under SI.
   Payload p1 = make_payload({0, 2}, {0}, 0, 1);
   Payload p2 = make_payload({0, 2}, {2}, 0, 1);
-  client.certify(cluster.coordinator_for(p1), t1, p1);
-  client.certify(cluster.coordinator_for(p2), t2, p2);
+  client.certify_remote(cluster.coordinator_for(p1), t1, p1);
+  client.certify_remote(cluster.coordinator_for(p2), t2, p2);
   cluster.sim().run();
   EXPECT_EQ(client.decision(t1), Decision::kCommit);
   EXPECT_EQ(client.decision(t2), Decision::kCommit);

@@ -185,14 +185,14 @@ TEST(ReconController, UnresolvedAttemptRetriesUntilAnEpochLands) {
 }
 
 TEST(ReconController, CustomPlacementPolicyIsConsulted) {
-  // The PlacementPolicy extension point (ctrl/placement.h): a custom policy
+  // The PlacementPolicy extension point (recon/placement.h): a custom policy
   // that shrinks the shard to a singleton — the controller must install
   // exactly what the policy proposed.
-  class SingletonPolicy final : public PlacementPolicy {
+  class SingletonPolicy final : public recon::PlacementPolicy {
    public:
     const char* name() const override { return "singleton"; }
     configsvc::ShardConfig plan(
-        const PlacementInput& in,
+        const recon::PlacementInput& in,
         const std::function<std::vector<ProcessId>(std::size_t)>&) override {
       ++invocations;
       configsvc::ShardConfig next;
@@ -210,7 +210,7 @@ TEST(ReconController, CustomPlacementPolicyIsConsulted) {
                         .spares_per_shard = 2,
                         .retry_timeout = 60,
                         .enable_controller = true};
-  opts.controller_tuning.policy = &policy;
+  opts.placement_policy = &policy;
   Cluster cluster(opts);
   ProcessId victim = cluster.replica(0, 1).id();
   ProcessId survivor = cluster.replica(0, 0).id();

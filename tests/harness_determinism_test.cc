@@ -235,6 +235,39 @@ TEST(TraceGolden, Rdma) {
       run_rdma_workload);
 }
 
+TEST(TraceGolden, Baseline) {
+  expect_goldens<BaselineWorkloadOptions>(
+      {{1, 1, 0x7894e42da2befd07ULL, 59},
+       {1, 2, 0xbc37508efa32f45bULL, 60},
+       {1, 3, 0xba6758533493b434ULL, 58},
+       {4, 1, 0xbe0f460f893c6f5aULL, 60},
+       {4, 2, 0xd0fa018390c5a118ULL, 60},
+       {4, 3, 0x342d55921a6eb183ULL, 58}},
+      run_baseline_workload);
+}
+
+TEST(TraceGolden, BaselineCoop) {
+  expect_goldens<BaselineCoopWorkloadOptions>(
+      {{1, 1, 0x40150f00277c3a69ULL, 60},
+       {1, 2, 0x4e1804baff2d44f2ULL, 60},
+       {1, 3, 0x3868fd2796a66159ULL, 60},
+       {4, 1, 0x05ad9c98137fb65dULL, 60},
+       {4, 2, 0x26547054a36dc6fcULL, 60},
+       {4, 3, 0x521c5c122c7bc065ULL, 60}},
+      run_baseline_coop_workload);
+}
+
+TEST(TraceGolden, PaxosCommit) {
+  expect_goldens<PaxosCommitWorkloadOptions>(
+      {{1, 1, 0xd3290e517b20d1efULL, 60},
+       {1, 2, 0x2a9a0b56fe0ea634ULL, 60},
+       {1, 3, 0x88a0e40d016233aaULL, 60},
+       {4, 1, 0x1cfc0d0dbf9d9c3dULL, 60},
+       {4, 2, 0x924350ee6583950cULL, 60},
+       {4, 3, 0x5483c350f211ef61ULL, 60}},
+      run_paxos_commit_workload);
+}
+
 TEST(ParallelSweepDeterminism, PerSeedFingerprintsIndependentOfThreadCount) {
   // Every run is seed-isolated, so the thread pool must be invisible: the
   // same sweep on 1 thread, 2 threads and hardware concurrency yields the

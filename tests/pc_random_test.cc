@@ -102,7 +102,7 @@ TEST(PaxosCommitFaultSweep, LossySchedulesAreSafe) {
 
 TEST(PaxosCommitFaultSweep, BatchedSubmissionAndReadMix) {
   // The driver's batching and read-mix knobs work unchanged on this stack:
-  // batches ride one B_CERTIFY_BATCH per coordinator (scalar fallback at
+  // batches ride one CERTIFY_BATCH per coordinator (scalar fallback at
   // size 1 is covered by every other suite), and the read mix issues
   // zero-message CSN snapshot reads that the snapshot checker validates
   // against the committed prefix.

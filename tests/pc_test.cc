@@ -36,10 +36,10 @@ BaselineCluster::Options paxos_commit(BaselineCluster::Options o) {
 
 TEST(PaxosCommit, SingleShardCommit) {
   BaselineCluster cluster(paxos_commit({.seed = 1, .num_shards = 1, .shard_size = 3}));
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0}, {0}, 0, 1);
-  client.certify(cluster.coordinator_for(p), t, p);
+  client.certify_remote(cluster.coordinator_for(p), t, p);
   cluster.sim().run();
   EXPECT_EQ(client.decision(t), Decision::kCommit);
   EXPECT_EQ(cluster.verify(), "");
@@ -47,10 +47,10 @@ TEST(PaxosCommit, SingleShardCommit) {
 
 TEST(PaxosCommit, CrossShardCommitWithAllReplicasApplying) {
   BaselineCluster cluster(paxos_commit({.seed = 2, .num_shards = 2, .shard_size = 3}));
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0, 1}, {0, 1}, 0, 1);
-  client.certify(cluster.coordinator_for(p), t, p);
+  client.certify_remote(cluster.coordinator_for(p), t, p);
   cluster.sim().run();
   ASSERT_EQ(client.decision(t), Decision::kCommit);
   // Every replica of both shards applied the decision (state machine).
@@ -65,12 +65,12 @@ TEST(PaxosCommit, CrossShardCommitWithAllReplicasApplying) {
 
 TEST(PaxosCommit, ConflictAborts) {
   BaselineCluster cluster(paxos_commit({.seed = 3, .num_shards = 1, .shard_size = 3}));
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId t1 = cluster.next_txn_id(), t2 = cluster.next_txn_id();
   Payload p1 = make_payload({0}, {0}, 0, 1);
   Payload p2 = make_payload({0}, {0}, 0, 1);
-  client.certify(cluster.coordinator_for(p1), t1, p1);
-  client.certify(cluster.coordinator_for(p2), t2, p2);
+  client.certify_remote(cluster.coordinator_for(p1), t1, p1);
+  client.certify_remote(cluster.coordinator_for(p2), t2, p2);
   cluster.sim().run();
   int commits = (client.decision(t1) == Decision::kCommit ? 1 : 0) +
                 (client.decision(t2) == Decision::kCommit ? 1 : 0);
@@ -81,7 +81,7 @@ TEST(PaxosCommit, ConflictAborts) {
 
 TEST(PaxosCommit, ManyTransactionsAcrossShards) {
   BaselineCluster cluster(paxos_commit({.seed = 7, .num_shards = 3, .shard_size = 3}));
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   std::vector<TxnId> txns;
   for (int i = 0; i < 60; ++i) {
     TxnId t = cluster.next_txn_id();
@@ -89,7 +89,7 @@ TEST(PaxosCommit, ManyTransactionsAcrossShards) {
     ObjectId a = static_cast<ObjectId>(3 * i);
     ObjectId b = static_cast<ObjectId>(3 * i + 1);
     Payload p = make_payload({a, b}, {a}, 0, 1);
-    client.certify(cluster.coordinator_for(p), t, p);
+    client.certify_remote(cluster.coordinator_for(p), t, p);
   }
   cluster.sim().run();
   for (TxnId t : txns) EXPECT_EQ(client.decision(t), Decision::kCommit);
@@ -107,10 +107,10 @@ TEST(PaxosCommit, CrossShardLatencyBeatsBaselineEightDelays) {
   // replies as soon as the last vote lands: submit + SUBMIT_PREPARE +
   // Phase2a + Phase2b + vote + reply = 6 delays, two fewer.
   BaselineCluster cluster(paxos_commit({.seed = 4, .num_shards = 2, .shard_size = 3}));
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0, 1}, {0}, 0, 1);
-  client.certify(cluster.coordinator_for(p), t, p);
+  client.certify_remote(cluster.coordinator_for(p), t, p);
   cluster.sim().run();
   ASSERT_TRUE(client.decided(t));
   EXPECT_EQ(client.latency(t), 6u);
@@ -123,10 +123,10 @@ TEST(PaxosCommit, SingleShardLatencyIsOnePaxosRound) {
   // second round for the decision: submit + Phase2a + Phase2b + reply = 4
   // (baseline: 6).
   BaselineCluster cluster(paxos_commit({.seed = 5, .num_shards = 1, .shard_size = 3}));
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0}, {0}, 0, 1);
-  client.certify(cluster.coordinator_for(p), t, p);
+  client.certify_remote(cluster.coordinator_for(p), t, p);
   cluster.sim().run();
   ASSERT_TRUE(client.decided(t));
   EXPECT_EQ(client.latency(t), 4u);
@@ -142,11 +142,11 @@ TEST(PaxosCommit, CoordinatorCrashInAllPreparedWindowStillCommits) {
   // surviving shards' recovery proposers read them back, infer COMMIT, and
   // finish the transaction — client included.
   BaselineCluster cluster(paxos_commit({.seed = 11, .num_shards = 2, .shard_size = 3}));
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0, 1}, {0, 1}, 0, 1);
   ProcessId coordinator = cluster.coordinator_for(p);
-  client.certify(coordinator, t, p);
+  client.certify_remote(coordinator, t, p);
 
   // Step tick by tick until the remote shard's leader has applied the
   // prepare (its vote is now chosen) but no decision exists anywhere; the
@@ -190,7 +190,7 @@ TEST(PaxosCommit, ForceAbortTombstoneWinsRaceAgainstLatePrepare) {
   // shard.  The tombstone is the chosen value, so a late prepare for t must
   // vote ABORT and the transaction aborts globally.
   BaselineCluster cluster(paxos_commit({.seed = 12, .num_shards = 2, .shard_size = 3}));
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0, 1}, {0, 1}, 0, 1);
 
@@ -200,7 +200,7 @@ TEST(PaxosCommit, ForceAbortTombstoneWinsRaceAgainstLatePrepare) {
   s1_leader.paxos().submit(sim::AnyMessage(CmdResolveAbort{t, kNoProcess}));
   cluster.sim().run();
 
-  client.certify(cluster.coordinator_for(p), t, p);
+  client.certify_remote(cluster.coordinator_for(p), t, p);
   cluster.sim().run();
   EXPECT_EQ(client.decision(t), Decision::kAbort);
   EXPECT_EQ(cluster.verify(), "");
@@ -211,10 +211,10 @@ TEST(PaxosCommit, LateForceAbortCannotOverturnChosenVote) {
   // committed, a straggling recovery force-abort must be a no-op — the
   // first vote-determining log entry wins.
   BaselineCluster cluster(paxos_commit({.seed = 13, .num_shards = 2, .shard_size = 3}));
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0, 1}, {0, 1}, 0, 1);
-  client.certify(cluster.coordinator_for(p), t, p);
+  client.certify_remote(cluster.coordinator_for(p), t, p);
   cluster.sim().run();
   ASSERT_EQ(client.decision(t), Decision::kCommit);
 
@@ -233,10 +233,10 @@ TEST(PaxosCommit, LateForceAbortCannotOverturnChosenVote) {
 
 TEST(PaxosCommit, SurvivesMinorityFailureViaElection) {
   BaselineCluster cluster(paxos_commit({.seed = 8, .num_shards = 2, .shard_size = 3}));
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId t1 = cluster.next_txn_id();
   Payload p1 = make_payload({0, 1}, {0}, 0, 1);
-  client.certify(cluster.coordinator_for(p1), t1, p1);
+  client.certify_remote(cluster.coordinator_for(p1), t1, p1);
   cluster.sim().run();
   ASSERT_EQ(client.decision(t1), Decision::kCommit);
 
@@ -246,7 +246,7 @@ TEST(PaxosCommit, SurvivesMinorityFailureViaElection) {
 
   TxnId t2 = cluster.next_txn_id();
   Payload p2 = make_payload({2, 3}, {2}, 0, 1);
-  client.certify(cluster.coordinator_for(p2), t2, p2);
+  client.certify_remote(cluster.coordinator_for(p2), t2, p2);
   cluster.sim().run();
   EXPECT_EQ(client.decision(t2), Decision::kCommit);
   // The new leader's state machine retains t1's commit.
@@ -256,10 +256,10 @@ TEST(PaxosCommit, SurvivesMinorityFailureViaElection) {
 
 TEST(PaxosCommit, SnapshotReadServesCommittedState) {
   BaselineCluster cluster(paxos_commit({.seed = 9, .num_shards = 2, .shard_size = 3}));
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0, 1}, {0, 1}, 0, 1);
-  client.certify(cluster.coordinator_for(p), t, p);
+  client.certify_remote(cluster.coordinator_for(p), t, p);
   cluster.sim().run();
   ASSERT_EQ(client.decision(t), Decision::kCommit);
 
@@ -274,13 +274,13 @@ TEST(PaxosCommit, SnapshotReadServesCommittedState) {
 TEST(PaxosCommit, SnapshotIsolationVariant) {
   BaselineCluster cluster(paxos_commit(
       {.seed = 10, .num_shards = 1, .shard_size = 3, .isolation = "snapshot-isolation"}));
-  BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   TxnId t1 = cluster.next_txn_id(), t2 = cluster.next_txn_id();
   // Write skew commits under SI.
   Payload p1 = make_payload({0, 2}, {0}, 0, 1);
   Payload p2 = make_payload({0, 2}, {2}, 0, 1);
-  client.certify(cluster.coordinator_for(p1), t1, p1);
-  client.certify(cluster.coordinator_for(p2), t2, p2);
+  client.certify_remote(cluster.coordinator_for(p1), t1, p1);
+  client.certify_remote(cluster.coordinator_for(p2), t2, p2);
   cluster.sim().run();
   EXPECT_EQ(client.decision(t1), Decision::kCommit);
   EXPECT_EQ(client.decision(t2), Decision::kCommit);
@@ -288,9 +288,9 @@ TEST(PaxosCommit, SnapshotIsolationVariant) {
 
 TEST(PaxosCommit, BatchCertifyScalarFallbackAndGrouping) {
   BaselineCluster cluster(paxos_commit({.seed = 14, .num_shards = 2, .shard_size = 3}));
-  BaselineClient& client = cluster.add_client();
-  // Batch of three sharing a coordinator: one B_CERTIFY_BATCH; a batch of
-  // one degrades to the scalar B_CERTIFY message.
+  commit::Client& client = cluster.add_client();
+  // Batch of three sharing a coordinator: one CERTIFY_BATCH; a batch of
+  // one degrades to the scalar CERTIFY message.
   std::vector<std::pair<TxnId, Payload>> batch;
   for (int i = 0; i < 3; ++i) {
     batch.emplace_back(cluster.next_txn_id(),
@@ -298,18 +298,18 @@ TEST(PaxosCommit, BatchCertifyScalarFallbackAndGrouping) {
                                     {static_cast<ObjectId>(2 * i)}, 0, 1));
   }
   ProcessId coordinator = cluster.coordinator_for(batch.front().second);
-  client.certify_batch(coordinator, batch);
+  client.certify_batch_remote(coordinator, batch);
   TxnId solo = cluster.next_txn_id();
   Payload sp = make_payload({6}, {6}, 0, 1);
-  client.certify_batch(cluster.coordinator_for(sp), {{solo, sp}});
+  client.certify_batch_remote(cluster.coordinator_for(sp), {{solo, sp}});
   cluster.sim().run();
   for (const auto& [txn, payload] : batch) {
     EXPECT_EQ(client.decision(txn), Decision::kCommit) << "txn " << txn;
   }
   EXPECT_EQ(client.decision(solo), Decision::kCommit);
   const auto& traffic = cluster.net().traffic(client.id());
-  EXPECT_EQ(traffic.sent_by_type.at("B_CERTIFY_BATCH"), 1u);
-  EXPECT_EQ(traffic.sent_by_type.at("B_CERTIFY"), 1u);
+  EXPECT_EQ(traffic.sent_by_type.at("CERTIFY_BATCH"), 1u);
+  EXPECT_EQ(traffic.sent_by_type.at("CERTIFY"), 1u);
   EXPECT_EQ(cluster.verify(), "");
 }
 

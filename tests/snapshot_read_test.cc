@@ -273,11 +273,11 @@ TEST(SnapshotReadCluster, RdmaServesConsistentSnapshotWithZeroMessages) {
 
 TEST(SnapshotReadCluster, BaselineLeaderGateServesAndRefuses) {
   baseline::BaselineCluster cluster({.seed = 12, .num_shards = 2});
-  baseline::BaselineClient& client = cluster.add_client();
+  commit::Client& client = cluster.add_client();
   for (ObjectId o = 0; o < 2; ++o) {
     Payload p = write_payload(o, 0, static_cast<Value>(7 + o));
     TxnId t = cluster.next_txn_id();
-    client.certify(cluster.coordinator_for(p), t, p);
+    client.certify_remote(cluster.coordinator_for(p), t, p);
     ASSERT_TRUE(cluster.sim().run_until_pred([&] { return client.decided(t); }));
     ASSERT_EQ(client.decision(t), Decision::kCommit);
   }
