@@ -14,8 +14,8 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -33,8 +33,7 @@ class Client : public sim::Process {
 
   /// Submits via messages to the replica with the given process id.
   void certify_remote(ProcessId coordinator, TxnId txn, const tcs::Payload& payload) {
-    history_->record_certify(rt().now(), txn, payload);
-    sent_[txn] = rt().now();
+    note_certify(txn, payload);
     rt().send_msg(id(), coordinator, CertifyRequest{txn, payload});
   }
 
@@ -43,9 +42,9 @@ class Client : public sim::Process {
   void certify_batch_remote(ProcessId coordinator,
                             const std::vector<std::pair<TxnId, tcs::Payload>>& batch) {
     CertifyBatchRequest req;
+    req.items.reserve(batch.size());
     for (const auto& [txn, payload] : batch) {
-      history_->record_certify(rt().now(), txn, payload);
-      sent_[txn] = rt().now();
+      note_certify(txn, payload);
       req.items.push_back(CertifyRequest{txn, payload});
     }
     if (req.items.size() == 1) {
@@ -59,8 +58,7 @@ class Client : public sim::Process {
   /// Passing our id as the origin lets a successor coordinator deliver the
   /// decision as DECISION_CLIENT if the co-located replica crashes mid-2PC.
   void certify_colocated(ReplicaCore& coordinator, TxnId txn, const tcs::Payload& payload) {
-    history_->record_certify(rt().now(), txn, payload);
-    sent_[txn] = rt().now();
+    note_certify(txn, payload);
     coordinator.certify_local(
         txn, payload,
         [this, txn](tcs::Decision d, Time csn_ts) { record_decision(txn, d, csn_ts); },
@@ -72,10 +70,7 @@ class Client : public sim::Process {
   void certify_batch_colocated(
       ReplicaCore& coordinator,
       const std::vector<std::pair<TxnId, tcs::Payload>>& batch) {
-    for (const auto& [txn, payload] : batch) {
-      history_->record_certify(rt().now(), txn, payload);
-      sent_[txn] = rt().now();
-    }
+    for (const auto& [txn, payload] : batch) note_certify(txn, payload);
     coordinator.certify_batch_local(
         batch,
         [this](TxnId txn, tcs::Decision d, Time csn_ts) {
@@ -91,21 +86,20 @@ class Client : public sim::Process {
     }
   }
 
-  bool decided(TxnId txn) const { return decisions_.count(txn) > 0; }
+  bool decided(TxnId txn) const { return decision(txn).has_value(); }
   std::optional<tcs::Decision> decision(TxnId txn) const {
-    auto it = decisions_.find(txn);
-    if (it == decisions_.end()) return std::nullopt;
-    return it->second;
+    auto it = txns_.find(txn);
+    if (it == txns_.end()) return std::nullopt;
+    return it->second.decision;
   }
-  std::size_t decided_count() const { return decisions_.size(); }
+  std::size_t decided_count() const { return decided_count_; }
 
   /// certify-to-decide latency in ticks (= message delays in unit-delay
   /// mode), for the latency experiments.
   std::optional<Duration> latency(TxnId txn) const {
-    auto d = decided_at_.find(txn);
-    auto s = sent_.find(txn);
-    if (d == decided_at_.end() || s == sent_.end()) return std::nullopt;
-    return d->second - s->second;
+    auto it = txns_.find(txn);
+    if (it == txns_.end() || !it->second.sent || !it->second.decision) return std::nullopt;
+    return it->second.decided_at - *it->second.sent;
   }
 
   /// Invoked once per transaction, on its first decision (used by workload
@@ -116,18 +110,33 @@ class Client : public sim::Process {
   void record_decision(TxnId txn, tcs::Decision d, Time csn_ts = 0) {
     // Record duplicates too: conflicting ones are a spec violation that the
     // history checker must be able to see.
-    history_->record_decide(rt().now(), txn, d, tcs::Csn{csn_ts, txn});
-    if (decisions_.count(txn) == 0) {
-      decisions_[txn] = d;
-      decided_at_[txn] = rt().now();
+    Time now = rt().now();
+    history_->record_decide(now, txn, d, tcs::Csn{csn_ts, txn});
+    TxnRecord& rec = txns_[txn];
+    if (!rec.decision) {
+      rec.decision = d;
+      rec.decided_at = now;
+      ++decided_count_;
       if (on_decision) on_decision(txn, d);
     }
   }
 
+  void note_certify(TxnId txn, const tcs::Payload& payload) {
+    Time now = rt().now();
+    history_->record_certify(now, txn, payload);
+    txns_[txn].sent = now;
+  }
+
+  /// What the queries need of one transaction; looked up, never listed.
+  struct TxnRecord {
+    std::optional<Time> sent;               ///< the last certify
+    std::optional<tcs::Decision> decision;  ///< the first decision
+    Time decided_at = 0;                    ///< when it arrived
+  };
+
   tcs::History* history_;
-  std::map<TxnId, tcs::Decision> decisions_;
-  std::map<TxnId, Time> sent_;
-  std::map<TxnId, Time> decided_at_;
+  std::unordered_map<TxnId, TxnRecord> txns_;
+  std::size_t decided_count_ = 0;
 };
 
 }  // namespace ratc::commit

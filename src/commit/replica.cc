@@ -141,7 +141,7 @@ void Replica::handle_accept_ack(ProcessId from, const AcceptAck& m) {
       pr->slot != m.slot) {
     return;
   }
-  pr->follower_acks.insert(from);
+  note_follower_ack(m.shard, *pr, from);
   check_coordination(m.txn);
 }
 

@@ -117,21 +117,22 @@ void ReplicaCore::start_certification(TxnMeta meta, const tcs::Payload* full_pay
   CoordState& c = coord_[txn];
   if (c.decided) return;  // late retry of an already-decided coordination
   undecided_coords_.insert(txn);
-  c.meta = meta;
+  c.meta = std::move(meta);
+  c.progress.resize(c.meta.participants.size());
   if (local_cb) c.local_cb = std::move(local_cb);
+  if (full_payload != nullptr) c.payload = *full_payload;
   c.last_driven = rt().now();
   // Line 2-3: send PREPARE with the shard projection to each leader.
-  for (ShardId s : meta.participants) {
+  for (ShardId s : c.meta.participants) {
     Prepare p;
     p.txn = txn;
     if (full_payload != nullptr) {
       p.has_payload = true;
       p.payload = options_.shard_map->project(*full_payload, s);
-      c.shard_payloads[s] = p.payload;
     } else {
       p.has_payload = false;  // ⊥: retry path (line 73)
     }
-    p.meta = meta;
+    p.meta = c.meta;
     if (batch != nullptr) {
       (*batch)[s].items.push_back(std::move(p));
     } else {
@@ -165,13 +166,8 @@ void ReplicaCore::redrive_coordinations(const std::set<TxnId>& driven_this_tick)
     for (ShardId s : c.meta.participants) {
       Prepare p;
       p.txn = txn;
-      auto it = c.shard_payloads.find(s);
-      if (it != c.shard_payloads.end()) {
-        p.has_payload = true;
-        p.payload = it->second;
-      } else {
-        p.has_payload = false;
-      }
+      p.has_payload = c.payload.has_value();
+      if (c.payload) p.payload = options_.shard_map->project(*c.payload, s);
       p.meta = c.meta;
       rt().send_msg(id(), leader_of(s), std::move(p));
     }
@@ -358,16 +354,17 @@ bool ReplicaCore::note_prepare_ack(const PrepareAck& m) {
   if (epoch_of(m.shard) != m.epoch) return false;
   auto it = coord_.find(m.txn);
   if (it == coord_.end() || it->second.decided) return false;
-  ShardProgress& pr = it->second.progress[m.shard];
-  if (pr.have_prepare_ack && pr.epoch == m.epoch && pr.slot == m.slot) {
+  ShardProgress* pr = progress_at(it->second, m.shard);
+  if (pr == nullptr) return false;  // no PREPARE of ours went to that shard
+  if (pr->have_prepare_ack && pr->epoch == m.epoch && pr->slot == m.slot) {
     return true;  // duplicate: keep existing follower acks, just re-replicate
   }
-  pr.have_prepare_ack = true;
-  pr.epoch = m.epoch;
-  pr.slot = m.slot;
-  pr.vote = m.vote;
-  pr.prepare_ts = m.prepare_ts;
-  pr.follower_acks.clear();
+  pr->have_prepare_ack = true;
+  pr->epoch = m.epoch;
+  pr->slot = m.slot;
+  pr->vote = m.vote;
+  pr->prepare_ts = m.prepare_ts;
+  pr->follower_acks.reset();
   return true;
 }
 
@@ -399,11 +396,24 @@ void ReplicaCore::handle_prepare_ack_batch(const PrepareAckBatch& m) {
   for (const auto& [f, acks] : ship) replicate(f, acks);
 }
 
+ReplicaCore::ShardProgress* ReplicaCore::progress_at(CoordState& c, ShardId s) {
+  const std::vector<ShardId>& shards = c.meta.participants;
+  auto it = std::find(shards.begin(), shards.end(), s);
+  if (it == shards.end()) return nullptr;
+  return &c.progress[static_cast<std::size_t>(it - shards.begin())];
+}
+
 ReplicaCore::ShardProgress* ReplicaCore::undecided_progress(TxnId txn, ShardId s) {
   auto it = coord_.find(txn);
   if (it == coord_.end() || it->second.decided) return nullptr;
-  auto pit = it->second.progress.find(s);
-  return pit == it->second.progress.end() ? nullptr : &pit->second;
+  ShardProgress* pr = progress_at(it->second, s);
+  return pr != nullptr && pr->have_prepare_ack ? pr : nullptr;
+}
+
+void ReplicaCore::note_follower_ack(ShardId s, ShardProgress& pr, ProcessId f) const {
+  const std::vector<ProcessId>& members = members_of(s);
+  auto it = std::find(members.begin(), members.end(), f);
+  if (it != members.end()) pr.follower_acks.set(static_cast<std::size_t>(it - members.begin()));
 }
 
 void ReplicaCore::check_coordination(TxnId txn) {
@@ -415,14 +425,14 @@ void ReplicaCore::check_coordination(TxnId txn) {
   // their NICs' ack-rdma, with the PREPARE_ACK epoch still current).
   Decision decision = Decision::kCommit;
   Time csn_ts = 0;  // csn(t).ts = max prepare stamp over the involved shards
-  for (ShardId s : c.meta.participants) {
-    auto pit = c.progress.find(s);
-    if (pit == c.progress.end()) return;
-    const ShardProgress& pr = pit->second;
+  for (std::size_t i = 0; i < c.meta.participants.size(); ++i) {
+    ShardId s = c.meta.participants[i];
+    const ShardProgress& pr = c.progress[i];
     if (!pr.have_prepare_ack || pr.epoch != epoch_of(s)) return;
     ProcessId leader = leader_of(s);
-    for (ProcessId p : members_of(s)) {
-      if (p != leader && pr.follower_acks.count(p) == 0) return;
+    const std::vector<ProcessId>& members = members_of(s);
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      if (members[m] != leader && !pr.follower_acks.test(m)) return;
     }
     decision = meet(decision, pr.vote);  // line 27's ⊓ fold
     csn_ts = std::max(csn_ts, pr.prepare_ts);
@@ -436,14 +446,15 @@ void ReplicaCore::check_coordination(TxnId txn) {
   } else if (c.meta.client != kNoProcess) {
     rt().send_msg(id(), c.meta.client, ClientDecision{txn, decision, csn_ts});
   }
-  for (ShardId s : c.meta.participants) {
-    ship_decision(s, c.progress.at(s), txn, decision, csn_ts);
+  for (std::size_t i = 0; i < c.meta.participants.size(); ++i) {
+    ship_decision(c.meta.participants[i], c.progress[i], txn, decision, csn_ts);
   }
   // The coordination is complete: shed the heavy state but keep the entry
   // as a decided tombstone — a late retry() of a still-prepared slot would
   // otherwise recreate the coordination from scratch and re-decide.
   c.progress.clear();
-  c.shard_payloads.clear();
+  c.progress.shrink_to_fit();
+  c.payload.reset();
   c.local_cb = nullptr;
   undecided_coords_.erase(txn);
 }

@@ -14,6 +14,15 @@
 // slot fill and decision apply, the retry timer, the read watermark, and
 // the takeover/install bookkeeping a new configuration needs.
 //
+// The coordinator state is flat, because every transaction allocates it.
+// One CoordState per transaction sits in a hashed table that is only looked
+// up; the ordered undecided set fixes the re-drive order.  A CoordState
+// keeps its per-shard progress in a vector parallel to meta.participants
+// and the full payload once, re-projected only when a PREPARE is re-sent.
+// A shard's follower acks are a bitmask over positions in members_of(s):
+// acks at another epoch are rejected, and a PREPARE_ACK at a new epoch or
+// slot clears the mask, so every bit refers to the one view it was set in.
+//
 // It also owns Fig. 1's reconfiguration: the per-shard views (the epoch,
 // members and leader arrays), the configuration-service client, the
 // PROBE / NEW_CONFIG / NEW_STATE / CONFIG_CHANGE handlers and the four
@@ -35,12 +44,14 @@
 // epoch through CertificationObserver.
 #pragma once
 
+#include <bitset>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -216,13 +227,19 @@ class ReplicaCore : public sim::Process, protected recon::StackHooks {
   const store::SnapshotStore& snapshot_store() const { return store_; }
 
  protected:
+  /// A coordination's progress at one participant shard s.
   struct ShardProgress {
     bool have_prepare_ack = false;
     Epoch epoch = kNoEpoch;
     Slot slot = kNoSlot;
     tcs::Decision vote = tcs::Decision::kAbort;
     Time prepare_ts = 0;  ///< leader's CSN stamp; csn(t).ts = max over shards
-    std::set<ProcessId> follower_acks;
+    /// Bit i: members_of(s)[i] acknowledged the result replicated at
+    /// (epoch, slot).  note_prepare_ack clears it whenever either changes,
+    /// and an epoch's membership never changes, so the positions stay
+    /// those of the view the bits were set under.  A member past the last
+    /// bit throws std::out_of_range.
+    std::bitset<64> follower_acks;
   };
 
   /// `name` is the process name; `observer` may be null.
@@ -261,6 +278,11 @@ class ReplicaCore : public sim::Process, protected recon::StackHooks {
   /// The coordination's progress at shard s, or null if the coordination is
   /// unknown, decided, or has not heard from s.
   ShardProgress* undecided_progress(TxnId txn, ShardId s);
+
+  /// Records follower f's ACCEPT_ACK (or its NIC's ack of the one-sided
+  /// ACCEPT) in `pr`, the progress at shard s; a non-member's ack counts
+  /// for nothing.
+  void note_follower_ack(ShardId s, ShardProgress& pr, ProcessId f) const;
 
   /// Line 26's standing "when" condition, evaluated after every relevant
   /// event for the given transaction.
@@ -312,17 +334,24 @@ class ReplicaCore : public sim::Process, protected recon::StackHooks {
   std::map<ShardId, configsvc::ShardConfig> views_;  // epoch/members/leader arrays
 
  private:
+  /// One coordination (Fig. 1 lines 2-3 and 18-30).  Flat: the per-shard
+  /// progress is a vector parallel to meta.participants (sized to it once),
+  /// and the full payload is kept once rather than per shard.
   struct CoordState {
     TxnMeta meta;
-    std::map<ShardId, ShardProgress> progress;
+    /// progress[i] is the progress at meta.participants[i].
+    std::vector<ShardProgress> progress;
     bool decided = false;
     /// Set for co-located clients; second arg is csn(t).ts (0 for aborts).
     std::function<void(tcs::Decision, Time)> local_cb;
-    /// Per-shard payload projections, kept so the coordinator can re-send a
-    /// PREPARE that died with a crashed leader (empty for ⊥ retries).
-    std::map<ShardId, tcs::Payload> shard_payloads;
+    /// The full payload, kept so the coordinator can re-send (re-projected)
+    /// a PREPARE that died with a crashed leader (unset for ⊥ retries).
+    std::optional<tcs::Payload> payload;
     Time last_driven = 0;  ///< when PREPAREs were last (re-)sent
   };
+
+  /// c's progress at participant s, or null if s is not a participant.
+  static ShardProgress* progress_at(CoordState& c, ShardId s);
 
   TxnMeta meta_for(TxnId txn, const tcs::Payload& payload, ProcessId client) const;
   /// Opens the coordination of meta.txn (line 2) and sends its PREPAREs —
@@ -410,9 +439,12 @@ class ReplicaCore : public sim::Process, protected recon::StackHooks {
   WitnessIndex index_;
 
   // Coordinator state.  Decided entries stay as slim tombstones (so a late
-  // retry cannot re-coordinate); the index below keeps the re-drive scan
-  // bounded by the undecided set.
-  std::map<TxnId, CoordState> coord_;
+  // retry cannot re-coordinate); the ordered set below keeps the re-drive
+  // scan bounded by the undecided set and fixes its order.  coord_ is only
+  // looked up, never iterated, so it is hashed; it must stay node-based,
+  // because check_coordination holds a CoordState& while the client
+  // callback may re-enter start_certification and grow the table.
+  std::unordered_map<TxnId, CoordState> coord_;
   std::set<TxnId> undecided_coords_;
 
   // Local bookkeeping for the retry timer: every prepared slot, with when it

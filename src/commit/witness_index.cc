@@ -1,17 +1,41 @@
 #include "commit/witness_index.h"
 
-#include <algorithm>
-
 namespace ratc::commit {
 
 using tcs::Decision;
 
+namespace {
+
+/// True if `pred` holds for some object of p's reads ∪ writes; each object
+/// is offered once (writes ⊆ reads for a well-formed payload, so the writes
+/// pass usually offers nothing).
+template <typename Pred>
+bool any_object(const tcs::Payload& p, Pred pred) {
+  for (const auto& r : p.reads) {
+    if (pred(r.object)) return true;
+  }
+  for (const auto& w : p.writes) {
+    if (!p.reads_object(w.object) && pred(w.object)) return true;
+  }
+  return false;
+}
+
+template <typename Fn>
+void for_each_object(const tcs::Payload& p, Fn fn) {
+  any_object(p, [&](ObjectId obj) {
+    fn(obj);
+    return false;
+  });
+}
+
+}  // namespace
+
 void WitnessIndex::clear() {
-  committed_.clear();
   prepared_.clear();
   committed_writer_.clear();
-  prepared_readers_.clear();
-  prepared_writers_.clear();
+  prepared_by_object_.clear();
+  committed_seen_.clear();
+  committed_count_ = 0;
 }
 
 void WitnessIndex::rebuild(const ReplicaLog& log) {
@@ -24,26 +48,6 @@ void WitnessIndex::rebuild(const ReplicaLog& log) {
     } else {
       on_decided(log, k);
     }
-  }
-}
-
-void WitnessIndex::index_prepared_objects(Slot k, const tcs::Payload& p) {
-  for (const auto& r : p.reads) prepared_readers_[r.object].insert(k);
-  for (const auto& w : p.writes) prepared_writers_[w.object].insert(k);
-}
-
-void WitnessIndex::unindex_prepared_objects(Slot k, const tcs::Payload& p) {
-  for (const auto& r : p.reads) {
-    auto it = prepared_readers_.find(r.object);
-    if (it == prepared_readers_.end()) continue;
-    it->second.erase(k);
-    if (it->second.empty()) prepared_readers_.erase(it);
-  }
-  for (const auto& w : p.writes) {
-    auto it = prepared_writers_.find(w.object);
-    if (it == prepared_writers_.end()) continue;
-    it->second.erase(k);
-    if (it->second.empty()) prepared_writers_.erase(it);
   }
 }
 
@@ -65,63 +69,60 @@ void WitnessIndex::on_prepared(const ReplicaLog& log, Slot k) {
   if (e == nullptr || e->phase != Phase::kPrepared) return;
   if (e->vote != Decision::kCommit) return;  // only commit votes enter L2
   if (!prepared_.emplace(k, e->txn).second) return;  // duplicate notification
-  index_prepared_objects(k, e->payload);
+  for_each_object(e->payload, [&](ObjectId obj) { prepared_by_object_.emplace(obj, k); });
 }
 
 void WitnessIndex::on_decided(const ReplicaLog& log, Slot k) {
   const LogEntry* e = log.find(k);
   if (e == nullptr || e->phase != Phase::kDecided) return;
   // Leave L2 regardless of the outcome.
-  if (prepared_.erase(k) > 0) unindex_prepared_objects(k, e->payload);
+  if (prepared_.erase(k) > 0) {
+    for_each_object(e->payload, [&](ObjectId obj) {
+      auto [it, end] = prepared_by_object_.equal_range(obj);
+      while (it != end && it->second != k) ++it;
+      if (it != end) prepared_by_object_.erase(it);
+    });
+  }
   if (e->dec != Decision::kCommit) return;
-  if (!committed_.emplace(k, e->txn).second) return;  // duplicate notification
+  if (committed_seen_.size() < k) committed_seen_.resize(k);
+  if (committed_seen_[k - 1]) return;  // duplicate notification
+  committed_seen_[k - 1] = true;
+  ++committed_count_;
   index_committed_writer(k, e->payload);
 }
 
 tcs::Decision WitnessIndex::vote(const tcs::Certifier& certifier, const ReplicaLog& log,
                                  const tcs::Payload& l) const {
-  // f_s(L1, l): per object of l, only the highest-version committed writer
-  // can flip the monotone pairwise check.
-  std::set<Slot> committed_candidates;
-  auto add_committed = [&](ObjectId obj) {
-    auto it = committed_writer_.find(obj);
-    if (it != committed_writer_.end()) committed_candidates.insert(it->second.slot);
-  };
-  for (const auto& r : l.reads) add_committed(r.object);
-  for (const auto& w : l.writes) add_committed(w.object);
-  for (Slot k : committed_candidates) {
-    if (certifier.against_committed(log.find(k)->payload, l) == Decision::kAbort) {
-      return Decision::kAbort;
+  bool abort = any_object(l, [&](ObjectId obj) {
+    // f_s(L1, l): only the highest-version committed writer of the object
+    // can flip the monotone pairwise check.
+    auto top = committed_writer_.find(obj);
+    if (top != committed_writer_.end() &&
+        certifier.against_committed(log.find(top->second.slot)->payload, l) ==
+            Decision::kAbort) {
+      return true;
     }
-  }
-  // g_s(L2, l): any prepared payload sharing an object with l.
-  std::set<Slot> prepared_candidates;
-  auto add_prepared = [&](ObjectId obj) {
-    auto rit = prepared_readers_.find(obj);
-    if (rit != prepared_readers_.end()) {
-      prepared_candidates.insert(rit->second.begin(), rit->second.end());
+    // g_s(L2, l): every prepared payload touching the object.
+    auto [it, end] = prepared_by_object_.equal_range(obj);
+    for (; it != end; ++it) {
+      if (certifier.against_prepared(log.find(it->second)->payload, l) == Decision::kAbort) {
+        return true;
+      }
     }
-    auto wit = prepared_writers_.find(obj);
-    if (wit != prepared_writers_.end()) {
-      prepared_candidates.insert(wit->second.begin(), wit->second.end());
-    }
-  };
-  for (const auto& r : l.reads) add_prepared(r.object);
-  for (const auto& w : l.writes) add_prepared(w.object);
-  for (Slot k : prepared_candidates) {
-    if (certifier.against_prepared(log.find(k)->payload, l) == Decision::kAbort) {
-      return Decision::kAbort;
-    }
-  }
-  return Decision::kCommit;
+    return false;
+  });
+  return abort ? Decision::kAbort : Decision::kCommit;
 }
 
 WitnessIndex::Witnesses WitnessIndex::collect(const ReplicaLog& log, Slot slot) const {
   Witnesses w;
-  for (const auto& [k, txn] : committed_) {
-    if (k >= slot) break;
-    w.l1.push_back(&log.find(k)->payload);
-    w.committed.push_back(txn);
+  for (Slot k = 1; k < slot; ++k) {
+    const LogEntry* e = log.find(k);
+    if (e == nullptr) break;
+    if (e->phase == Phase::kDecided && e->dec == Decision::kCommit) {
+      w.l1.push_back(&e->payload);
+      w.committed.push_back(e->txn);
+    }
   }
   for (const auto& [k, txn] : prepared_) {
     if (k >= slot) break;

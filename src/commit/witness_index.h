@@ -13,23 +13,28 @@
 //   * object -> the committed writer with the highest commit version
 //     (ties broken towards the later slot) — checking only these per object
 //     of l decides f_s(L1, l) exactly;
-//   * object -> {prepared readers}, {prepared writers} (commit votes only)
-//     — the union over l's objects is exactly the set of prepared payloads
-//     whose pairwise g_s check can abort.
+//   * object -> prepared (commit-vote) slots, one multimap entry per object
+//     of the slot's reads ∪ writes — the slots listed under l's objects are
+//     exactly the prepared payloads whose pairwise g_s check can abort.
 //
-// The fold result is identical to the flat scan by construction (payloads
-// skipped by the index return kCommit from the pairwise check); replicas
-// can assert this per vote with Options::check_certifier_index, which keeps
-// the flat path alive as a cross-check in sweeps.
+// The vote checks each candidate slot as it finds it: the fold is a meet, so
+// neither the order of the checks nor a slot checked twice (through two
+// shared objects) changes it.  The result is identical to the flat scan by
+// construction (payloads skipped by the index return kCommit from the
+// pairwise check); replicas can assert this per vote with
+// Options::check_certifier_index, which keeps the flat path alive as a
+// cross-check in sweeps.
 //
-// The index also keeps the slot-ordered L1/L2 id sets incrementally, so the
-// monitor's witness reporting (constraint (10) of Fig. 6 pins T_s exactly)
-// no longer rescans the log either.
+// collect() reports the slot-ordered witness sets the monitor needs
+// (constraint (10) of Fig. 6 pins T_s exactly): P_s from the ordered
+// prepared map below, T_s read off the log itself, which already holds
+// every decided slot — only the monitor and the cross-check call it.
 //
 // Maintenance contract (the embedding replica calls these):
 //   * on_prepared(log, k)  — after slot k enters phase kPrepared with its
 //     vote assigned (leader append, follower ACCEPT, one-sided RAccept);
-//   * on_decided(log, k)   — after slot k enters phase kDecided;
+//   * on_decided(log, k)   — after slot k enters phase kDecided (again, for
+//     a re-sent DECISION: the call is idempotent);
 //   * rebuild(log)         — after wholesale log replacement (NEW_STATE) or
 //     leadership takeover (the log may hold entries this process never saw
 //     individually).
@@ -37,8 +42,8 @@
 // grows by vector resize, so pointers into it are unstable.
 #pragma once
 
+#include <cstddef>
 #include <map>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -79,7 +84,8 @@ class WitnessIndex {
   /// order; feeds the monitor's on_vote_computed.
   Witnesses collect(const ReplicaLog& log, Slot slot) const;
 
-  std::size_t committed_size() const { return committed_.size(); }
+  /// Decided-commit slots indexed so far, each counted once.
+  std::size_t committed_size() const { return committed_count_; }
   std::size_t prepared_size() const { return prepared_.size(); }
 
  private:
@@ -88,19 +94,18 @@ class WitnessIndex {
     Slot slot = kNoSlot;
   };
 
-  void index_prepared_objects(Slot k, const tcs::Payload& p);
-  void unindex_prepared_objects(Slot k, const tcs::Payload& p);
   void index_committed_writer(Slot k, const tcs::Payload& p);
 
-  /// Decided-commit slots in order -> txn id (the monitor's T_s).
-  std::map<Slot, TxnId> committed_;
   /// Prepared slots with commit votes in order -> txn id (the monitor's P_s).
   std::map<Slot, TxnId> prepared_;
   /// object -> committed writer with the highest commit version.
   std::unordered_map<ObjectId, CommittedWriter> committed_writer_;
-  /// object -> prepared (commit-vote) slots reading / writing it.
-  std::unordered_map<ObjectId, std::set<Slot>> prepared_readers_;
-  std::unordered_map<ObjectId, std::set<Slot>> prepared_writers_;
+  /// object -> prepared (commit-vote) slot, once per object the slot's
+  /// payload reads or writes.
+  std::unordered_multimap<ObjectId, Slot> prepared_by_object_;
+  /// Bit k-1: slot k's commit is already counted and indexed.
+  std::vector<bool> committed_seen_;
+  std::size_t committed_count_ = 0;
 };
 
 }  // namespace ratc::commit

@@ -105,7 +105,7 @@ void Replica::handle_rdma_ack(const RdmaAck& ack) {
   for (const auto& [txn, s, follower] : entries) {
     ShardProgress* pr = undecided_progress(txn, s);
     if (pr == nullptr) continue;
-    pr->follower_acks.insert(follower);
+    note_follower_ack(s, *pr, follower);
     check_coordination(txn);
   }
 }

@@ -111,7 +111,8 @@ void ThreadedRuntime::schedule_for(ProcessId owner, Duration delay,
 void ThreadedRuntime::send(ProcessId from, ProcessId to, sim::AnyMessage msg) {
   ProcessRecord* src = find(from);
   if (src != nullptr && src->crashed.load(std::memory_order_acquire)) return;
-  Time t_now = now();
+  // Only observers read the time; without any, skip the clock read.
+  Time t_now = observers_.empty() ? 0 : now();
   // on_send runs on the *sender's* thread: any process state the observer
   // inspects belongs to the acting process (see threaded_runtime.h).
   for (auto* obs : observers_) obs->on_send(t_now, from, to, msg);
@@ -198,7 +199,7 @@ void ThreadedRuntime::worker_loop(std::size_t index) {
     for (ProcessRecord* rec : w.procs) {
       ProcessId to = rec->proc->id();
       std::size_t n = rec->inbox->drain(kDrainBatch, [&](Envelope& env) {
-        Time t_now = now();
+        Time t_now = observers_.empty() ? 0 : now();
         // on_deliver/on_drop + on_message all run here, on the owner's
         // worker — the per-process serialization the protocol code relies on.
         if (rec->crashed.load(std::memory_order_acquire)) {

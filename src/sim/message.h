@@ -12,7 +12,7 @@
 
 #include <cstddef>
 #include <memory>
-#include <typeindex>
+#include <type_traits>
 #include <typeinfo>
 #include <utility>
 
@@ -31,6 +31,13 @@ struct EmptyMessage {
   static constexpr const char* kName = "EMPTY";
 };
 
+/// One object per message type; its address is the type's identity.  An
+/// inline variable has one address program-wide, so comparing tags is one
+/// pointer compare, where std::type_index equality falls back to comparing
+/// the mangled names on every mismatch — and dispatch is mostly mismatches.
+template <typename T>
+inline constexpr char kTypeTag = 0;
+
 class AnyMessage {
  public:
   /// Default: an EmptyMessage placeholder (lets AnyMessage live in standard
@@ -39,7 +46,7 @@ class AnyMessage {
 
   template <typename T>
   explicit AnyMessage(T msg)
-      : ptr_(std::make_shared<T>(std::move(msg))), type_(typeid(T)) {
+      : ptr_(std::make_shared<T>(std::move(msg))), tag_(&kTypeTag<T>) {
     const T& ref = *std::static_pointer_cast<const T>(ptr_);
     if constexpr (HasMessageName<T>) {
       name_ = T::kName;
@@ -56,13 +63,13 @@ class AnyMessage {
   /// Returns the contained message if it has dynamic type T, else nullptr.
   template <typename T>
   const T* as() const {
-    if (type_ != std::type_index(typeid(T))) return nullptr;
+    if (!is<T>()) return nullptr;
     return static_cast<const T*>(ptr_.get());
   }
 
   template <typename T>
   bool is() const {
-    return type_ == std::type_index(typeid(T));
+    return tag_ == &kTypeTag<std::remove_cv_t<T>>;
   }
 
   const char* type_name() const { return name_; }
@@ -70,7 +77,7 @@ class AnyMessage {
 
  private:
   std::shared_ptr<const void> ptr_;
-  std::type_index type_;
+  const char* tag_;  ///< &kTypeTag<T> of the contained type
   const char* name_ = "?";
   std::size_t size_ = 0;
 };

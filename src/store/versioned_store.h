@@ -5,11 +5,16 @@
 // payloads are applied back to it.  This provides the Sec. 2 assumption
 // that "transactions submitted for certification only read versions written
 // by previously committed transactions".
+//
+// SnapshotStore, the multi-version store replicas serve CSN reads from and
+// file every commit into, hashes its object table: it is never listed, and
+// a hash probe is what every snapshot read and every decision apply pays.
 #pragma once
 
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -123,7 +128,7 @@ class SnapshotStore {
     bool truncated = false;             ///< oldest versions evicted
   };
   std::size_t history_depth_;
-  std::map<ObjectId, ObjHistory> data_;
+  std::unordered_map<ObjectId, ObjHistory> data_;
 };
 
 }  // namespace ratc::store

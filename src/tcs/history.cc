@@ -6,13 +6,14 @@
 namespace ratc::tcs {
 
 void History::record_certify(Time time, TxnId txn, Payload payload) {
+  TxnRecord& rec = txns_[txn];
+  if (rec.certify_event == kNoEvent) rec.certify_event = events_.size();
   HistoryEvent ev;
   ev.kind = HistoryEvent::Kind::kCertify;
   ev.time = time;
   ev.txn = txn;
-  ev.payload = payload;
+  ev.payload = std::move(payload);
   events_.push_back(std::move(ev));
-  payloads_.emplace(txn, std::move(payload));
 }
 
 void History::record_decide(Time time, TxnId txn, Decision d, Csn csn) {
@@ -21,65 +22,80 @@ void History::record_decide(Time time, TxnId txn, Decision d, Csn csn) {
   ev.time = time;
   ev.txn = txn;
   ev.decision = d;
-  events_.push_back(ev);
-  first_decision_.emplace(txn, d);
-  first_decide_time_.emplace(txn, time);
-  if (d == Decision::kCommit && csn.ts != 0) csns_.emplace(txn, csn);
+  events_.push_back(std::move(ev));
+  TxnRecord& rec = txns_[txn];
+  if (!rec.decision) {
+    rec.decision = d;
+    rec.decide_time = time;
+  }
+  if (d == Decision::kCommit && csn.ts != 0 && rec.csn.ts == 0) rec.csn = csn;
 }
 
 void History::record_snapshot_read(SnapshotReadRecord read) {
   snapshot_reads_.push_back(std::move(read));
 }
 
+const History::TxnRecord* History::txn_record(TxnId t) const {
+  auto it = txns_.find(t);
+  return it == txns_.end() ? nullptr : &it->second;
+}
+
+bool History::certified(TxnId t) const {
+  const TxnRecord* rec = txn_record(t);
+  return rec != nullptr && rec->certify_event != kNoEvent;
+}
+
 std::optional<Decision> History::decision_of(TxnId t) const {
-  auto it = first_decision_.find(t);
-  if (it == first_decision_.end()) return std::nullopt;
-  return it->second;
+  const TxnRecord* rec = txn_record(t);
+  return rec == nullptr ? std::nullopt : rec->decision;
 }
 
 const Payload* History::payload_of(TxnId t) const {
-  auto it = payloads_.find(t);
-  return it == payloads_.end() ? nullptr : &it->second;
+  const TxnRecord* rec = txn_record(t);
+  if (rec == nullptr || rec->certify_event == kNoEvent) return nullptr;
+  return &events_[rec->certify_event].payload;
 }
 
 std::optional<Csn> History::csn_of(TxnId t) const {
-  auto it = csns_.find(t);
-  if (it == csns_.end()) return std::nullopt;
-  return it->second;
+  const TxnRecord* rec = txn_record(t);
+  if (rec == nullptr || rec->csn.ts == 0) return std::nullopt;
+  return rec->csn;
 }
 
 std::optional<Time> History::first_decide_time(TxnId t) const {
-  auto it = first_decide_time_.find(t);
-  if (it == first_decide_time_.end()) return std::nullopt;
-  return it->second;
+  const TxnRecord* rec = txn_record(t);
+  if (rec == nullptr || !rec->decision) return std::nullopt;
+  return rec->decide_time;
 }
 
 bool History::complete() const {
-  for (const auto& [t, _] : payloads_) {
-    if (first_decision_.count(t) == 0) return false;
+  for (const auto& [t, rec] : txns_) {
+    if (rec.certify_event != kNoEvent && !rec.decision) return false;
   }
   return true;
 }
 
 std::vector<TxnId> History::all_txns() const {
   std::vector<TxnId> out;
-  out.reserve(payloads_.size());
-  for (const auto& [t, _] : payloads_) out.push_back(t);
+  out.reserve(txns_.size());
+  for (const auto& [t, rec] : txns_) {
+    if (rec.certify_event != kNoEvent) out.push_back(t);
+  }
   return out;
 }
 
 std::vector<TxnId> History::committed_txns() const {
   std::vector<TxnId> out;
-  for (const auto& [t, d] : first_decision_) {
-    if (d == Decision::kCommit) out.push_back(t);
+  for (const auto& [t, rec] : txns_) {
+    if (rec.decision == Decision::kCommit) out.push_back(t);
   }
   return out;
 }
 
 std::size_t History::aborted_count() const {
   std::size_t n = 0;
-  for (const auto& [t, d] : first_decision_) {
-    if (d == Decision::kAbort) ++n;
+  for (const auto& [t, rec] : txns_) {
+    if (rec.decision == Decision::kAbort) ++n;
   }
   return n;
 }
@@ -88,8 +104,7 @@ std::vector<TxnId> History::conflicting_decisions() const {
   std::set<TxnId> bad;
   for (const auto& ev : events_) {
     if (ev.kind != HistoryEvent::Kind::kDecide) continue;
-    auto it = first_decision_.find(ev.txn);
-    if (it != first_decision_.end() && it->second != ev.decision) bad.insert(ev.txn);
+    if (decision_of(ev.txn) != ev.decision) bad.insert(ev.txn);
   }
   return {bad.begin(), bad.end()};
 }

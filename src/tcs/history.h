@@ -3,8 +3,17 @@
 // with snapshot-read records (read-only transactions served at a CSN
 // snapshot with zero certification messages; checker/snapshot.h validates
 // them against the committed writers).
+//
+// Storage: the event list holds every action, and each payload lives only
+// in its certify event.  Beside it, one record per transaction (ordered by
+// id, so the transaction lists come out ascending) holds what the queries
+// need: the index of the first certify event, and the first decision with
+// its time and the first commit csn.  payload_of() therefore points into
+// the event list, and the pointer stays valid only until the next record_*
+// call, which may grow the list.  Use it at once, or on a finished history.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -62,8 +71,9 @@ class History {
     return snapshot_reads_;
   }
 
-  bool certified(TxnId t) const { return payloads_.count(t) > 0; }
+  bool certified(TxnId t) const;
   std::optional<Decision> decision_of(TxnId t) const;
+  /// t's first certified payload, or null; valid until the next record_*.
   const Payload* payload_of(TxnId t) const;
 
   /// Commit sequence number externalized with t's first commit decision
@@ -88,12 +98,21 @@ class History {
   std::string to_string() const;
 
  private:
+  static constexpr std::size_t kNoEvent = static_cast<std::size_t>(-1);
+
+  /// What the queries need of one transaction.
+  struct TxnRecord {
+    std::size_t certify_event = kNoEvent;  ///< index of the first certify
+    std::optional<Decision> decision;       ///< the first decision
+    Time decide_time = 0;                   ///< when it was recorded
+    Csn csn;  ///< of the first commit decision carrying one (ts 0 = none)
+  };
+
+  const TxnRecord* txn_record(TxnId t) const;
+
   std::vector<HistoryEvent> events_;
   std::vector<SnapshotReadRecord> snapshot_reads_;
-  std::map<TxnId, Payload> payloads_;
-  std::map<TxnId, Decision> first_decision_;
-  std::map<TxnId, Time> first_decide_time_;
-  std::map<TxnId, Csn> csns_;
+  std::map<TxnId, TxnRecord> txns_;
 };
 
 }  // namespace ratc::tcs

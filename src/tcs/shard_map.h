@@ -7,7 +7,8 @@
 // transaction prepared.
 #pragma once
 
-#include <set>
+#include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "common/types.h"
@@ -30,24 +31,32 @@ class ShardMap {
   Payload project(const Payload& l, ShardId s) const {
     Payload out;
     out.commit_version = l.commit_version;
-    for (const auto& r : l.reads) {
-      if (shard_of(r.object) == s) out.reads.push_back(r);
-    }
-    for (const auto& w : l.writes) {
-      if (shard_of(w.object) == s) out.writes.push_back(w);
-    }
+    copy_on_shard(l.reads, s, out.reads);
+    copy_on_shard(l.writes, s, out.writes);
     return out;
   }
 
   /// shards(t): the sorted set of shards that must certify the payload.
   std::vector<ShardId> shards_of(const Payload& l) const {
-    std::set<ShardId> s;
-    for (const auto& r : l.reads) s.insert(shard_of(r.object));
-    for (const auto& w : l.writes) s.insert(shard_of(w.object));
-    return {s.begin(), s.end()};
+    std::vector<ShardId> s;
+    s.reserve(l.reads.size() + l.writes.size());
+    for (const auto& r : l.reads) s.push_back(shard_of(r.object));
+    for (const auto& w : l.writes) s.push_back(shard_of(w.object));
+    std::sort(s.begin(), s.end());
+    s.erase(std::unique(s.begin(), s.end()), s.end());
+    return s;
   }
 
  private:
+  /// Appends the entries of `in` stored on shard s to `out`, allocating
+  /// once, at the exact size.
+  template <typename Entry>
+  void copy_on_shard(const std::vector<Entry>& in, ShardId s, std::vector<Entry>& out) const {
+    auto on_s = [&](const Entry& e) { return shard_of(e.object) == s; };
+    out.reserve(static_cast<std::size_t>(std::count_if(in.begin(), in.end(), on_s)));
+    std::copy_if(in.begin(), in.end(), std::back_inserter(out), on_s);
+  }
+
   std::uint32_t num_shards_;
 };
 

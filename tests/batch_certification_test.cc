@@ -97,8 +97,9 @@ void expect_same_witnesses(const WitnessIndex::Witnesses& idx,
 
 /// Grows a random log slot by slot the way a leader does — vote on the new
 /// payload first, then index it — while randomly deciding earlier prepared
-/// slots.  At every step the incremental index must agree with the flat
-/// scan on the vote and the witness sets.
+/// slots and re-applying random earlier decisions (a re-sent DECISION).  At
+/// every step the incremental index must agree with the flat scan on the
+/// vote, the witness sets and the committed/prepared counts.
 void run_index_equivalence(const tcs::Certifier& cert, std::uint64_t seed) {
   Rng rng(seed);
   ReplicaLog log;
@@ -106,6 +107,7 @@ void run_index_equivalence(const tcs::Certifier& cert, std::uint64_t seed) {
   constexpr Slot kSlots = 120;
   constexpr ObjectId kUniverse = 12;
   std::vector<Slot> prepared_slots;
+  std::vector<Slot> decided_slots;
   for (Slot k = 1; k <= kSlots; ++k) {
     Payload l = random_payload(rng, kUniverse);
     // Vote before the slot is indexed (the leader votes on the fresh top).
@@ -115,6 +117,8 @@ void run_index_equivalence(const tcs::Certifier& cert, std::uint64_t seed) {
     ASSERT_EQ(indexed, expected)
         << cert.name() << " vote diverged at slot " << k << " (seed " << seed << ")";
     expect_same_witnesses(idx.collect(log, k), flat, k);
+    ASSERT_EQ(idx.committed_size(), flat.committed.size()) << "before slot " << k;
+    ASSERT_EQ(idx.prepared_size(), flat.prepared.size()) << "before slot " << k;
 
     LogEntry& e = log.at(k);
     e.txn = static_cast<TxnId>(k);
@@ -136,6 +140,12 @@ void run_index_equivalence(const tcs::Certifier& cert, std::uint64_t seed) {
                                                                : Decision::kAbort;
       d.phase = Phase::kDecided;
       idx.on_decided(log, j);
+      decided_slots.push_back(j);
+    }
+    // Re-apply an earlier decision about a third of the time: the index must
+    // neither count it twice nor disturb the prepared side.
+    if (!decided_slots.empty() && rng.chance(0.35)) {
+      idx.on_decided(log, decided_slots[rng.below(decided_slots.size())]);
     }
   }
 
@@ -143,10 +153,14 @@ void run_index_equivalence(const tcs::Certifier& cert, std::uint64_t seed) {
   // maintained index (NEW_STATE / takeover path).
   WitnessIndex rebuilt;
   rebuilt.rebuild(log);
+  Slot top = static_cast<Slot>(log.size() + 1);
+  WitnessIndex::Witnesses final_flat = flat_collect(log, top);
+  EXPECT_EQ(idx.committed_size(), final_flat.committed.size());
+  EXPECT_EQ(idx.prepared_size(), final_flat.prepared.size());
   EXPECT_EQ(rebuilt.committed_size(), idx.committed_size());
   EXPECT_EQ(rebuilt.prepared_size(), idx.prepared_size());
-  Slot top = static_cast<Slot>(log.size() + 1);
-  expect_same_witnesses(rebuilt.collect(log, top), flat_collect(log, top), top);
+  expect_same_witnesses(idx.collect(log, top), final_flat, top);
+  expect_same_witnesses(rebuilt.collect(log, top), final_flat, top);
   for (int probe = 0; probe < 20; ++probe) {
     Payload l = random_payload(rng, kUniverse);
     WitnessIndex::Witnesses flat = flat_collect(log, top);

@@ -137,6 +137,60 @@ TEST(History, DuplicateConsistentDecisionsAreFine) {
   EXPECT_EQ(h.aborted_count(), 1u);
 }
 
+TEST(History, CertifiedTwiceKeepsFirstPayloadAndBothEvents) {
+  History h;
+  Payload first = make_payload({{1, 0}}, {{1, 7}}, 1);
+  Payload second = make_payload({{2, 3}}, {}, 4);
+  h.record_certify(1, 5, first);
+  h.record_certify(2, 5, second);
+  ASSERT_NE(h.payload_of(5), nullptr);
+  EXPECT_EQ(*h.payload_of(5), first);
+  ASSERT_EQ(h.events().size(), 2u);
+  EXPECT_EQ(h.events()[0].kind, HistoryEvent::Kind::kCertify);
+  EXPECT_EQ(h.events()[0].payload, first);
+  EXPECT_EQ(h.events()[1].kind, HistoryEvent::Kind::kCertify);
+  EXPECT_EQ(h.events()[1].payload, second);
+  EXPECT_EQ(h.all_txns(), (std::vector<TxnId>{5}));
+}
+
+TEST(History, DecideWithoutCertifyIsNotACertifiedTransaction) {
+  History h;
+  h.record_certify(1, 1, empty_payload());
+  h.record_decide(2, 1, Decision::kAbort);
+  h.record_decide(3, 9, Decision::kCommit);  // never certified here
+  EXPECT_EQ(h.decision_of(9), Decision::kCommit);
+  EXPECT_FALSE(h.certified(9));
+  EXPECT_EQ(h.payload_of(9), nullptr);
+  EXPECT_EQ(h.all_txns(), (std::vector<TxnId>{1}));
+  EXPECT_EQ(h.committed_txns(), (std::vector<TxnId>{9}));
+  EXPECT_EQ(h.aborted_count(), 1u);
+  EXPECT_TRUE(h.complete());
+}
+
+TEST(History, FirstDecisionTimeAndCsnSurviveAConflictingDecide) {
+  History h;
+  h.record_certify(1, 3, make_payload({{1, 0}}, {{1, 7}}, 1));
+  h.record_decide(10, 3, Decision::kCommit, Csn{7, 3});
+  h.record_decide(20, 3, Decision::kAbort);
+  EXPECT_EQ(h.decision_of(3), Decision::kCommit);
+  EXPECT_EQ(h.first_decide_time(3), Time{10});
+  EXPECT_EQ(h.csn_of(3), (Csn{7, 3}));
+  EXPECT_EQ(h.conflicting_decisions(), (std::vector<TxnId>{3}));
+  EXPECT_EQ(h.committed_txns(), (std::vector<TxnId>{3}));
+  EXPECT_EQ(h.aborted_count(), 0u);
+}
+
+TEST(History, TransactionListsAscendAfterOutOfOrderCertifies) {
+  History h;
+  for (TxnId t : {5, 2, 9, 1}) h.record_certify(t, t, empty_payload());
+  EXPECT_EQ(h.all_txns(), (std::vector<TxnId>{1, 2, 5, 9}));
+  for (TxnId t : {9, 1, 5}) h.record_decide(10 + t, t, Decision::kCommit);
+  EXPECT_EQ(h.committed_txns(), (std::vector<TxnId>{1, 5, 9}));
+  EXPECT_FALSE(h.complete());
+  EXPECT_FALSE(h.first_decide_time(2).has_value());
+  EXPECT_EQ(h.first_decide_time(9), Time{19});
+}
+
 TEST(History, ToStringMentionsActions) {
   History h;
   h.record_certify(1, 42, empty_payload());
