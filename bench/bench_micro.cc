@@ -104,15 +104,20 @@ void BM_SimulatorEventQueueChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEventQueueChurn);
 
+// Full protocol round trips per iteration batch: 2 shards x 2 replicas,
+// with the invariant monitor off or on, over 100 or 1,000 transactions.  The
+// monitor's cost per transaction is the on/off gap; that it grows with the
+// log is Inv 1's O(slot) leader-prefix snapshot per acceptance.
 void BM_EndToEndCertification(benchmark::State& state) {
-  // Full protocol round trips per iteration batch: 2 shards x 2 replicas.
+  const bool monitor = state.range(0) != 0;
+  const int txns = static_cast<int>(state.range(1));
   for (auto _ : state) {
     state.PauseTiming();
     commit::Cluster cluster({.seed = 4, .num_shards = 2, .shard_size = 2,
-                             .enable_monitor = false});
+                             .enable_monitor = monitor});
     commit::Client& client = cluster.add_client();
     state.ResumeTiming();
-    for (int i = 0; i < 100; ++i) {
+    for (int i = 0; i < txns; ++i) {
       tcs::Payload p;
       p.reads = {{static_cast<ObjectId>(2 * i), 0}, {static_cast<ObjectId>(2 * i + 1), 0}};
       p.writes = {{static_cast<ObjectId>(2 * i), 1}};
@@ -121,9 +126,11 @@ void BM_EndToEndCertification(benchmark::State& state) {
     }
     cluster.sim().run();
   }
-  state.SetItemsProcessed(state.iterations() * 100);
+  state.SetItemsProcessed(state.iterations() * txns);
 }
-BENCHMARK(BM_EndToEndCertification);
+BENCHMARK(BM_EndToEndCertification)
+    ->ArgNames({"monitor", "txns"})
+    ->ArgsProduct({{0, 1}, {100, 1000}});
 
 /// A certification log of n slots with the last 1% still prepared (the
 /// shape perfbench's replay uses), and its prepared slots as a replica's

@@ -4,13 +4,11 @@
 #include <set>
 #include <sstream>
 
-#include "commit/replica.h"
-
 namespace ratc::commit {
 
 using tcs::Decision;
 
-void Monitor::register_replica(Replica* r) {
+void Monitor::register_replica(const ReplicaCore* r) {
   std::lock_guard<std::mutex> lock(mu_);
   replicas_[r->id()] = r;
 }
@@ -20,12 +18,27 @@ void Monitor::register_config(ShardId shard, const configsvc::ShardConfig& confi
   register_config_locked(shard, config);
 }
 
+void Monitor::on_new_config(ProcessId leader, Epoch epoch,
+                            const std::vector<ProcessId>& members) {
+  std::lock_guard<std::mutex> lock(mu_);
+  register_new_config_locked(leader, epoch, members);
+}
+
+void Monitor::register_new_config_locked(ProcessId leader, Epoch epoch,
+                                         const std::vector<ProcessId>& members) {
+  const ReplicaCore* r = replica_of(leader);
+  if (r == nullptr) return;
+  configsvc::ShardConfig cfg;
+  cfg.epoch = epoch;
+  cfg.members = members;
+  cfg.leader = leader;
+  register_config_locked(r->shard(), cfg);
+}
+
 void Monitor::register_config_locked(ShardId shard,
                                      const configsvc::ShardConfig& config) {
   auto& by_epoch = configs_[shard];
-  auto [it, inserted] = by_epoch.emplace(config.epoch, config);
-  (void)it;
-  if (!inserted) return;
+  if (!by_epoch.emplace(config.epoch, config).second) return;
   // Inv 5: a process that was skipped by a *fully accepted* epoch e (member
   // before e but not at e) must never appear in a configuration after e.
   for (const auto& [key, acc] : acceptances_) {
@@ -48,14 +61,9 @@ void Monitor::register_config_locked(ShardId shard,
   }
 }
 
-Replica* Monitor::replica_of(ProcessId pid) const {
+const ReplicaCore* Monitor::replica_of(ProcessId pid) const {
   auto it = replicas_.find(pid);
   return it == replicas_.end() ? nullptr : it->second;
-}
-
-ShardId Monitor::shard_of(ProcessId pid) const {
-  auto it = replicas_.find(pid);
-  return it == replicas_.end() ? 0 : it->second->shard();
 }
 
 const configsvc::ShardConfig* Monitor::config_of(ShardId shard, Epoch epoch) const {
@@ -72,6 +80,8 @@ void Monitor::report(const std::string& invariant, const std::string& details) {
   sink_.report(rt_.now(), invariant, details);
 }
 
+// --- core events --------------------------------------------------------------
+
 void Monitor::on_vote_computed(ShardId shard, Epoch epoch, Slot slot, TxnId txn,
                                Decision vote, const tcs::Payload& payload,
                                std::vector<TxnId> committed_against,
@@ -85,8 +95,8 @@ void Monitor::on_vote_computed(ShardId shard, Epoch epoch, Slot slot, TxnId txn,
   votes_[{shard, slot, txn}][epoch] = std::move(rec);
 }
 
-void Monitor::on_local_decision(TxnId txn, Decision d) {
-  std::lock_guard<std::mutex> lock(mu_);
+void Monitor::check_decision(TxnId txn, Decision d) {
+  // Inv 4b: one decision per transaction, across coordinators and clients.
   auto [it, inserted] = decided_.emplace(txn, d);
   if (!inserted && it->second != d) {
     report("Invariant4b", "txn" + std::to_string(txn) + " decided both " +
@@ -94,220 +104,35 @@ void Monitor::on_local_decision(TxnId txn, Decision d) {
   }
 }
 
-void Monitor::observe_prepare_ack(ProcessId from, const PrepareAck& pa) {
-  // Snapshot the leader's arrays up to the slot — the reference state for
-  // Invariants 1 and 2.
-  AcceptKey key{pa.shard, pa.epoch, pa.slot};
-  if (acceptances_.count(key) != 0) return;
-  Acceptance acc;
-  acc.shard = pa.shard;
-  acc.epoch = pa.epoch;
-  acc.slot = pa.slot;
-  acc.txn = pa.txn;
-  acc.payload = pa.payload;
-  acc.vote = pa.vote;
-  Replica* leader = replica_of(from);
-  if (leader != nullptr) {
-    acc.leader_prefix.resize(pa.slot);
-    for (Slot k = 1; k <= pa.slot; ++k) {
-      const LogEntry* e = leader->log().find(k);
-      SnapshotEntry& snap = acc.leader_prefix[k - 1];
-      if (e != nullptr && e->filled()) {
-        snap.filled = true;
-        snap.txn = e->txn;
-        snap.vote = e->vote;
-        snap.payload = e->payload;
-      }
-    }
-  }
-  auto [it, _] = acceptances_.emplace(key, std::move(acc));
-  maybe_complete(it->second);  // zero-follower configurations
-}
-
-void Monitor::observe_accept(const Accept& a) {
-  // Inv 6: ACCEPTs for the same (epoch, slot) to a shard agree on
-  // transaction, payload and vote.
-  AcceptKey key{a.shard, a.epoch, a.slot};
-  auto it = accept_sent_.find(key);
-  if (it == accept_sent_.end()) {
-    accept_sent_.emplace(key, std::make_tuple(a.txn, a.payload, a.vote));
-  } else {
-    const auto& [t0, l0, d0] = it->second;
-    if (t0 != a.txn || !(l0 == a.payload) || d0 != a.vote) {
-      report("Invariant6", "conflicting ACCEPT(e=" + std::to_string(a.epoch) +
-                               ",k=" + std::to_string(a.slot) + ") at s" +
-                               std::to_string(a.shard));
-    }
-  }
-  // Inv 9: the same transaction maps to a single slot per epoch.
-  auto slot_it = accept_slot_.find({a.shard, a.epoch, a.txn});
-  if (slot_it == accept_slot_.end()) {
-    accept_slot_.emplace(std::make_tuple(a.shard, a.epoch, a.txn), a.slot);
-  } else if (slot_it->second != a.slot) {
-    report("Invariant9", "txn" + std::to_string(a.txn) + " accepted at slots " +
-                             std::to_string(slot_it->second) + " and " +
-                             std::to_string(a.slot) + " in epoch " +
-                             std::to_string(a.epoch));
-  }
-}
-
-void Monitor::observe_accept_ack(ProcessId from, const AcceptAck& aa) {
-  // Inv 3: no ACCEPT_ACK below an acknowledged PROBE epoch.
-  auto pit = probe_acked_.find(from);
-  if (pit != probe_acked_.end() && aa.epoch < pit->second) {
-    report("Invariant3", process_name(from) + " acked ACCEPT at epoch " +
-                             std::to_string(aa.epoch) + " after promising epoch " +
-                             std::to_string(pit->second));
-  }
-  AcceptKey key{aa.shard, aa.epoch, aa.slot};
-  auto it = acceptances_.find(key);
-  if (it != acceptances_.end() && it->second.txn == aa.txn) {
-    // Inv 1: the follower's prefix matches the leader snapshot.
-    Replica* follower = replica_of(from);
-    if (follower != nullptr) {
-      check_prefix_against_leader(*follower, it->second, "Invariant1");
-    }
-    it->second.acks.insert(from);
-    maybe_complete(it->second);
-  }
-}
-
-void Monitor::on_send(Time now, ProcessId from, ProcessId to,
-                      const sim::AnyMessage& msg) {
-  (void)now;
+void Monitor::on_decided(ShardId shard, Slot slot, TxnId txn, Decision d) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Batched wire forms carry the same protocol steps as their scalar
-  // counterparts; the monitor observes each item or the acceptance records
-  // (and with them TCS-LL's inputs) silently go missing for batched runs.
-  if (const auto* pa = msg.as<PrepareAck>()) {
-    observe_prepare_ack(from, *pa);
-  } else if (const auto* pab = msg.as<PrepareAckBatch>()) {
-    for (const PrepareAck& item : pab->items) observe_prepare_ack(from, item);
-  } else if (const auto* a = msg.as<Accept>()) {
-    observe_accept(*a);
-  } else if (const auto* ab = msg.as<AcceptBatch>()) {
-    for (const Accept& item : ab->items) observe_accept(item);
-  } else if (const auto* aa = msg.as<AcceptAck>()) {
-    observe_accept_ack(from, *aa);
-  } else if (const auto* aab = msg.as<AcceptAckBatch>()) {
-    for (const AcceptAck& item : aab->items) observe_accept_ack(from, item);
-  } else if (const auto* pr = msg.as<ProbeAck>()) {
-    Epoch& e = probe_acked_[from];
-    e = std::max(e, pr->epoch);
-  } else if (const auto* nc = msg.as<NewConfig>()) {
-    // The recipient is the new leader of its shard.
-    configsvc::ShardConfig cfg;
-    cfg.epoch = nc->epoch;
-    cfg.members = nc->members;
-    cfg.leader = to;
-    register_config_locked(shard_of(to), cfg);
-  } else if (const auto* d = msg.as<DecisionMsg>()) {
-    // Inv 4a: one decision per slot of a shard.
-    auto [it, inserted] = slot_decision_.emplace(std::make_pair(d->shard, d->slot),
-                                                 d->decision);
-    if (!inserted && it->second != d->decision) {
-      report("Invariant4a", "slot " + std::to_string(d->slot) + " of s" +
-                                std::to_string(d->shard) + " decided both ways");
-    }
-    auto [dit, dinserted] = decided_.emplace(d->txn, d->decision);
-    if (!dinserted && dit->second != d->decision) {
-      report("Invariant4b", "txn" + std::to_string(d->txn) + " decided both " +
-                                tcs::to_string(dit->second) + " and " +
-                                tcs::to_string(d->decision));
-    }
-  } else if (const auto* cd = msg.as<ClientDecision>()) {
-    // Inv 4b at the client boundary.
-    auto [it, inserted] = decided_.emplace(cd->txn, cd->decision);
-    if (!inserted && it->second != cd->decision) {
-      report("Invariant4b", "txn" + std::to_string(cd->txn) + " externalized both " +
-                                tcs::to_string(it->second) + " and " +
-                                tcs::to_string(cd->decision));
-    }
+  // Inv 4a: one decision per slot of a shard.
+  auto [it, inserted] = slot_decision_.emplace(std::make_pair(shard, slot), d);
+  if (!inserted && it->second != d) {
+    report("Invariant4a", "slot " + std::to_string(slot) + " of s" +
+                              std::to_string(shard) + " decided both ways");
   }
+  check_decision(txn, d);
 }
 
-void Monitor::on_deliver(Time now, ProcessId from, ProcessId to,
-                         const sim::AnyMessage& msg) {
-  (void)now;
-  (void)from;
+void Monitor::on_client_decision(TxnId txn, Decision d) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (const auto* d = msg.as<DecisionMsg>()) {
-    // Inv 12b: a commit decision must land on a slot whose vote was commit.
-    Replica* r = replica_of(to);
-    if (r == nullptr || d->decision != Decision::kCommit) return;
-    // Mirror the handler's own precondition (line 31): ignore deliveries the
-    // replica will ignore.
-    if (r->status() == Status::kReconfiguring || r->epoch() < d->epoch) return;
-    const LogEntry* e = r->log().find(d->slot);
-    if (e == nullptr || !e->filled()) {
-      report("Invariant12b", "commit decision for unfilled slot " +
-                                 std::to_string(d->slot) + " at " + process_name(to));
-    } else if (e->vote != Decision::kCommit) {
-      report("Invariant12b", "commit decision for slot " + std::to_string(d->slot) +
-                                 " with abort vote at " + process_name(to));
-    }
-  }
+  check_decision(txn, d);
 }
 
-void Monitor::maybe_complete(Acceptance& acc) {
-  if (acc.complete) return;
-  const configsvc::ShardConfig* cfg = config_of(acc.shard, acc.epoch);
-  if (cfg == nullptr) return;
-  for (ProcessId f : cfg->followers()) {
-    if (acc.acks.count(f) == 0) return;
-  }
-  acc.complete = true;
-  // Inv 11b: one (slot, payload, vote) per accepted transaction per shard.
-  auto key = std::make_pair(acc.shard, acc.txn);
-  auto it = accepted_txn_.find(key);
-  if (it == accepted_txn_.end()) {
-    accepted_txn_.emplace(key, AcceptKey{acc.shard, acc.epoch, acc.slot});
-  } else {
-    const Acceptance& first = acceptances_.at(it->second);
-    if (first.slot != acc.slot || !(first.payload == acc.payload) ||
-        first.vote != acc.vote) {
-      report("Invariant11b", "txn" + std::to_string(acc.txn) +
-                                 " accepted differently at epochs " +
-                                 std::to_string(first.epoch) + " and " +
-                                 std::to_string(acc.epoch));
-    }
-  }
-  // Inv 11a: one (txn, payload, vote) per accepted slot per shard.
-  auto& same_slot = complete_by_slot_[{acc.shard, acc.slot}];
-  for (const AcceptKey& k : same_slot) {
-    const Acceptance& other = acceptances_.at(k);
-    if (other.epoch == acc.epoch) continue;
-    if (other.txn != acc.txn || !(other.payload == acc.payload) ||
-        other.vote != acc.vote) {
-      report("Invariant11a", "slot " + std::to_string(acc.slot) + " of s" +
-                                 std::to_string(acc.shard) +
-                                 " accepted different transactions across epochs");
-    }
-  }
-  same_slot.push_back(AcceptKey{acc.shard, acc.epoch, acc.slot});
-}
-
-void Monitor::check_prefix_against_leader(const ReplicaCore& replica,
-                                          const Acceptance& acc,
-                                          const char* invariant) {
-  // Compare slots where both sides are defined: a follower log may have
-  // holes, since ACCEPTs come from coordinators and arrive unordered, and the
-  // paper's ≺ relation permits them.  The accepted slot itself must be
-  // present and equal when checking Inv 2 after an epoch installation.
-  for (Slot k = 1; k <= acc.slot; ++k) {
-    const SnapshotEntry& snap = acc.leader_prefix.size() >= k
-                                    ? acc.leader_prefix[k - 1]
-                                    : SnapshotEntry{};
-    const LogEntry* mine = replica.log().find(k);
-    bool mine_filled = mine != nullptr && mine->filled();
-    if (!mine_filled || !snap.filled) continue;
-    if (mine->txn != snap.txn || !(mine->payload == snap.payload) ||
-        mine->vote != snap.vote) {
-      std::ostringstream os;
-      os << process_name(replica.id()) << " diverges from leader snapshot at slot "
-         << k << " (accepted slot " << acc.slot << ", epoch " << acc.epoch << ")";
-      report(invariant, os.str());
-    }
+void Monitor::on_decision_applied(const ReplicaCore& replica, Slot slot, TxnId txn,
+                                  Decision d) {
+  (void)txn;
+  if (d != Decision::kCommit) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  // Inv 12b: a commit decision must land on a slot whose vote was commit.
+  const LogEntry* e = replica.log().find(slot);
+  if (e == nullptr || !e->filled()) {
+    report("Invariant12b", "commit decision for unfilled slot " + std::to_string(slot) +
+                               " at " + process_name(replica.id()));
+  } else if (e->vote != Decision::kCommit) {
+    report("Invariant12b", "commit decision for slot " + std::to_string(slot) +
+                               " with abort vote at " + process_name(replica.id()));
   }
 }
 
@@ -355,6 +180,207 @@ void Monitor::on_epoch_installed(const ReplicaCore& replica) {
     check_prefix_against_leader(replica, acc, "Invariant2");
   }
 }
+
+// --- acceptances ----------------------------------------------------------------
+
+void Monitor::open_acceptance(const ReplicaCore* leader, const SlotRecord& r) {
+  AcceptKey key{r.shard, r.epoch, r.slot};
+  if (acceptances_.count(key) != 0) return;
+  Acceptance acc;
+  acc.shard = r.shard;
+  acc.epoch = r.epoch;
+  acc.slot = r.slot;
+  acc.txn = r.txn;
+  acc.payload = *r.payload;
+  acc.vote = r.vote;
+  if (leader != nullptr) {
+    // Snapshot the leader's arrays up to the slot — the reference state for
+    // Invariants 1 and 2.
+    acc.leader_prefix.resize(r.slot);
+    for (Slot k = 1; k <= r.slot; ++k) {
+      const LogEntry* e = leader->log().find(k);
+      SnapshotEntry& snap = acc.leader_prefix[k - 1];
+      if (e != nullptr && e->filled()) {
+        snap.filled = true;
+        snap.txn = e->txn;
+        snap.vote = e->vote;
+        snap.payload = e->payload;
+      }
+    }
+  }
+  auto [it, _] = acceptances_.emplace(key, std::move(acc));
+  maybe_complete(it->second);  // zero-follower configurations
+}
+
+void Monitor::check_replication(const SlotRecord& r) {
+  // Inv 6: replication records for the same (epoch, slot) of a shard agree
+  // on transaction, payload and vote.
+  AcceptKey key{r.shard, r.epoch, r.slot};
+  auto it = accept_sent_.find(key);
+  if (it == accept_sent_.end()) {
+    accept_sent_.emplace(key, std::make_tuple(r.txn, *r.payload, r.vote));
+  } else {
+    const auto& [t0, l0, d0] = it->second;
+    if (t0 != r.txn || !(l0 == *r.payload) || d0 != r.vote) {
+      report("Invariant6", "conflicting ACCEPT(e=" + std::to_string(r.epoch) +
+                               ",k=" + std::to_string(r.slot) + ") at s" +
+                               std::to_string(r.shard));
+    }
+  }
+  // Inv 9: the same transaction maps to a single slot per epoch.
+  auto slot_it = accept_slot_.find({r.shard, r.epoch, r.txn});
+  if (slot_it == accept_slot_.end()) {
+    accept_slot_.emplace(std::make_tuple(r.shard, r.epoch, r.txn), r.slot);
+  } else if (slot_it->second != r.slot) {
+    report("Invariant9", "txn" + std::to_string(r.txn) + " accepted at slots " +
+                             std::to_string(slot_it->second) + " and " +
+                             std::to_string(r.slot) + " in epoch " +
+                             std::to_string(r.epoch));
+  }
+}
+
+void Monitor::record_ack(ProcessId from, const AcceptKey& key, TxnId txn) {
+  auto it = acceptances_.find(key);
+  if (it == acceptances_.end() || it->second.txn != txn) return;
+  // Inv 1: the follower's prefix matches the leader snapshot.
+  if (const ReplicaCore* follower = replica_of(from); follower != nullptr) {
+    check_prefix_against_leader(*follower, it->second, "Invariant1");
+  }
+  it->second.acks.insert(from);
+  maybe_complete(it->second);
+}
+
+void Monitor::maybe_complete(Acceptance& acc) {
+  if (acc.complete) return;
+  const configsvc::ShardConfig* cfg = config_of(acc.shard, acc.epoch);
+  if (cfg == nullptr) return;
+  for (ProcessId f : cfg->followers()) {
+    if (acc.acks.count(f) == 0) return;
+  }
+  acc.complete = true;
+  // Inv 11b: one (slot, payload, vote) per accepted transaction per shard.
+  auto key = std::make_pair(acc.shard, acc.txn);
+  auto it = accepted_txn_.find(key);
+  if (it == accepted_txn_.end()) {
+    accepted_txn_.emplace(key, AcceptKey{acc.shard, acc.epoch, acc.slot});
+  } else {
+    const Acceptance& first = acceptances_.at(it->second);
+    if (first.slot != acc.slot || !(first.payload == acc.payload) ||
+        first.vote != acc.vote) {
+      report("Invariant11b", "txn" + std::to_string(acc.txn) +
+                                 " accepted differently at epochs " +
+                                 std::to_string(first.epoch) + " and " +
+                                 std::to_string(acc.epoch));
+    }
+  }
+  // Inv 11a: one (txn, payload, vote) per accepted slot per shard.
+  auto& same_slot = complete_by_slot_[{acc.shard, acc.slot}];
+  for (const AcceptKey& k : same_slot) {
+    const Acceptance& other = acceptances_.at(k);
+    if (other.epoch == acc.epoch) continue;
+    if (other.txn != acc.txn || !(other.payload == acc.payload) ||
+        other.vote != acc.vote) {
+      report("Invariant11a", "slot " + std::to_string(acc.slot) + " of s" +
+                                 std::to_string(acc.shard) +
+                                 " accepted different transactions across epochs");
+    }
+  }
+  same_slot.push_back(AcceptKey{acc.shard, acc.epoch, acc.slot});
+}
+
+void Monitor::check_prefix_against_leader(const ReplicaCore& replica,
+                                          const Acceptance& acc,
+                                          const char* invariant) {
+  // Compare slots where both sides are defined: a follower log may have
+  // holes, since ACCEPTs come from coordinators and arrive unordered, and the
+  // paper's ≺ relation permits them.  An acceptance opened without a
+  // snapshot has nothing to compare.
+  for (Slot k = 1; k <= acc.leader_prefix.size(); ++k) {
+    const SnapshotEntry& snap = acc.leader_prefix[k - 1];
+    const LogEntry* mine = replica.log().find(k);
+    bool mine_filled = mine != nullptr && mine->filled();
+    if (!mine_filled || !snap.filled) continue;
+    if (mine->txn != snap.txn || !(mine->payload == snap.payload) ||
+        mine->vote != snap.vote) {
+      std::ostringstream os;
+      os << process_name(replica.id()) << " diverges from leader snapshot at slot "
+         << k << " (accepted slot " << acc.slot << ", epoch " << acc.epoch << ")";
+      report(invariant, os.str());
+    }
+  }
+}
+
+// --- one-sided writes -------------------------------------------------------------
+
+void Monitor::on_replication_write(const SlotRecord& r) {
+  std::lock_guard<std::mutex> lock(mu_);
+  open_acceptance(nullptr, r);
+  check_replication(r);
+}
+
+void Monitor::on_replication_landed(ProcessId to, const SlotRecord& r) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // Property (*) of Sec. 5 (Inv 13): the landing epoch equals the epoch the
+  // leader prepared the transaction at.  A self-write is a synchronous local
+  // store that lands at once, so this applies to every landing, remote or
+  // local, without exemption.
+  if (const ReplicaCore* receiver = replica_of(to); receiver != nullptr) {
+    Epoch receiver_epoch = receiver->epoch();
+    if (receiver_epoch != r.epoch) {
+      report("Invariant13",
+             "ACCEPT for txn" + std::to_string(r.txn) + " prepared at epoch " +
+                 std::to_string(r.epoch) + " landed at " + process_name(to) +
+                 " in epoch " + std::to_string(receiver_epoch));
+    }
+  }
+  // The landing is the receiver NIC's acknowledgement: the paper's
+  // "responded".
+  record_ack(to, AcceptKey{r.shard, r.epoch, r.slot}, r.txn);
+}
+
+// --- network tap --------------------------------------------------------------------
+
+void Monitor::observe_accept_ack(ProcessId from, const AcceptAck& aa) {
+  // Inv 3: no ACCEPT_ACK below an acknowledged PROBE epoch.
+  auto pit = probe_acked_.find(from);
+  if (pit != probe_acked_.end() && aa.epoch < pit->second) {
+    report("Invariant3", process_name(from) + " acked ACCEPT at epoch " +
+                             std::to_string(aa.epoch) + " after promising epoch " +
+                             std::to_string(pit->second));
+  }
+  record_ack(from, AcceptKey{aa.shard, aa.epoch, aa.slot}, aa.txn);
+}
+
+void Monitor::on_send(Time now, ProcessId from, ProcessId to,
+                      const sim::AnyMessage& msg) {
+  (void)now;
+  std::lock_guard<std::mutex> lock(mu_);
+  // Batched wire forms carry the same protocol steps as their scalar
+  // counterparts; the monitor observes each item or the acceptance records
+  // (and with them TCS-LL's inputs) silently go missing for batched runs.
+  if (const auto* pa = msg.as<PrepareAck>()) {
+    open_acceptance(replica_of(from), SlotRecord::of(*pa));
+  } else if (const auto* pab = msg.as<PrepareAckBatch>()) {
+    for (const PrepareAck& item : pab->items) {
+      open_acceptance(replica_of(from), SlotRecord::of(item));
+    }
+  } else if (const auto* a = msg.as<Accept>()) {
+    check_replication(SlotRecord::of(*a));
+  } else if (const auto* ab = msg.as<AcceptBatch>()) {
+    for (const Accept& item : ab->items) check_replication(SlotRecord::of(item));
+  } else if (const auto* aa = msg.as<AcceptAck>()) {
+    observe_accept_ack(from, *aa);
+  } else if (const auto* aab = msg.as<AcceptAckBatch>()) {
+    for (const AcceptAck& item : aab->items) observe_accept_ack(from, item);
+  } else if (const auto* pr = msg.as<ProbeAck>()) {
+    Epoch& e = probe_acked_[from];
+    e = std::max(e, pr->epoch);
+  } else if (const auto* nc = msg.as<NewConfig>()) {
+    register_new_config_locked(to, nc->epoch, nc->members);
+  }
+}
+
+// --- TCS-LL ---------------------------------------------------------------------------
 
 checker::TcsLLInput Monitor::tcsll_input(const tcs::History& history,
                                          const tcs::ShardMap& shard_map,

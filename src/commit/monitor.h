@@ -1,34 +1,67 @@
-// Runtime invariant monitor for the atomic commit protocol.
+// Runtime invariant monitor for both replica stacks.
 //
-// Implements the paper's Figure 3 and Figure 5 invariants as online checks
-// over a simulated execution, plus the data collection needed to run the
-// TCS-LL checker (Figure 6) afterwards:
+// The paper proves the message-passing protocol (Fig. 1) and the RDMA one
+// (Figs. 7-8) with one set of invariants, Figs. 3 and 5 plus Sec. 5's
+// property (*), and both stacks run one commit::ReplicaCore.  This monitor
+// checks those invariants online over either stack and collects what the
+// TCS-LL checker (Fig. 6) needs afterwards.  Most observations come from
+// the core itself, through CertificationObserver.  What only a substrate's
+// wire shows comes through a thin tap: this class's own network tap on the
+// message stack, and rdma::MonitorTap (rdma/monitor_tap.h) on the rdma one.
 //
-//   Inv 1  : follower log prefix matches the leader snapshot taken when the
-//            corresponding PREPARE_ACK was sent (checked at ACCEPT_ACK send).
-//   Inv 2  : accepted slots persist into higher epochs (checked when a
-//            process installs a new epoch via NEW_CONFIG/NEW_STATE).
-//   Inv 3  : no ACCEPT_ACK for an epoch below an acknowledged PROBE.
-//   Inv 4  : decision uniqueness per slot (4a) and per transaction (4b).
-//   Inv 5  : a process skipped by an accepted epoch never rejoins later.
-//   Inv 6/9: ACCEPT consistency per (epoch, slot) and per (epoch, txn).
-//   Inv 11 : acceptance uniqueness across epochs.
-//   Inv 12b: commit decisions only land on slots with commit votes.
+//   inv  property                          message stack         rdma stack
+//   ---  --------------------------------  --------------------  --------------------
+//   1    follower prefix = the leader's    ACCEPT_ACK send       not checked
+//        snapshot from PREPARE_ACK
+//   2    a fully accepted slot persists    on_epoch_installed    on_epoch_installed
+//        into every later epoch ...
+//          ... with the prefix before it   on_epoch_installed    not checked
+//          equal to the leader's snapshot
+//   3    no ACCEPT_ACK below an            ACCEPT_ACK send       not checked
+//        acknowledged PROBE epoch
+//   4a   one decision per slot of a shard  on_decided            on_decided
+//   4b   one decision per transaction      on_decided,           on_decided,
+//                                          on_client_decision    on_client_decision
+//   5    a process skipped by an accepted  NEW_CONFIG send       CONFIG_PREPARE and
+//        epoch never rejoins later                               NEW_CONFIG sends
+//   6/9  replication records agree per     ACCEPT send           RAccept write
+//        (epoch, slot) and (epoch, txn)
+//   8    new_epoch >= epoch                on_epoch_installed    on_epoch_installed
+//   10   a transaction fills one slot      on_epoch_installed    on_epoch_installed
+//   11a  one accepted result per slot      acceptance complete   acceptance complete
+//   11b  one accepted slot per txn         (every follower's     (every follower's
+//                                          ACCEPT_ACK sent)      write landed)
+//   12b  a commit decision lands only on   on_decision_applied   on_decision_applied
+//        a commit vote
+//   13   a replication write lands in the  no one-sided writes   write landing
+//        epoch it was prepared at
+//
+// An acceptance opens at the leader's PREPARE_ACK on the message stack,
+// with a snapshot of the leader's log up to the slot, and at the first
+// RAccept write on rdma, without one.  Three checks are message-stack only
+// for now:
+//   * Inv 1 and Inv 2's prefix comparison compare against that snapshot.
+//     Taking it costs O(slot) per acceptance, most of what this monitor
+//     costs on the message stack; on rdma it would add about 9% to the
+//     simulator ladder's CPU.  An acceptance without a snapshot skips both.
+//   * Inv 3: on rdma, a probed replica that still coordinates at its old
+//     epoch writes RAccept into its own memory after its PROBE_ACK, because
+//     a self-write ignores connection state (rdma/fabric.h).  Whether the
+//     model or Inv 3's reach over local stores is wrong is an open question.
 //
 // Violations are reported to a ViolationSink rather than asserted, so tests
-// can also verify that deliberately broken variants DO violate them.
+// can also verify that deliberately broken variants DO violate them; each
+// distinct report is kept once.
 #pragma once
 
 #include <map>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "checker/tcsll.h"
-#include "commit/log.h"
 #include "commit/messages.h"
 #include "commit/replica_core.h"
 #include "common/types.h"
@@ -38,48 +71,72 @@
 
 namespace ratc::commit {
 
-class Replica;
+/// One replicated slot result as a tap sees it: a PREPARE_ACK, an ACCEPT or
+/// an ACCEPT's one-sided write.
+struct SlotRecord {
+  ShardId shard = 0;
+  Epoch epoch = kNoEpoch;
+  Slot slot = kNoSlot;
+  TxnId txn = 0;
+  const tcs::Payload* payload = nullptr;
+  tcs::Decision vote = tcs::Decision::kAbort;
+
+  /// From any record carrying these fields.
+  template <typename A>
+  static SlotRecord of(const A& a) {
+    return {a.shard, a.epoch, a.slot, a.txn, &a.payload, a.vote};
+  }
+};
 
 /// Thread-safety: every entry point locks an internal mutex, so one Monitor
 /// can observe a multithreaded rt::ThreadedRuntime run.  The process-state
-/// reads (leader/follower logs, epochs) are always of the *acting* process —
-/// the runtime fires on_send on the sender's worker and on_deliver on the
-/// receiver's worker, and the replica hooks run on the replica's own worker
-/// — so they need no further synchronization.  Accessors that return
-/// references (violations(), decided()) are only safe after the runtime has
-/// stopped (or on the single-threaded sim).
+/// reads (logs, epochs) are always of the *acting* process — the runtime
+/// fires on_send on the sender's worker, and the core events fire on the
+/// acting replica's — so they need no further synchronization.  violations()
+/// returns a reference and is only safe after the runtime has stopped (or on
+/// the single-threaded simulator).
 class Monitor : public sim::NetworkObserver, public CertificationObserver {
  public:
   explicit Monitor(rt::Runtime& rt) : rt_(rt) {}
 
   // --- wiring ---------------------------------------------------------------
 
-  void register_replica(Replica* r);
+  void register_replica(const ReplicaCore* r);
+  /// Registers shard's configuration at config.epoch (the first
+  /// registration of an epoch wins) and checks Inv 5 against it.
   void register_config(ShardId shard, const configsvc::ShardConfig& config);
+  /// NEW_CONFIG handed `leader` its shard's configuration (line 50).
+  void on_new_config(ProcessId leader, Epoch epoch, const std::vector<ProcessId>& members);
 
-  // --- hooks invoked by Replica ----------------------------------------------
+  // --- core events (CertificationObserver) ----------------------------------
 
   void on_vote_computed(ShardId shard, Epoch epoch, Slot slot, TxnId txn,
                         tcs::Decision vote, const tcs::Payload& payload,
                         std::vector<TxnId> committed_against,
                         std::vector<TxnId> prepared_against) override;
+  void on_decided(ShardId shard, Slot slot, TxnId txn, tcs::Decision d) override;
+  void on_client_decision(TxnId txn, tcs::Decision d) override;
+  void on_decision_applied(const ReplicaCore& replica, Slot slot, TxnId txn,
+                           tcs::Decision d) override;
   void on_epoch_installed(const ReplicaCore& replica) override;
-  void on_local_decision(TxnId txn, tcs::Decision d) override;
 
-  // --- network tap -----------------------------------------------------------
+  // --- one-sided writes (rdma::MonitorTap) ------------------------------------
+
+  /// A replication write of `r` left for a follower: opens the acceptance
+  /// without a snapshot, then Inv 6 and 9.
+  void on_replication_write(const SlotRecord& r);
+  /// That write landed in `to`'s memory: Inv 13, then the landing counts as
+  /// `to`'s acknowledgement.
+  void on_replication_landed(ProcessId to, const SlotRecord& r);
+
+  // --- network tap (the message stack) --------------------------------------
 
   void on_send(Time now, ProcessId from, ProcessId to,
                const sim::AnyMessage& msg) override;
-  void on_deliver(Time now, ProcessId from, ProcessId to,
-                  const sim::AnyMessage& msg) override;
 
   // --- results ---------------------------------------------------------------
 
   const ViolationSink& violations() const { return sink_; }
-  ViolationSink& sink() { return sink_; }
-
-  /// Decisions externalized in DECISION messages (input to TCS-LL's (10)).
-  const std::map<TxnId, tcs::Decision>& decided() const { return decided_; }
 
   /// Assembles the TCS-LL checker input from the collected records.
   checker::TcsLLInput tcsll_input(const tcs::History& history,
@@ -100,7 +157,8 @@ class Monitor : public sim::NetworkObserver, public CertificationObserver {
     TxnId txn = 0;
     tcs::Payload payload;
     tcs::Decision vote = tcs::Decision::kAbort;
-    std::vector<SnapshotEntry> leader_prefix;  ///< slots 1..slot at PREPARE_ACK
+    /// Slots 1..slot of the leader at PREPARE_ACK; empty without a snapshot.
+    std::vector<SnapshotEntry> leader_prefix;
     std::set<ProcessId> acks;
     bool complete = false;
   };
@@ -113,14 +171,22 @@ class Monitor : public sim::NetworkObserver, public CertificationObserver {
 
   using AcceptKey = std::tuple<ShardId, Epoch, Slot>;
 
-  Replica* replica_of(ProcessId pid) const;
-  ShardId shard_of(ProcessId pid) const;
-  /// Scalar observation bodies, shared by the scalar and batched wire forms.
-  void observe_prepare_ack(ProcessId from, const PrepareAck& pa);
-  void observe_accept(const Accept& a);
-  void observe_accept_ack(ProcessId from, const AcceptAck& aa);
+  const ReplicaCore* replica_of(ProcessId pid) const;
   const configsvc::ShardConfig* config_of(ShardId shard, Epoch epoch) const;
   void register_config_locked(ShardId shard, const configsvc::ShardConfig& config);
+  void register_new_config_locked(ProcessId leader, Epoch epoch,
+                                  const std::vector<ProcessId>& members);
+  /// Opens the acceptance of `r` unless one is open; `leader` non-null
+  /// snapshots its log up to the slot (Invariants 1 and 2).
+  void open_acceptance(const ReplicaCore* leader, const SlotRecord& r);
+  /// Inv 6 and 9 over one replication record.
+  void check_replication(const SlotRecord& r);
+  /// The message stack's ACCEPT_ACK: Inv 3 and 1, then the shared ack.
+  void observe_accept_ack(ProcessId from, const AcceptAck& aa);
+  /// Counts `from`'s acknowledgement of the acceptance at `key` if it is of
+  /// `txn`, after Inv 1 (a no-op for an acceptance without a snapshot).
+  void record_ack(ProcessId from, const AcceptKey& key, TxnId txn);
+  void check_decision(TxnId txn, tcs::Decision d);
   void maybe_complete(Acceptance& acc);
   void check_prefix_against_leader(const ReplicaCore& replica, const Acceptance& acc,
                                    const char* invariant);
@@ -131,7 +197,7 @@ class Monitor : public sim::NetworkObserver, public CertificationObserver {
   /// monitor concurrently; on the sim this is uncontended).
   mutable std::mutex mu_;
   ViolationSink sink_;
-  std::map<ProcessId, Replica*> replicas_;
+  std::map<ProcessId, const ReplicaCore*> replicas_;
   std::map<ShardId, std::map<Epoch, configsvc::ShardConfig>> configs_;
 
   std::map<AcceptKey, Acceptance> acceptances_;
@@ -148,7 +214,7 @@ class Monitor : public sim::NetworkObserver, public CertificationObserver {
   // Inv 4a: decision per (shard, slot); Inv 4b: decision per txn.
   std::map<std::pair<ShardId, Slot>, tcs::Decision> slot_decision_;
   std::map<TxnId, tcs::Decision> decided_;
-  // Inv 6/9: ACCEPT consistency.
+  // Inv 6/9: replication record consistency.
   std::map<AcceptKey, std::tuple<TxnId, tcs::Payload, tcs::Decision>> accept_sent_;
   std::map<std::tuple<ShardId, Epoch, TxnId>, Slot> accept_slot_;
   std::set<std::string> reported_;

@@ -106,12 +106,7 @@ void ReplicaCore::start_certification(TxnMeta meta, const tcs::Payload* full_pay
   TxnId txn = meta.txn;
   // Transactions touching no shard (empty payloads) commit trivially.
   if (meta.participants.empty()) {
-    if (local_cb) {
-      if (observer_) observer_->on_local_decision(txn, Decision::kCommit);
-      local_cb(Decision::kCommit, 0);
-    } else if (meta.client != kNoProcess) {
-      rt().send_msg(id(), meta.client, ClientDecision{txn, Decision::kCommit});
-    }
+    decide_to_client(txn, meta.client, local_cb, Decision::kCommit, 0);
     return;
   }
   CoordState& c = coord_[txn];
@@ -138,6 +133,18 @@ void ReplicaCore::start_certification(TxnMeta meta, const tcs::Payload* full_pay
     } else {
       rt().send_msg(id(), leader_of(s), std::move(p));
     }
+  }
+}
+
+void ReplicaCore::decide_to_client(TxnId txn, ProcessId client,
+                                   const std::function<void(Decision, Time)>& cb,
+                                   Decision d, Time csn_ts) {
+  if (!cb && client == kNoProcess) return;  // nobody to tell
+  if (observer_) observer_->on_client_decision(txn, d);
+  if (cb) {
+    cb(d, csn_ts);
+  } else {
+    rt().send_msg(id(), client, ClientDecision{txn, d, csn_ts});
   }
 }
 
@@ -439,15 +446,11 @@ void ReplicaCore::check_coordination(TxnId txn) {
   }
   if (decision != Decision::kCommit) csn_ts = 0;  // aborts never enter the CSN log
   c.decided = true;  // guards re-entrancy from the client callback below
-  // Line 27: report the decision to the client.
-  if (c.local_cb) {
-    if (observer_) observer_->on_local_decision(txn, decision);
-    c.local_cb(decision, csn_ts);
-  } else if (c.meta.client != kNoProcess) {
-    rt().send_msg(id(), c.meta.client, ClientDecision{txn, decision, csn_ts});
-  }
+  decide_to_client(txn, c.meta.client, c.local_cb, decision, csn_ts);  // line 27
   for (std::size_t i = 0; i < c.meta.participants.size(); ++i) {
-    ship_decision(c.meta.participants[i], c.progress[i], txn, decision, csn_ts);
+    ShardId s = c.meta.participants[i];
+    if (observer_) observer_->on_decided(s, c.progress[i].slot, txn, decision);
+    ship_decision(s, c.progress[i], txn, decision, csn_ts);
   }
   // The coordination is complete: shed the heavy state but keep the entry
   // as a decided tombstone — a late retry() of a still-prepared slot would
@@ -463,6 +466,7 @@ void ReplicaCore::check_coordination(TxnId txn) {
 
 void ReplicaCore::apply_decision(Slot slot, TxnId txn, tcs::Decision decision,
                                  Time csn_ts) {
+  if (observer_) observer_->on_decision_applied(*this, slot, txn, decision);
   LogEntry& e = log_.at(slot);
   if (e.phase == Phase::kStart) e.txn = txn;  // decision for a hole (abort only)
   e.dec = decision;
@@ -494,6 +498,7 @@ void ReplicaCore::take_over_log() {
       prepared_at_[k] = rt().now();
     }
   }
+  if (observer_) observer_->on_epoch_installed(*this);
 }
 
 void ReplicaCore::install_log(const ReplicaLog& log) {
@@ -509,6 +514,7 @@ void ReplicaCore::install_log(const ReplicaLog& log) {
     const LogEntry* e = log_.find(k);
     if (e != nullptr && e->phase == Phase::kPrepared) prepared_at_[k] = rt().now();
   }
+  if (observer_) observer_->on_epoch_installed(*this);
 }
 
 // --- reconfiguration (Fig. 1 lines 33-69) ------------------------------------------
@@ -535,7 +541,6 @@ void ReplicaCore::handle_new_config(const NewConfig& m) {
   v.members = m.members;
   v.leader = id();
   take_over_log();  // line 59
-  if (observer_) observer_->on_epoch_installed(*this);
   // Line 60: transfer state to the followers.
   NewState ns;
   ns.epoch = m.epoch;
@@ -559,7 +564,6 @@ void ReplicaCore::handle_new_state(ProcessId from, const NewState& m) {
   v.members = m.members;
   v.leader = from;
   install_log(m.log);
-  if (observer_) observer_->on_epoch_installed(*this);
   RATC_DEBUG(name() << " follows " << process_name(from) << " in s" << options_.shard
                     << " at epoch " << m.epoch);
 }

@@ -40,8 +40,11 @@
 //     messages vs RDecision writes);
 //   * on_probed, and the view and reconfiguration hooks, where its
 //     reconfiguration is not Fig. 1's.
-// Both stacks' monitors see the certification path and every installed
-// epoch through CertificationObserver.
+// The invariant monitor (commit::Monitor, one for both stacks) sees this
+// shared code through CertificationObserver: votes, decisions at the
+// coordinator and at each replica, client decisions and every installed
+// epoch.  Only what a substrate's wire shows reaches it through that
+// substrate's tap.
 #pragma once
 
 #include <bitset>
@@ -83,7 +86,10 @@ inline const char* to_string(Status s) {
 
 class ReplicaCore;
 
-/// What a stack's monitor observes of the certification path.
+/// What the invariant monitor observes of the shared core, on both
+/// substrates.  Each event is raised only when an observer is set, on the
+/// acting replica's thread, and reads only that replica's state; none of
+/// them changes what the core sends, schedules or draws.
 class CertificationObserver {
  public:
   virtual ~CertificationObserver() = default;
@@ -93,11 +99,20 @@ class CertificationObserver {
                                 tcs::Decision vote, const tcs::Payload& payload,
                                 std::vector<TxnId> committed_against,
                                 std::vector<TxnId> prepared_against) = 0;
-  /// A decision handed to a co-located client's callback.
-  virtual void on_local_decision(TxnId txn, tcs::Decision d) = 0;
-  /// A replica installed a new epoch of its shard through Fig. 1's
-  /// NEW_CONFIG or NEW_STATE.
-  virtual void on_epoch_installed(const ReplicaCore& replica) { (void)replica; }
+  /// A coordinator decided `txn` and is about to persist the decision of
+  /// participant shard `shard`'s `slot` (lines 28-29, Fig. 7 lines 99-100).
+  virtual void on_decided(ShardId shard, Slot slot, TxnId txn, tcs::Decision d) = 0;
+  /// A coordinator reports a decision to the client (line 27): through a
+  /// co-located client's callback or a DECISION_CLIENT message.
+  virtual void on_client_decision(TxnId txn, tcs::Decision d) = 0;
+  /// `replica` is about to record the decision of its `slot` (line 32,
+  /// Fig. 7 line 102).
+  virtual void on_decision_applied(const ReplicaCore& replica, Slot slot, TxnId txn,
+                                   tcs::Decision d) = 0;
+  /// `replica` installed a new epoch of its shard, as the leader taking over
+  /// its log (line 59, Fig. 8 line 145) or as a follower installing the
+  /// transferred one (lines 63-66, Fig. 8 lines 148-153).
+  virtual void on_epoch_installed(const ReplicaCore& replica) = 0;
 };
 
 class ReplicaCore : public sim::Process, protected recon::StackHooks {
@@ -300,10 +315,12 @@ class ReplicaCore : public sim::Process, protected recon::StackHooks {
 
   /// Leadership takeover (line 59, Fig. 8 line 145): next = the last filled
   /// slot, and the index, snapshot store and retry bookkeeping cover the
-  /// inherited log.
+  /// inherited log.  Call it after updating the view: it raises
+  /// on_epoch_installed last.
   void take_over_log();
   /// Follower install (lines 63-66, Fig. 8 lines 148-153): replaces the log
-  /// with the leader's and rebuilds what is derived from it.
+  /// with the leader's and rebuilds what is derived from it.  Call it after
+  /// updating the view, as take_over_log.
   void install_log(const ReplicaLog& log);
 
   void arm_retry_timer();
@@ -354,6 +371,11 @@ class ReplicaCore : public sim::Process, protected recon::StackHooks {
   static ShardProgress* progress_at(CoordState& c, ShardId s);
 
   TxnMeta meta_for(TxnId txn, const tcs::Payload& payload, ProcessId client) const;
+  /// Line 27: reports `d` to the client — through the co-located client's
+  /// callback `cb` if set, else as DECISION_CLIENT to `client` if known.
+  void decide_to_client(TxnId txn, ProcessId client,
+                        const std::function<void(tcs::Decision, Time)>& cb,
+                        tcs::Decision d, Time csn_ts);
   /// Opens the coordination of meta.txn (line 2) and sends its PREPAREs —
   /// or, when `batch` is set, queues them in the per-shard PREPARE_BATCHes.
   void start_certification(TxnMeta meta, const tcs::Payload* full_payload,

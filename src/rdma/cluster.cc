@@ -39,14 +39,15 @@ Cluster::Cluster(Options options)
                       .placement_policy = options.placement_policy,
                       .num_zones = options.num_zones,
                       .placement_context = true}),
-      mode_(options.mode) {
+      mode_(options.mode),
+      monitor_(rt_),
+      monitor_tap_(monitor_) {
   Fabric::Options fopt;
   fopt.delay = delay_from(options.fabric_delay ? options.fabric_delay : options.link_delay);
   fopt.poll_delay = options.poll_delay;
   fabric_ = std::make_unique<Fabric>(sim_, fopt);
-  monitor_ = std::make_unique<RdmaMonitor>(sim_);
-  net_.add_observer(monitor_.get());
-  fabric_->add_observer(monitor_.get());
+  net_.add_observer(&monitor_tap_);
+  fabric_->add_observer(&monitor_tap_);
   if (options.enable_tracer) attach_tracer();
 
   // Configuration service and initial configuration: epoch 1, the first
@@ -64,15 +65,13 @@ Cluster::Cluster(Options options)
   } else {
     for (ShardId s = 0; s < options.num_shards; ++s) cs_->bootstrap(s, initial.shard(s));
   }
-  for (const auto& [s, members] : initial.members) {
-    monitor_->register_members(s, initial.epoch, members, initial.leaders.at(s));
-  }
+  for (ShardId s = 0; s < options.num_shards; ++s) monitor_.register_config(s, initial.shard(s));
 
   Replica::Options proto;
   proto.cs_endpoints = {kCsPid};
   proto.mode = mode_;
   proto.ablate_flush = options.ablate_flush;
-  proto.monitor = monitor_.get();
+  proto.monitor = &monitor_;
   spawn_replicas(
       proto, initial,
       [this](ProcessId pid, const Replica::Options& o) {
@@ -168,7 +167,7 @@ std::optional<tcs::Csn> Cluster::snapshot_read(const std::vector<ObjectId>& obje
 }
 
 std::string Cluster::verify() const {
-  return recon::verify_run(monitor_.get(), history_, shard_map(), certifier());
+  return recon::verify_run(&monitor_, history_, shard_map(), certifier());
 }
 
 }  // namespace ratc::rdma

@@ -1,9 +1,10 @@
 // Simulator harness for the RDMA-based protocol: the rdma instantiation of
 // recon::ReplicaCluster (recon/cluster_support.h) on a SimHost — shards of
 // f+1 replicas plus spares, the history-recording clients — plus the
-// simulated RDMA fabric, the RdmaMonitor, and the configuration service,
-// used through its global interface (safe mode) or its per-shard one
-// (unsafe strawman mode), with its levers.
+// simulated RDMA fabric, the invariant monitor (commit::Monitor, tapped
+// through rdma::MonitorTap), and the configuration service, used through
+// its global interface (safe mode) or its per-shard one (unsafe strawman
+// mode), with its levers.
 #pragma once
 
 #include <functional>
@@ -12,10 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "commit/monitor.h"
 #include "configsvc/simple_service.h"
 #include "ctrl/recon_controller.h"
 #include "rdma/fabric.h"
-#include "rdma/monitor.h"
+#include "rdma/monitor_tap.h"
 #include "rdma/replica.h"
 #include "recon/cluster_support.h"
 
@@ -74,7 +76,7 @@ class Cluster : public recon::SimHost, public recon::ReplicaCluster<Replica> {
                                 std::size_t max_events = 2'000'000);
 
   Fabric& fabric() { return *fabric_; }
-  RdmaMonitor& monitor() { return *monitor_; }
+  commit::Monitor& monitor() { return monitor_; }
 
   /// Read-only snapshot transaction with ZERO certification messages and no
   /// fabric flush (see rdma::Replica's CSN read surface), served like the
@@ -91,7 +93,8 @@ class Cluster : public recon::SimHost, public recon::ReplicaCluster<Replica> {
  private:
   const ReconfigMode mode_;
   std::unique_ptr<Fabric> fabric_;
-  std::unique_ptr<RdmaMonitor> monitor_;
+  commit::Monitor monitor_;
+  MonitorTap monitor_tap_;
   std::unique_ptr<configsvc::SimpleConfigService> cs_;
 };
 

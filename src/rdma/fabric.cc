@@ -56,9 +56,10 @@ std::uint64_t Fabric::send_rdma(ProcessId from, ProcessId to, sim::AnyMessage ms
     // A process's write to its own memory is a synchronous local store: no
     // connection, no switch, no DMA in flight.  It lands and is visible
     // immediately — it can never straddle an epoch transition, so the
-    // monitor's property (*) check applies to it unconditionally.  Only the
-    // NIC completion remains an event (delivered after the current handler,
-    // still at the same tick).
+    // monitor's property (*) check applies to it unconditionally — and no
+    // closed connection stops it, even after the process's PROBE_ACK.  Only
+    // the NIC completion remains an event (delivered after the current
+    // handler, still at the same tick).
     for (auto* obs : observers_) obs->on_landed(now, from, to, msg);
     auto it = endpoints_.find(to);
     if (it != endpoints_.end() && it->second.deliver) {

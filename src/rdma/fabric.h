@@ -20,8 +20,12 @@
 // synchronous CPU store, not a DMA.  send_rdma therefore lands and
 // delivers it immediately (no connection check, no fault injection, no
 // in-flight window), with only the completion notification deferred to the
-// next event at the same tick.  This is what lets the RdmaMonitor check
-// property (*) on every landing without a self-write exemption.
+// next event at the same tick.  So a self-write cannot straddle an epoch
+// change, which lets the invariant monitor check property (*) on every
+// landing without a self-write exemption.  It is not stopped by close_all,
+// though: a probed replica that still coordinates at its old epoch lands
+// RAccept writes in its own memory after its PROBE_ACK, which is why the
+// monitor does not check Inv 3 on this substrate (commit/monitor.h).
 #pragma once
 
 #include <cstdint>

@@ -16,8 +16,9 @@ namespace ratc::rdma {
 /// paper's message carries no epoch — followers cannot (and do not) check
 /// it; the epoch and shard fields here are *monitoring metadata only*: the
 /// receiving replica ignores them, which is exactly what makes the Fig. 4a
-/// counter-example expressible.  The Invariant 13 monitor compares the
-/// epoch against the receiver's at landing time.
+/// counter-example expressible.  The invariant monitor keys acceptances by
+/// them and compares the epoch against the receiver's at landing time
+/// (Invariant 13).
 struct RAccept {
   static constexpr const char* kName = "ACCEPT";
   Epoch epoch = kNoEpoch;  ///< monitor-only
@@ -46,8 +47,6 @@ struct RAcceptBatch {
 /// DECISION written via send-rdma to shard members (Fig. 7 line 100).
 struct RDecision {
   static constexpr const char* kName = "DECISION";
-  Epoch epoch = kNoEpoch;  ///< monitor-only
-  ShardId shard = 0;       ///< monitor-only
   Slot slot = kNoSlot;
   TxnId txn = 0;
   tcs::Decision decision = tcs::Decision::kAbort;

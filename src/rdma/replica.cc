@@ -2,9 +2,9 @@
 
 #include <cassert>
 
+#include "commit/monitor.h"
 #include "common/log.h"
 #include "ctrl/messages.h"
-#include "rdma/monitor.h"
 
 namespace ratc::rdma {
 
@@ -112,9 +112,8 @@ void Replica::handle_rdma_ack(const RdmaAck& ack) {
 
 void Replica::ship_decision(ShardId s, const ShardProgress& pr, TxnId txn,
                             Decision decision, Time csn_ts) {
-  // Lines 99-100: decisions are one-sided writes too, stamped with the
-  // epoch of the PREPARE_ACK they decide.
-  RDecision d{pr.epoch, s, pr.slot, txn, decision, csn_ts};
+  // Lines 99-100: decisions are one-sided writes too.
+  RDecision d{pr.slot, txn, decision, csn_ts};
   for (ProcessId p : members_of(s)) {
     fabric_.send_rdma(id(), p, sim::AnyMessage(d));
   }

@@ -36,9 +36,11 @@
 #include "rdma/fabric.h"
 #include "rdma/messages.h"
 
-namespace ratc::rdma {
+namespace ratc::commit {
+class Monitor;
+}
 
-class RdmaMonitor;
+namespace ratc::rdma {
 
 enum class ReconfigMode {
   kGlobalSafe,      ///< Fig. 8: the paper's corrected protocol
@@ -56,7 +58,7 @@ class Replica : public commit::ReplicaCore {
     /// state transfer even though coordinators may have externalized
     /// decisions based on those acknowledgements.
     bool ablate_flush = false;
-    RdmaMonitor* monitor = nullptr;
+    commit::Monitor* monitor = nullptr;
   };
 
   Replica(rt::Runtime& rt, Fabric& fabric, ProcessId id, Options options);

@@ -13,10 +13,12 @@
 //   commit::Cluster    that commit assembly on a SimHost's network, plus the
 //                      replicated-CS option, controllers and harness levers;
 //   rdma::Cluster      the rdma instantiation on a SimHost, plus the fabric,
-//                      RdmaMonitor and the global or per-shard CS.
+//                      the monitor's fabric tap and the global or per-shard
+//                      CS.
 //
-// A stack supplies only what differs: its replica constructor, its monitor,
-// its initial configuration type and its configuration service.
+// Both stacks use one invariant monitor, commit::Monitor.  A stack supplies
+// only what differs: its replica constructor, its monitor tap, its initial
+// configuration type and its configuration service.
 #pragma once
 
 #include <algorithm>
@@ -32,6 +34,7 @@
 
 #include "checker/tcsll.h"
 #include "commit/client.h"
+#include "commit/monitor.h"
 #include "ctrl/recon_controller.h"
 #include "recon/engine.h"
 #include "rt/runtime.h"
@@ -404,10 +407,10 @@ const commit::ReplicaCore* epoch_current_member(Cluster& cluster, ShardId s,
 
 /// Runs the TCS-LL checker (Fig. 6) over a recorded execution, fed by a
 /// stack's monitor (null: the input is unavailable, reported as a failure).
-template <typename Monitor>
-checker::TcsLLResult check_tcsll(const Monitor* monitor, const tcs::History& history,
-                                 const tcs::ShardMap& shard_map,
-                                 const tcs::Certifier& certifier) {
+inline checker::TcsLLResult check_tcsll(const commit::Monitor* monitor,
+                                        const tcs::History& history,
+                                        const tcs::ShardMap& shard_map,
+                                        const tcs::Certifier& certifier) {
   if (monitor == nullptr) {
     checker::TcsLLResult r;
     r.ok = false;
@@ -419,9 +422,9 @@ checker::TcsLLResult check_tcsll(const Monitor* monitor, const tcs::History& his
 
 /// A replica stack's end-of-run verdict: no monitor violations, no
 /// conflicting client decisions, TCS-LL holds.  Empty iff all hold.
-template <typename Monitor>
-std::string verify_run(const Monitor* monitor, const tcs::History& history,
-                       const tcs::ShardMap& shard_map, const tcs::Certifier& certifier) {
+inline std::string verify_run(const commit::Monitor* monitor, const tcs::History& history,
+                              const tcs::ShardMap& shard_map,
+                              const tcs::Certifier& certifier) {
   std::string problems;
   if (monitor != nullptr && !monitor->violations().empty()) {
     problems += "invariant violations:\n" + monitor->violations().summary();

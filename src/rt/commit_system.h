@@ -6,9 +6,9 @@
 // simulator's network, plus the replicated-CS option, controllers and the
 // harness levers.
 //
-// The caller wires the monitor into the transport's observer tap
-// (ThreadedRuntime::add_observer / sim::Network::add_observer) — the seam
-// deliberately keeps observation a transport concern.
+// The replicas feed the monitor the shared core's events; the caller wires
+// the monitor's message tap into the transport's observers
+// (ThreadedRuntime::add_observer / sim::Network::add_observer).
 #pragma once
 
 #include <map>

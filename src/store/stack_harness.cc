@@ -61,8 +61,7 @@ commit::Cluster::Options CommitStack::options(std::uint64_t seed, const StackWor
           .check_certifier_index = w.check_certifier_index};
 }
 
-void CommitStack::install_fault_injector(Cluster& c, const StackWorkload&,
-                                         sim::FaultInjector* fi) {
+void CommitStack::install_fault_injector(Cluster& c, sim::FaultInjector* fi) {
   c.net().set_fault_injector(fi);
 }
 
@@ -87,10 +86,9 @@ rdma::Cluster::Options RdmaStack::options(std::uint64_t seed, const StackWorkloa
           .check_certifier_index = w.check_certifier_index};
 }
 
-void RdmaStack::install_fault_injector(Cluster& c, const StackWorkload& w,
-                                       sim::FaultInjector* fi) {
+void RdmaStack::install_fault_injector(Cluster& c, sim::FaultInjector* fi) {
   c.net().set_fault_injector(fi);
-  if (w.faults_on_fabric) c.fabric().set_fault_injector(fi);
+  c.fabric().set_fault_injector(fi);
 }
 
 void RdmaStack::reconfigure(Cluster& c, ShardId, ProcessId by, Epoch) {

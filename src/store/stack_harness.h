@@ -84,8 +84,6 @@ struct StackWorkload {
   /// schedules legitimately lose decisions, so sweeps tune this down.
   double min_decided_fraction = 0.9;
   bool capture_trace = true;
-  /// RDMA only: also install the fault injector on the one-sided fabric.
-  bool faults_on_fabric = true;
   /// Baseline only: what follows a coordinator crash (see
   /// src/baseline/termination.h).  BaselineCoopHarness and
   /// PaxosCommitHarness force kCooperative and kPaxosCommit.
@@ -243,8 +241,7 @@ struct CommitStack {
   static constexpr bool kFirstSurvivor = false;
   static Cluster::Options options(std::uint64_t seed, const StackWorkload& w,
                                   recon::PlacementPolicy* policy);
-  static void install_fault_injector(Cluster& c, const StackWorkload& w,
-                                     sim::FaultInjector* fi);
+  static void install_fault_injector(Cluster& c, sim::FaultInjector* fi);
   /// `by` reconfigures shard s, then the run waits for the next shard epoch
   /// after `epoch` to activate.
   static void reconfigure(Cluster& c, ShardId s, ProcessId by, Epoch epoch);
@@ -261,9 +258,8 @@ struct RdmaStack {
   static constexpr bool kFirstSurvivor = true;
   static Cluster::Options options(std::uint64_t seed, const StackWorkload& w,
                                   recon::PlacementPolicy* policy);
-  /// Also faults the one-sided fabric when w.faults_on_fabric is set.
-  static void install_fault_injector(Cluster& c, const StackWorkload& w,
-                                     sim::FaultInjector* fi);
+  /// Faults the one-sided fabric as well as the network.
+  static void install_fault_injector(Cluster& c, sim::FaultInjector* fi);
   /// `by` runs the global reconfiguration (the safe protocol's only lever,
   /// whatever the shard), then the run waits for the next global epoch.
   static void reconfigure(Cluster& c, ShardId s, ProcessId by, Epoch epoch);
@@ -284,7 +280,7 @@ class ReplicaHarness
   ReplicaHarness(std::uint64_t seed, const StackWorkload& w);
 
   void install_fault_injector(sim::FaultInjector* fi) {
-    Stack::install_fault_injector(cluster_, w_, fi);
+    Stack::install_fault_injector(cluster_, fi);
   }
   /// Submits through a live coordinator (seeded-random pick); false if none
   /// is live.

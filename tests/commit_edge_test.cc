@@ -140,7 +140,7 @@ TEST(CommitEdge, TwoConcurrentCoordinatorsAgree) {
   cluster.sim().run();
   ASSERT_TRUE(client.decided(t));
   // The monitor checked Invariant 4a/4b across the three coordinators'
-  // DECISION messages; the history has no conflicting decisions.
+  // decisions; the history has no conflicting decisions.
   EXPECT_EQ(cluster.verify(), "");
 }
 

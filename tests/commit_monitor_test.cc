@@ -1,6 +1,7 @@
-// Sensitivity tests for the invariant monitor: each check must actually
-// fire on a violating message sequence (the monitors are the oracles for
-// the whole test suite, so they must not be vacuous).
+// Sensitivity tests for the invariant monitor on the message stack: each
+// check must actually fire on a violating input — a core event or a message
+// through the network tap (the monitor is the oracle for the whole test
+// suite, so it must not be vacuous).  rdma_monitor_test covers the rdma tap.
 #include <gtest/gtest.h>
 
 #include "commit/cluster.h"
@@ -28,11 +29,10 @@ bool mentions(const Monitor& m, const std::string& inv) {
 TEST(MonitorSensitivity, Invariant4a_ConflictingSlotDecisions) {
   sim::Simulator sim(1);
   Monitor monitor(sim.runtime());
-  DecisionMsg a{1, 0, 7, 42, Decision::kCommit};
-  DecisionMsg b{2, 0, 7, 42, Decision::kAbort};  // same shard+slot, other way
-  monitor.on_send(0, 1, 2, sim::AnyMessage(a));
+  // Two coordinators decide shard 0's slot 7 both ways.
+  monitor.on_decided(0, 7, 42, Decision::kCommit);
   EXPECT_TRUE(monitor.violations().empty());
-  monitor.on_send(0, 1, 2, sim::AnyMessage(b));
+  monitor.on_decided(0, 7, 42, Decision::kAbort);
   EXPECT_TRUE(mentions(monitor, "Invariant4a"));
   EXPECT_TRUE(mentions(monitor, "Invariant4b"));  // same txn too
 }
@@ -40,17 +40,18 @@ TEST(MonitorSensitivity, Invariant4a_ConflictingSlotDecisions) {
 TEST(MonitorSensitivity, Invariant4b_ConflictingClientDecisions) {
   sim::Simulator sim(2);
   Monitor monitor(sim.runtime());
-  monitor.on_send(0, 1, 9, sim::AnyMessage(ClientDecision{5, Decision::kCommit}));
-  monitor.on_send(0, 2, 9, sim::AnyMessage(ClientDecision{5, Decision::kAbort}));
+  monitor.on_client_decision(5, Decision::kCommit);
+  monitor.on_client_decision(5, Decision::kAbort);
   EXPECT_TRUE(mentions(monitor, "Invariant4b"));
 }
 
-TEST(MonitorSensitivity, Invariant4b_LocalVsRemoteConflict) {
+TEST(MonitorSensitivity, Invariant4b_ClientVsCoordinatorConflict) {
   sim::Simulator sim(3);
   Monitor monitor(sim.runtime());
-  monitor.on_local_decision(5, Decision::kAbort);
-  monitor.on_send(0, 2, 9, sim::AnyMessage(ClientDecision{5, Decision::kCommit}));
+  monitor.on_client_decision(5, Decision::kAbort);
+  monitor.on_decided(1, 3, 5, Decision::kCommit);
   EXPECT_TRUE(mentions(monitor, "Invariant4b"));
+  EXPECT_FALSE(mentions(monitor, "Invariant4a"));  // the slot was decided once
 }
 
 TEST(MonitorSensitivity, Invariant3_AcceptAckBelowProbedEpoch) {
@@ -96,7 +97,7 @@ TEST(MonitorSensitivity, Invariant9_SameTxnTwoSlots) {
 
 TEST(MonitorSensitivity, Invariant12b_CommitDecisionOntoAbortVote) {
   // End-to-end: create an abort-voted slot, then inject a forged commit
-  // decision for it; the delivery-side check must fire.
+  // decision for it; the check where the replica applies it must fire.
   Cluster cluster({.seed = 7, .num_shards = 1, .shard_size = 2});
   Client& client = cluster.add_client();
   TxnId t1 = cluster.next_txn_id();
@@ -126,6 +127,24 @@ TEST(MonitorSensitivity, CleanRunReportsNothing) {
   cluster.sim().run();
   EXPECT_TRUE(cluster.monitor().violations().empty())
       << cluster.monitor().violations().summary();
+}
+
+TEST(MonitorSensitivity, CoreDecisionsReachTheMonitor) {
+  // The core raises the decision events itself: a transaction touching no
+  // shard is decided only towards its client, one touching a shard also at
+  // the shard's slot.  Both must reach TCS-LL's decided map.
+  Cluster cluster({.seed = 10, .num_shards = 1, .shard_size = 2});
+  Client& client = cluster.add_client();
+  TxnId empty = cluster.next_txn_id(), t = cluster.next_txn_id();
+  client.certify_colocated(cluster.replica(0, 1), empty, Payload{});
+  client.certify_remote(cluster.replica(0, 1).id(), t, one_object(0));
+  cluster.sim().run();
+  ASSERT_EQ(client.decision(empty), Decision::kCommit);
+  ASSERT_EQ(client.decision(t), Decision::kCommit);
+  checker::TcsLLInput input = cluster.monitor().tcsll_input(
+      cluster.history(), cluster.shard_map(), cluster.certifier());
+  EXPECT_EQ(input.decided.count(empty), 1u);
+  EXPECT_EQ(input.decided.count(t), 1u);
 }
 
 TEST(MonitorSensitivity, TcsLLCatchesForgedWitness) {

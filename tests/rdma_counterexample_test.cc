@@ -103,12 +103,20 @@ TEST(Figure4a, UnsafePerShardReconfigurationViolatesSafety) {
   EXPECT_TRUE(saw_commit) << "the Fig. 4a race should have committed via the "
                              "stale RDMA write";
 
-  // The violation is caught by every layer of checking.
+  // The violation is caught by every layer of checking.  Besides the two
+  // decisions (4b, and 4a per shard) and the stale write (13): shard 1's
+  // new leader accepted t at slot 1 with an abort vote at epoch 2, and the
+  // stale write then completed the epoch-1 acceptance of that slot with t's
+  // commit vote, so one slot (11a) and one transaction (11b) have two
+  // accepted results.
   EXPECT_EQ(cluster.history().conflicting_decisions(),
             std::vector<TxnId>{t});
   std::string violations = cluster.monitor().violations().summary();
   EXPECT_NE(violations.find("Invariant4b"), std::string::npos) << violations;
+  EXPECT_NE(violations.find("Invariant4a"), std::string::npos) << violations;
   EXPECT_NE(violations.find("Invariant13"), std::string::npos) << violations;
+  EXPECT_NE(violations.find("Invariant11a"), std::string::npos) << violations;
+  EXPECT_NE(violations.find("Invariant11b"), std::string::npos) << violations;
 }
 
 TEST(Figure4b, GlobalReconfigurationPreventsTheViolation) {
