@@ -5,7 +5,9 @@
 // PREPARE and one DECISION message, and send one PREPARE_ACK message"; the
 // network-intensive persisting of transactions is spread over coordinators.
 // The baseline's Paxos leader instead relays 2 replication rounds (prepare
-// + decision) per transaction to 2f followers each.
+// + decision) per transaction to 2f followers each.  That leader is one
+// process, shard server 0, which hosts its Paxos member, so the baseline row
+// reads that one pid's traffic.
 #include <cstdio>
 
 #include "baseline/cluster.h"
@@ -51,13 +53,11 @@ Load measure_baseline() {
     client.certify_remote(cluster.coordinator_for(p), cluster.next_txn_id(), p);
   }
   cluster.sim().run();
-  // The baseline leader = shard server 0 + its Paxos replica (one machine).
-  const auto& server = cluster.net().traffic(cluster.server(0, 0).id());
-  const auto& paxos = cluster.net().traffic(cluster.server(0, 0).paxos().id());
+  // The baseline leader is shard server 0, which hosts its Paxos member.
+  const auto& leader = cluster.net().traffic(cluster.server(0, 0).id());
   Load load;
-  load.leader_in =
-      static_cast<double>(server.msgs_received + paxos.msgs_received) / kTxns;
-  load.leader_out = static_cast<double>(server.msgs_sent + paxos.msgs_sent) / kTxns;
+  load.leader_in = static_cast<double>(leader.msgs_received) / kTxns;
+  load.leader_out = static_cast<double>(leader.msgs_sent) / kTxns;
   load.coordinator_out = load.leader_out;  // leader IS the coordinator
   return load;
 }

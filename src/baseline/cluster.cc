@@ -15,31 +15,18 @@ BaselineCluster::BaselineCluster(Options options)
   if (options_.enable_tracer) attach_tracer();
 
   for (ShardId s = 0; s < options_.num_shards; ++s) {
-    std::vector<ProcessId> group;
-    for (std::size_t i = 0; i < options_.shard_size; ++i) {
-      group.push_back(paxos_twin(server_pid(s, i)));
+    ShardServer::Options sopt;
+    sopt.shard = s;
+    sopt.shard_map = &shard_map_;
+    sopt.certifier = certifier_.get();
+    sopt.termination = options_.termination;
+    sopt.paxos.group = shard_servers(s);
+    sopt.paxos.initial_leader = sopt.paxos.group.front();
+    for (ProcessId pid : sopt.paxos.group) {
+      servers_.push_back(std::make_unique<ShardServer>(net_.runtime(), pid, sopt));
+      sim_.add_process(servers_.back().get());
     }
-    for (std::size_t i = 0; i < options_.shard_size; ++i) {
-      ShardServer::Options sopt;
-      sopt.shard = s;
-      sopt.shard_map = &shard_map_;
-      sopt.certifier = certifier_.get();
-      sopt.termination = options_.termination;
-      auto server = std::make_unique<ShardServer>(net_.runtime(), server_pid(s, i), sopt);
-      paxos::PaxosReplica::Options popt;
-      popt.group = group;
-      popt.initial_leader = group[0];
-      ShardServer* raw = server.get();
-      auto paxos = std::make_unique<paxos::PaxosReplica>(
-          net_.runtime(), group[i], "bpaxos" + std::to_string(group[i]), popt,
-          [raw](Slot slot, const sim::AnyMessage& cmd) { raw->apply(slot, cmd); });
-      server->attach_paxos(paxos.get());
-      sim_.add_process(server.get());
-      sim_.add_process(paxos.get());
-      servers_.push_back(std::move(server));
-      paxoses_.push_back(std::move(paxos));
-    }
-    leader_[s] = server_pid(s, 0);
+    leader_[s] = sopt.paxos.initial_leader;
   }
   // Install the full routing table at every server.
   for (auto& server : servers_) {
@@ -76,10 +63,7 @@ ProcessId BaselineCluster::coordinator_for(const tcs::Payload& payload) const {
   return leader_.at(parts.front());
 }
 
-void BaselineCluster::crash_server(ProcessId server) {
-  sim_.crash(server);
-  sim_.crash(paxos_twin(server));
-}
+void BaselineCluster::crash_server(ProcessId server) { sim_.crash(server); }
 
 void BaselineCluster::elect_leader(ShardId s, ProcessId new_leader) {
   server_by_pid(new_leader).paxos().start_election();
@@ -90,7 +74,7 @@ void BaselineCluster::elect_leader(ShardId s, ProcessId new_leader) {
 }
 
 void BaselineCluster::fail_over(ShardId s, std::size_t new_leader_idx) {
-  // Crash the current leader pair, then elect the chosen replica.
+  // Crash the current leader, then elect the chosen server.
   crash_server(leader_.at(s));
   elect_leader(s, server_pid(s, new_leader_idx));
 }

@@ -1,9 +1,10 @@
 // Simulator harness for the baseline 2PC-over-Paxos TCS: shards of 2f+1
-// servers (each paired with a Paxos replica on the same machine) and a
-// routing table of shard leaders, on the SimHost that the replica stacks'
-// clusters also stand on (recon/cluster_support.h): its Simulator, Network,
-// tracer, history and commit::Client processes, in recon::PidLayout's pid
-// layout.  A baseline client is a commit::Client in remote mode.
+// servers, each one process that hosts its member of the shard's Paxos
+// group, and a routing table of shard leaders, on the SimHost that the
+// replica stacks' clusters also stand on (recon/cluster_support.h): its
+// Simulator, Network, tracer, history and commit::Client processes, in
+// recon::PidLayout's pid layout.  A baseline client is a commit::Client in
+// remote mode.
 #pragma once
 
 #include <map>
@@ -48,16 +49,12 @@ class BaselineCluster : public recon::SimHost, public recon::PidLayout {
 
   std::uint32_t num_shards() const { return options_.num_shards; }
   /// All server pids of shard s (including crashed ones): PidLayout's
-  /// member pids.
+  /// member pids, and the shard's Paxos group.
   std::vector<ProcessId> shard_servers(ShardId s) const;
-  /// The Paxos replica co-located with a shard server (they share a
-  /// machine: a crash or partition takes both).  It sits at the pid the
-  /// replica stacks give their spares.
-  ProcessId paxos_twin(ProcessId server) const { return server + kSpareOffset; }
 
   // --- failure & leadership-change hooks ---------------------------------------
 
-  /// Crashes one server and its Paxos twin.  Does NOT repoint leadership:
+  /// Crashes one server, Paxos member included.  Does NOT repoint leadership:
   /// callers crashing the leader must follow up with elect_leader (the
   /// coordinator state it held is lost regardless — classical 2PC's
   /// blocking weakness).
@@ -68,8 +65,8 @@ class BaselineCluster : public recon::SimHost, public recon::PidLayout {
   /// tables are repointed.
   void elect_leader(ShardId s, ProcessId new_leader);
 
-  /// Crashes server idx of shard s (and its Paxos replica), then has
-  /// another replica take over leadership and updates the routing tables.
+  /// Crashes the leader server of shard s, then has server new_leader_idx
+  /// take over leadership and updates the routing tables.
   void fail_over(ShardId s, std::size_t new_leader_idx);
 
   const tcs::ShardMap& shard_map() const { return shard_map_; }
@@ -104,7 +101,6 @@ class BaselineCluster : public recon::SimHost, public recon::PidLayout {
   tcs::ShardMap shard_map_;
   std::unique_ptr<tcs::Certifier> certifier_;
   std::vector<std::unique_ptr<ShardServer>> servers_;
-  std::vector<std::unique_ptr<paxos::PaxosReplica>> paxoses_;
   std::map<ShardId, ProcessId> leader_;
 };
 

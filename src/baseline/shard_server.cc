@@ -9,6 +9,8 @@ using tcs::Decision;
 ShardServer::ShardServer(rt::Runtime& rt, ProcessId id, Options options)
     : Process(rt, id, "b" + std::to_string(id) + "/s" + std::to_string(options.shard)),
       options_(std::move(options)),
+      paxos_(rt, id, options_.paxos,
+             [this](Slot slot, const sim::AnyMessage& cmd) { apply(slot, cmd); }),
       responder_(rt, id) {
   assert(options_.shard_map != nullptr && options_.certifier != nullptr);
   if (options_.termination != TerminationMode::kClassical) {
@@ -21,6 +23,7 @@ ShardServer::ShardServer(rt::Runtime& rt, ProcessId id, Options options)
 }
 
 void ShardServer::on_message(ProcessId from, const sim::AnyMessage& msg) {
+  if (paxos_.on_message(from, msg)) return;
   if (responder_.handle(from, msg)) return;
   if (fd_monitor_ && fd_monitor_->handle(from, msg)) return;
   if (const auto* c = msg.as<commit::CertifyRequest>()) {
@@ -94,7 +97,7 @@ void ShardServer::handle_submit_prepare(const SubmitPrepare& m) {
   cmd.client = m.client;
   cmd.coordinator = m.coordinator;
   cmd.prepare_ts = m.prepare_ts;
-  paxos_->submit(sim::AnyMessage(std::move(cmd)));
+  paxos_.submit(sim::AnyMessage(std::move(cmd)));
 }
 
 void ShardServer::handle_submit_prepare_batch(const SubmitPrepareBatch& m) {
@@ -116,11 +119,11 @@ void ShardServer::handle_submit_prepare_batch(const SubmitPrepareBatch& m) {
     c.prepare_ts = sp.prepare_ts;
     cmd.items.push_back(std::move(c));
   }
-  paxos_->submit(sim::AnyMessage(std::move(cmd)));
+  paxos_.submit(sim::AnyMessage(std::move(cmd)));
 }
 
 void ShardServer::handle_submit_decide(const SubmitDecide& m) {
-  paxos_->submit(sim::AnyMessage(CmdDecide{m.txn, m.decision}));
+  paxos_.submit(sim::AnyMessage(CmdDecide{m.txn, m.decision}));
 }
 
 void ShardServer::apply(Slot slot, const sim::AnyMessage& cmd) {
@@ -172,7 +175,7 @@ void ShardServer::apply_prepare(const CmdPrepare& c) {
     }
   }
   // Only the current leader reports the vote to the coordinator.
-  if (paxos_->is_leader()) {
+  if (paxos_.is_leader()) {
     if (c.coordinator == id()) {
       handle_vote(Vote{c.txn, options_.shard, st.vote});
     } else {
@@ -227,12 +230,12 @@ void ShardServer::apply_decide(const CmdDecide& c) {
   // peer's in-doubt timer fired.
   Time csn_ts = c.decision == Decision::kCommit ? st.prepare_ts : 0;
   auto cit = coord_.find(c.txn);
-  if (cit != coord_.end() && !cit->second.replied && paxos_->is_leader()) {
+  if (cit != coord_.end() && !cit->second.replied && paxos_.is_leader()) {
     cit->second.replied = true;
     announce_decision(c.txn, c.decision, cit->second.participants,
                       cit->second.client, csn_ts);
   } else if (options_.termination != TerminationMode::kClassical &&
-             paxos_->is_leader() && cit == coord_.end() && !st.participants.empty() &&
+             paxos_.is_leader() && cit == coord_.end() && !st.participants.empty() &&
              st.participants.front() == options_.shard && st.coordinator != id()) {
     // Orphaned coordination: this shard hosted the transaction's 2PC
     // coordinator (the leader of its first participant shard), but that
@@ -258,7 +261,7 @@ void ShardServer::apply_resolve_abort(const CmdResolveAbort& c) {
     st.decision = Decision::kAbort;
     tombstoned = true;
   }
-  if (!paxos_->is_leader()) return;
+  if (!paxos_.is_leader()) return;
   if (tombstoned) {
     ++term_stats_.tombstones;
     rt().send_msg(id(), c.querier,
@@ -290,7 +293,7 @@ void ShardServer::maybe_decide(TxnId t) {
   if (options_.termination != TerminationMode::kPaxosCommit) {
     // Make the decision durable in the coordinator's own group first; the
     // reply and propagation happen when it applies (apply_decide).
-    paxos_->submit(sim::AnyMessage(CmdDecide{t, d}));
+    paxos_.submit(sim::AnyMessage(CmdDecide{t, d}));
     return;
   }
   // Paxos Commit: every vote is a chosen value (votes are emitted at apply
@@ -300,7 +303,7 @@ void ShardServer::maybe_decide(TxnId t) {
   // re-derives the same outcome from the votes.  `replied` is set first
   // because a one-replica group applies the decide synchronously.
   c.replied = true;
-  paxos_->submit(sim::AnyMessage(CmdDecide{t, d}));
+  paxos_.submit(sim::AnyMessage(CmdDecide{t, d}));
   announce_decision(t, d, c.participants, c.client,
                     d == Decision::kCommit ? c.prepare_ts : 0);
 }
@@ -358,12 +361,12 @@ void ShardServer::start_termination_round(TxnId t) {
     // window), or — the only way under kPaxosCommit — some peer stayed
     // unreachable for every round.  The transaction stays blocked.
     ts.concluded = true;
-    if (paxos_->is_leader()) ++term_stats_.blocked;
+    if (paxos_.is_leader()) ++term_stats_.blocked;
     clear_in_doubt(t, st.coordinator);
     return;
   }
   ++ts.rounds;
-  if (paxos_->is_leader()) {
+  if (paxos_.is_leader()) {
     ++ts.leader_rounds;
     ts.answers.clear();
     // Our own durable state is one answer: a NO vote already forecloses
@@ -391,7 +394,7 @@ void ShardServer::handle_termination_query(ProcessId from, const TerminationQuer
     // Never prepared here: promise abort durably (through our own log)
     // before answering; the log order arbitrates against an in-flight
     // prepare.  The leader answers when the command applies.
-    paxos_->submit(sim::AnyMessage(CmdResolveAbort{q.txn, from}));
+    paxos_.submit(sim::AnyMessage(CmdResolveAbort{q.txn, from}));
     return;
   }
   send_termination_answer(from, q.txn);
@@ -458,7 +461,7 @@ void ShardServer::resolve_in_doubt(TxnId t, Decision d) {
   // acts on its first decision).  A termination-resolved commit's csn is the
   // replicated coordinator stamp — the same value the dead coordinator
   // would have externalized.
-  paxos_->submit(sim::AnyMessage(CmdDecide{t, d}));
+  paxos_.submit(sim::AnyMessage(CmdDecide{t, d}));
   announce_decision(t, d, st.participants, st.client,
                     d == Decision::kCommit ? st.prepare_ts : 0);
 }

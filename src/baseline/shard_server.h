@@ -1,5 +1,7 @@
 // Baseline shard server: the TCS state machine replicated via Multi-Paxos,
-// plus the 2PC coordinator role for transactions submitted to it.
+// plus the 2PC coordinator role for transactions submitted to it.  Each
+// server is one member of its shard's 2f+1 Paxos group and hosts that
+// member's paxos::PaxosReplica, so one pid names the machine.
 //
 // Vote computation happens at *apply* time and depends only on the applied
 // command prefix, so every replica of a shard computes identical votes —
@@ -57,6 +59,8 @@ class ShardServer : public sim::Process {
     /// What follows a coordinator crash (kClassical = blocking 2PC).
     TerminationMode termination = TerminationMode::kClassical;
     fd::PingMonitor::Options fd;
+    /// This shard's Paxos group: every server's pid, this one's included.
+    paxos::PaxosReplica::Options paxos;
   };
 
   /// In-doubt fallback: query peers this long after preparing even if the
@@ -70,8 +74,7 @@ class ShardServer : public sim::Process {
 
   ShardServer(rt::Runtime& rt, ProcessId id, Options options);
 
-  void attach_paxos(paxos::PaxosReplica* paxos) { paxos_ = paxos; }
-  paxos::PaxosReplica& paxos() { return *paxos_; }
+  paxos::PaxosReplica& paxos() { return paxos_; }
 
   /// Routing table: leader server of each shard (maintained by the cluster;
   /// static absent failures, updated on failover by the harness).
@@ -108,7 +111,7 @@ class ShardServer : public sim::Process {
   // externalized after the read and is exempt from mandatory visibility).
 
   /// Leader-gated read eligibility.
-  bool can_serve_reads() const { return paxos_->is_leader() && paxos_->caught_up(); }
+  bool can_serve_reads() const { return paxos_.is_leader() && paxos_.caught_up(); }
   /// Largest snapshot this replica can serve locally: below the smallest
   /// coordinator stamp among prepared-undecided transactions, else "now".
   tcs::Csn read_watermark() const;
@@ -191,7 +194,7 @@ class ShardServer : public sim::Process {
   void resolve_in_doubt(TxnId t, tcs::Decision d);
 
   Options options_;
-  paxos::PaxosReplica* paxos_ = nullptr;
+  paxos::PaxosReplica paxos_;  ///< after options_: built from options_.paxos
   std::map<ShardId, ProcessId> leaders_;
 
   // Replicated TCS state (per shard).

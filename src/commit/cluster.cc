@@ -41,7 +41,7 @@ Cluster::Cluster(Options options)
   std::vector<ProcessId> cs_endpoints;
   if (options.replicated_cs) {
     static_assert(configsvc::ReplicatedConfigService::kFirstPid == kCsPid);
-    replicated_cs_ = std::make_unique<configsvc::ReplicatedConfigService>(sim_, net_);
+    replicated_cs_ = std::make_unique<configsvc::ReplicatedConfigService>(net_.runtime());
     cs_endpoints = replicated_cs_->endpoints();
     spawn(*replicated_cs_, cs_endpoints, options.leader_ships_accepts);
   } else {

@@ -82,6 +82,8 @@ class Cluster : public recon::SimHost, public rt::CommitSystem {
   bool await_active_epoch(ShardId s, Epoch at_least, std::size_t max_events = 2'000'000);
 
   Monitor& monitor() { return *monitor_; }
+  /// The Paxos-replicated CS, or null when Options::replicated_cs is off.
+  configsvc::ReplicatedConfigService* replicated_cs() { return replicated_cs_.get(); }
 
   // --- read-only snapshot transactions (CSN fast path) -------------------------
 

@@ -13,7 +13,7 @@ Replica::Replica(rt::Runtime& rt, ProcessId id, Options options)
 
 void Replica::bootstrap(Status status,
                         const std::map<ShardId, configsvc::ShardConfig>& all_views) {
-  views_ = all_views;
+  for (const auto& [s, v] : all_views) views_[s] = v;
   status_ = status;
   initialized_ = true;
   new_epoch_ = view(options_.shard).epoch;
@@ -22,7 +22,7 @@ void Replica::bootstrap(Status status,
 
 void Replica::bootstrap_spare(
     const std::map<ShardId, configsvc::ShardConfig>& all_views) {
-  views_ = all_views;
+  for (const auto& [s, v] : all_views) views_[s] = v;
   status_ = Status::kReconfiguring;  // inert until it receives NEW_STATE
   initialized_ = false;
   new_epoch_ = kNoEpoch;

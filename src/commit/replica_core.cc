@@ -22,12 +22,12 @@ ReplicaCore::ReplicaCore(rt::Runtime& rt, ProcessId id, std::string name,
       observer_(observer),
       fd_responder_(rt, id) {
   assert(options_.shard_map != nullptr && options_.certifier != nullptr);
+  views_.resize(options_.shard_map->num_shards());
 }
 
 const configsvc::ShardConfig& ReplicaCore::view(ShardId s) const {
   static const configsvc::ShardConfig kInvalid;
-  auto it = views_.find(s);
-  return it == views_.end() ? kInvalid : it->second;
+  return s < views_.size() ? views_[s] : kInvalid;
 }
 
 bool ReplicaCore::handle_core_message(ProcessId from, const sim::AnyMessage& msg) {
@@ -570,7 +570,7 @@ void ReplicaCore::handle_new_state(ProcessId from, const NewState& m) {
 
 void ReplicaCore::handle_config_change(const configsvc::ConfigChange& m) {
   // Line 68 pre: epoch[s] < e ∧ s ≠ s0.
-  if (m.shard == options_.shard) return;
+  if (m.shard == options_.shard || m.shard >= views_.size()) return;
   configsvc::ShardConfig& v = views_[m.shard];
   if (v.epoch >= m.config.epoch) return;
   v = m.config;  // line 69

@@ -348,7 +348,9 @@ class ReplicaCore : public sim::Process, protected recon::StackHooks {
   Status status_ = Status::kReconfiguring;
   bool initialized_ = false;
   Epoch new_epoch_ = kNoEpoch;
-  std::map<ShardId, configsvc::ShardConfig> views_;  // epoch/members/leader arrays
+  /// Epoch/members/leader arrays, indexed by ShardId and sized from the
+  /// shard map; an entry never written is the invalid view.
+  std::vector<configsvc::ShardConfig> views_;
 
  private:
   /// One coordination (Fig. 1 lines 2-3 and 18-30).  Flat: the per-shard

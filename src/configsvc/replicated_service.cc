@@ -2,12 +2,17 @@
 
 namespace ratc::configsvc {
 
+CsServer::CsServer(rt::Runtime& rt, ProcessId id, const std::vector<ProcessId>& group)
+    : Frontend(rt, id, "cs-frontend" + std::to_string(id)),
+      paxos_(rt, id, {.group = group, .initial_leader = group.front()},
+             [this](Slot slot, const sim::AnyMessage& cmd) { apply(slot, cmd); }) {}
+
 void CsServer::on_message(ProcessId from, const sim::AnyMessage& msg) {
-  if (!request_id(msg)) return;
-  // Only the current leader's frontend sequences requests; other frontends
-  // drop them and rely on the client's retry loop.
-  if (paxos_ == nullptr || !paxos_->is_leader()) return;
-  paxos_->submit(sim::AnyMessage(CsCommand{from, msg}));
+  if (paxos_.on_message(from, msg) || !request_id(msg)) return;
+  // Only the current leader sequences requests; other servers drop them and
+  // rely on the client's retry loop.
+  if (!paxos_.is_leader()) return;
+  paxos_.submit(sim::AnyMessage(CsCommand{from, msg}));
 }
 
 void CsServer::apply(Slot slot, const sim::AnyMessage& cmd) {
@@ -15,31 +20,19 @@ void CsServer::apply(Slot slot, const sim::AnyMessage& cmd) {
   const auto* c = cmd.as<CsCommand>();
   if (c == nullptr) return;
   Store::Outcome out = store_.apply(c->request);
-  if (!paxos_->is_leader()) return;
+  if (!paxos_.is_leader()) return;
   notify(out.change);
   rt().send(id(), c->origin, std::move(out.reply));
 }
 
-ReplicatedConfigService::ReplicatedConfigService(sim::Simulator& sim, sim::Network& net) {
-  std::vector<ProcessId> paxos_group;
+ReplicatedConfigService::ReplicatedConfigService(rt::Runtime& rt) {
+  std::vector<ProcessId> group;
   for (std::size_t i = 0; i < kNumServers; ++i) {
-    paxos_group.push_back(kFirstPid + static_cast<ProcessId>(kNumServers + i));
+    group.push_back(kFirstPid + static_cast<ProcessId>(i));
   }
-  for (std::size_t i = 0; i < kNumServers; ++i) {
-    auto server =
-        std::make_unique<CsServer>(net.runtime(), kFirstPid + static_cast<ProcessId>(i));
-    paxos::PaxosReplica::Options popt;
-    popt.group = paxos_group;
-    popt.initial_leader = paxos_group[0];
-    CsServer* raw = server.get();
-    auto paxos = std::make_unique<paxos::PaxosReplica>(
-        net.runtime(), paxos_group[i], "cs-paxos" + std::to_string(i), popt,
-        [raw](Slot slot, const sim::AnyMessage& cmd) { raw->apply(slot, cmd); });
-    server->attach_paxos(paxos.get());
-    sim.add_process(server.get());
-    sim.add_process(paxos.get());
-    servers_.push_back(std::move(server));
-    paxoses_.push_back(std::move(paxos));
+  for (ProcessId pid : group) {
+    servers_.push_back(std::make_unique<CsServer>(rt, pid, group));
+    rt.spawn(servers_.back().get());
   }
 }
 
@@ -56,11 +49,6 @@ void ReplicatedConfigService::bootstrap(ShardId shard, const ShardConfig& config
 
 void ReplicatedConfigService::subscribe(ProcessId p) {
   for (auto& s : servers_) s->subscribe(p);
-}
-
-void ReplicatedConfigService::crash_server(sim::Simulator& sim, std::size_t i) {
-  sim.crash(servers_[i]->id());
-  sim.crash(paxoses_[i]->id());
 }
 
 }  // namespace ratc::configsvc

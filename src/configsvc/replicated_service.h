@@ -3,13 +3,13 @@
 // processes out of which at most f can fail, as done in systems such as
 // Zookeeper").
 //
-// Each CS server is a pair of simulated processes: a *frontend* that speaks
-// the CS request protocol, and a Paxos replica that sequences commands.
-// The frontend whose Paxos replica currently leads wraps incoming requests
-// into commands; every server applies the same command sequence to its own
-// Store (store.h), whose reply cache absorbs the duplicate submissions that
-// client retries and leader changes produce.  The leader's frontend sends
-// the change notifications and then the reply.
+// Each CS server is one process: it speaks the CS request protocol and
+// hosts its member of the 2f+1 Paxos group that sequences commands.  The
+// server whose replica currently leads wraps incoming requests into
+// commands; every server applies the same command sequence to its own Store
+// (store.h), whose reply cache absorbs the duplicate submissions that client
+// retries and leader changes produce.  The leader sends the change
+// notifications and then the reply.
 #pragma once
 
 #include <memory>
@@ -17,7 +17,6 @@
 
 #include "configsvc/store.h"
 #include "paxos/replica.h"
-#include "sim/network.h"
 
 namespace ratc::configsvc {
 
@@ -31,33 +30,34 @@ struct CsCommand {
 
 class CsServer : public Frontend {
  public:
-  CsServer(rt::Runtime& rt, ProcessId id)
-      : Frontend(rt, id, "cs-frontend" + std::to_string(id)) {}
+  /// `group` is every CS server's pid, this one's included; its first
+  /// member leads initially.
+  CsServer(rt::Runtime& rt, ProcessId id, const std::vector<ProcessId>& group);
 
-  void attach_paxos(paxos::PaxosReplica* paxos) { paxos_ = paxos; }
-  paxos::PaxosReplica& paxos() { return *paxos_; }
+  paxos::PaxosReplica& paxos() { return paxos_; }
 
   void on_message(ProcessId from, const sim::AnyMessage& msg) override;
 
+ private:
   /// Paxos apply upcall.
   void apply(Slot slot, const sim::AnyMessage& cmd);
 
- private:
-  paxos::PaxosReplica* paxos_ = nullptr;
+  paxos::PaxosReplica paxos_;
 };
 
 /// Owns the full 2f+1 server group (f = 1); a construction/operations
-/// convenience for tests and benches.
+/// convenience for tests and benches.  A server crashes with one
+/// Runtime::crash of its pid.
 class ReplicatedConfigService {
  public:
-  /// Frontends get kFirstPid..kFirstPid+2, the Paxos replicas the next three
-  /// ids.
+  /// Servers get kFirstPid..kFirstPid+2; the first leads initially.
   static constexpr std::size_t kNumServers = 3;
   static constexpr ProcessId kFirstPid = 9000;
 
-  ReplicatedConfigService(sim::Simulator& sim, sim::Network& net);
+  /// Spawns the servers on `rt`.
+  explicit ReplicatedConfigService(rt::Runtime& rt);
 
-  /// Frontend process ids — what protocol processes use as CS endpoints.
+  /// Server pids — what protocol processes use as CS endpoints.
   std::vector<ProcessId> endpoints() const;
 
   void bootstrap(ShardId shard, const ShardConfig& config);
@@ -65,14 +65,9 @@ class ReplicatedConfigService {
 
   std::size_t num_servers() const { return servers_.size(); }
   CsServer& server(std::size_t i) { return *servers_[i]; }
-  paxos::PaxosReplica& paxos(std::size_t i) { return *paxoses_[i]; }
-
-  /// Crashes server i (frontend and Paxos replica).
-  void crash_server(sim::Simulator& sim, std::size_t i);
 
  private:
   std::vector<std::unique_ptr<CsServer>> servers_;
-  std::vector<std::unique_ptr<paxos::PaxosReplica>> paxoses_;
 };
 
 }  // namespace ratc::configsvc

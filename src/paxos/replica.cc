@@ -7,19 +7,17 @@
 
 namespace ratc::paxos {
 
-PaxosReplica::PaxosReplica(rt::Runtime& rt, ProcessId id, std::string name,
-                           Options options, ApplyFn apply)
-    : Process(rt, id, std::move(name)),
-      options_(std::move(options)),
-      apply_(std::move(apply)) {
-  assert(std::count(options_.group.begin(), options_.group.end(), id) == 1);
+PaxosReplica::PaxosReplica(rt::Runtime& rt, ProcessId owner, Options options,
+                           ApplyFn apply)
+    : rt_(rt), owner_(owner), options_(std::move(options)), apply_(std::move(apply)) {
+  assert(std::count(options_.group.begin(), options_.group.end(), owner) == 1);
   leader_hint_ = options_.initial_leader;
-  if (options_.initial_leader == id) {
+  if (options_.initial_leader == owner) {
     // Bootstrap: the initial leader starts with ballot (1, self), already
     // promised by everyone (all replicas start with promised_ = (0, none),
     // and will accept any higher ballot in phase 2 directly).
     leading_ = true;
-    my_ballot_ = Ballot{1, id};
+    my_ballot_ = Ballot{1, owner};
     promised_ = my_ballot_;
   }
 }
@@ -29,8 +27,8 @@ void PaxosReplica::submit(sim::AnyMessage cmd) {
     propose(next_slot_++, std::move(cmd));
   } else if (electing_) {
     backlog_.push_back(std::move(cmd));
-  } else if (leader_hint_ != kNoProcess && leader_hint_ != id()) {
-    rt().send_msg(id(), leader_hint_, SubmitCmd{std::move(cmd)});
+  } else if (leader_hint_ != kNoProcess && leader_hint_ != owner_) {
+    rt_.send_msg(owner_, leader_hint_, SubmitCmd{std::move(cmd)});
   } else {
     backlog_.push_back(std::move(cmd));
   }
@@ -40,22 +38,22 @@ void PaxosReplica::start_election() {
   electing_ = true;
   leading_ = false;
   std::uint64_t round = std::max(promised_.round, my_ballot_.round) + 1;
-  my_ballot_ = Ballot{round, id()};
+  my_ballot_ = Ballot{round, owner_};
   phase1_responses_.clear();
   pending_.clear();
-  RATC_DEBUG(name() << " starts election at ballot (" << my_ballot_.round << ","
-                    << my_ballot_.proposer << ")");
+  RATC_DEBUG(process_name(owner_) << " starts election at ballot (" << my_ballot_.round
+                                  << "," << my_ballot_.proposer << ")");
   for (ProcessId p : options_.group) {
-    if (p == id()) continue;
-    rt().send_msg(id(), p, Phase1a{my_ballot_});
+    if (p == owner_) continue;
+    rt_.send_msg(owner_, p, Phase1a{my_ballot_});
   }
   // Self-promise.
   promised_ = my_ballot_;
-  phase1_responses_[id()] = accepted_;
+  phase1_responses_[owner_] = accepted_;
   check_election();
 }
 
-void PaxosReplica::on_message(ProcessId from, const sim::AnyMessage& msg) {
+bool PaxosReplica::on_message(ProcessId from, const sim::AnyMessage& msg) {
   if (const auto* m = msg.as<SubmitCmd>()) {
     handle_submit(*m);
   } else if (const auto* m1a = msg.as<Phase1a>()) {
@@ -68,7 +66,10 @@ void PaxosReplica::on_message(ProcessId from, const sim::AnyMessage& msg) {
     handle_phase2b(from, *m2b);
   } else if (const auto* mc = msg.as<CommitSlot>()) {
     handle_commit(from, *mc);
+  } else {
+    return false;
   }
+  return true;
 }
 
 void PaxosReplica::handle_submit(const SubmitCmd& m) { submit(m.cmd); }
@@ -78,7 +79,7 @@ void PaxosReplica::handle_phase1a(ProcessId from, const Phase1a& m) {
   promised_ = m.ballot;
   leading_ = false;
   electing_ = false;
-  rt().send_msg(id(), from, Phase1b{m.ballot, accepted_});
+  rt_.send_msg(owner_, from, Phase1b{m.ballot, accepted_});
 }
 
 void PaxosReplica::handle_phase1b(ProcessId from, const Phase1b& m) {
@@ -94,7 +95,7 @@ void PaxosReplica::check_election() {
   // fill gaps with no-ops, then drain the backlog.
   electing_ = false;
   leading_ = true;
-  leader_hint_ = id();
+  leader_hint_ = owner_;
   std::map<Slot, AcceptedEntry> best;
   Slot max_slot = 0;
   for (const auto& [p, acc] : phase1_responses_) {
@@ -130,11 +131,11 @@ void PaxosReplica::check_election() {
 
 void PaxosReplica::drain_backlog() {
   if (leading_ || electing_ || backlog_.empty()) return;
-  if (leader_hint_ == kNoProcess || leader_hint_ == id()) return;
+  if (leader_hint_ == kNoProcess || leader_hint_ == owner_) return;
   auto backlog = std::move(backlog_);
   backlog_.clear();
   for (auto& cmd : backlog) {
-    rt().send_msg(id(), leader_hint_, SubmitCmd{std::move(cmd)});
+    rt_.send_msg(owner_, leader_hint_, SubmitCmd{std::move(cmd)});
   }
 }
 
@@ -142,12 +143,12 @@ void PaxosReplica::propose(Slot slot, sim::AnyMessage cmd) {
   assert(leading_);
   Pending& p = pending_[slot];
   p.cmd = cmd;
-  p.acks = {id()};
+  p.acks = {owner_};
   // Self-accept.
   accepted_[slot] = AcceptedEntry{my_ballot_, cmd};
   for (ProcessId peer : options_.group) {
-    if (peer == id()) continue;
-    rt().send_msg(id(), peer, Phase2a{my_ballot_, slot, cmd});
+    if (peer == owner_) continue;
+    rt_.send_msg(owner_, peer, Phase2a{my_ballot_, slot, cmd});
   }
   if (p.acks.size() >= majority()) {
     choose(slot, cmd);
@@ -161,7 +162,7 @@ void PaxosReplica::handle_phase2a(ProcessId from, const Phase2a& m) {
   if (leading_ && my_ballot_ < m.ballot) leading_ = false;
   leader_hint_ = m.ballot.proposer;
   accepted_[m.slot] = AcceptedEntry{m.ballot, m.cmd};
-  rt().send_msg(id(), from, Phase2b{m.ballot, m.slot});
+  rt_.send_msg(owner_, from, Phase2b{m.ballot, m.slot});
   drain_backlog();
 }
 
@@ -181,8 +182,8 @@ void PaxosReplica::choose(Slot slot, const sim::AnyMessage& cmd) {
   if (chosen_.count(slot) == 0) {
     chosen_.emplace(slot, cmd);
     for (ProcessId peer : options_.group) {
-      if (peer == id()) continue;
-      rt().send_msg(id(), peer, CommitSlot{my_ballot_, slot, cmd});
+      if (peer == owner_) continue;
+      rt_.send_msg(owner_, peer, CommitSlot{my_ballot_, slot, cmd});
     }
   }
   apply_ready();

@@ -9,8 +9,14 @@
 //  * the baseline TCS that runs 2PC over Paxos-replicated shards
 //    (experiments E2-E4).
 //
+// A PaxosReplica is a component of the process that hosts it, like
+// fd::Responder or configsvc::CsClient: it sends under the host's pid, the
+// host passes it every incoming message first, and each group member is one
+// process.  The replica arms no timers; a host that needs one (a
+// retransmission or an election timeout) owns it.
+//
 // Design notes:
-//  * Each process plays proposer, acceptor and learner.
+//  * Each member plays proposer, acceptor and learner.
 //  * Stable-leader optimization: phase 1 runs once per ballot and covers
 //    all slots; subsequent commands go straight to phase 2.
 //  * A new leader re-proposes the highest-ballot accepted value per slot
@@ -29,22 +35,25 @@
 
 #include "common/types.h"
 #include "paxos/messages.h"
-#include "sim/process.h"
+#include "rt/runtime.h"
+#include "sim/message.h"
 
 namespace ratc::paxos {
 
-class PaxosReplica : public sim::Process {
+class PaxosReplica {
  public:
   /// Applied exactly once per chosen non-noop command, in slot order.
   using ApplyFn = std::function<void(Slot, const sim::AnyMessage&)>;
 
   struct Options {
-    std::vector<ProcessId> group;  ///< all replica ids, including this one
+    std::vector<ProcessId> group;  ///< every member's host pid, the owner's included
     ProcessId initial_leader = kNoProcess;
   };
 
-  PaxosReplica(rt::Runtime& rt, ProcessId id, std::string name, Options options,
-               ApplyFn apply);
+  /// `owner` is the hosting process: the replica sends under its pid, and
+  /// its ballots carry it.  `apply` may capture the host: the constructor
+  /// never calls it.
+  PaxosReplica(rt::Runtime& rt, ProcessId owner, Options options, ApplyFn apply);
 
   /// Submits a command for replication.  On the leader this starts phase 2
   /// immediately; elsewhere it forwards to the believed leader.
@@ -67,7 +76,9 @@ class PaxosReplica : public sim::Process {
   Slot next_slot() const { return next_slot_; }
   const Options& options() const { return options_; }
 
-  void on_message(ProcessId from, const sim::AnyMessage& msg) override;
+  /// The host passes every incoming message here first; returns true if it
+  /// was a Paxos message and has been consumed.
+  bool on_message(ProcessId from, const sim::AnyMessage& msg);
 
  private:
   std::size_t majority() const { return options_.group.size() / 2 + 1; }
@@ -86,6 +97,8 @@ class PaxosReplica : public sim::Process {
   /// Forwards buffered commands once a leader becomes known.
   void drain_backlog();
 
+  rt::Runtime& rt_;
+  ProcessId owner_;
   Options options_;
   ApplyFn apply_;
 

@@ -56,20 +56,20 @@ Rng& ThreadedRuntime::rng() {
 void ThreadedRuntime::spawn(sim::Process* p) {
   assert(p != nullptr);
   assert(!running_ && "spawn is only legal before start()");
-  assert(procs_.find(p->id()) == procs_.end() && "duplicate process id");
+  assert(find(p->id()) == nullptr && "duplicate process id");
   auto rec = std::make_unique<ProcessRecord>();
   rec->proc = p;
   rec->worker = next_worker_;
   next_worker_ = (next_worker_ + 1) % workers_.size();
   rec->inbox = std::make_unique<Inbox>(workers_.size());
   workers_[rec->worker]->procs.push_back(rec.get());
-  procs_.emplace(p->id(), std::move(rec));
+  if (p->id() >= by_pid_.size()) by_pid_.resize(std::size_t{p->id()} + 1, nullptr);
+  by_pid_[p->id()] = rec.get();
+  procs_.push_back(std::move(rec));
 }
 
 ThreadedRuntime::ProcessRecord* ThreadedRuntime::find(ProcessId id) const {
-  // procs_ is frozen once start() runs, so concurrent reads are safe.
-  auto it = procs_.find(id);
-  return it == procs_.end() ? nullptr : it->second.get();
+  return id < by_pid_.size() ? by_pid_[id] : nullptr;
 }
 
 void ThreadedRuntime::crash(ProcessId id) {
@@ -159,8 +159,7 @@ void ThreadedRuntime::stop() {
   }
   // In-flight mail and timers die with the runtime, like a sim that stops
   // stepping; account for the mail so stats stay truthful.
-  for (auto& [id, rec] : procs_) {
-    (void)id;
+  for (auto& rec : procs_) {
     std::size_t n = rec->inbox->drain(SIZE_MAX, [](Envelope&) {});
     dropped_.fetch_add(n, std::memory_order_relaxed);
   }

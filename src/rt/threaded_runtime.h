@@ -40,7 +40,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
@@ -71,7 +70,8 @@ class ThreadedRuntime final : public Runtime {
   /// Worker threads get their own seeded stream; other threads share the
   /// setup stream (single-threaded use only).
   Rng& rng() override;
-  /// Only legal before start().
+  /// Only legal before start().  Pids index a dense table, so they must be
+  /// small (recon::PidLayout's stay under 10,000).
   void spawn(sim::Process* p) override;
   void crash(ProcessId id) override;
   bool crashed(ProcessId id) const override;
@@ -145,7 +145,11 @@ class ThreadedRuntime final : public Runtime {
   Options options_;
   std::chrono::steady_clock::time_point epoch_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::unordered_map<ProcessId, std::unique_ptr<ProcessRecord>> procs_;
+  std::vector<std::unique_ptr<ProcessRecord>> procs_;  ///< the owner, in spawn order
+  /// find()'s table: the record of pid p at by_pid_[p], null for an unknown
+  /// pid.  Filled by spawn and frozen by start(), so concurrent reads are
+  /// safe.
+  std::vector<ProcessRecord*> by_pid_;
   std::vector<sim::NetworkObserver*> observers_;
   Rng setup_rng_;
   std::atomic<std::uint64_t> timer_seq_{0};

@@ -234,12 +234,10 @@ std::vector<ProcessId> BaselineHarness::alive_servers(ShardId s) {
 }
 
 std::vector<std::vector<ProcessId>> BaselineHarness::fault_units(ShardId s) const {
-  // A baseline machine hosts the shard server and its Paxos replica; a
-  // partition or clock fault hits both.
+  // A baseline machine is one process: the shard server hosts its Paxos
+  // member.
   std::vector<std::vector<ProcessId>> units;
-  for (ProcessId m : cluster_.shard_servers(s)) {
-    units.push_back({m, cluster_.paxos_twin(m)});
-  }
+  for (ProcessId m : cluster_.shard_servers(s)) units.push_back({m});
   return units;
 }
 

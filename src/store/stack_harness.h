@@ -332,14 +332,15 @@ using RdmaHarness = ReplicaHarness<RdmaStack>;
 extern template class ReplicaHarness<CommitStack>;
 extern template class ReplicaHarness<RdmaStack>;
 
-/// Vanilla 2PC-over-Paxos baseline: shards of 2f+1 servers, each paired
-/// with a Paxos replica on the same machine.  Coordinator state is not
-/// replicated, so under kClassical a coordinator crash blocks its in-flight
-/// transactions — the weakness the paper's protocols remove; sweeps
-/// document it by tuning min_decided_fraction down.  No online monitor or
-/// TCS-LL oracle exists for this stack: verify() checks decision agreement
-/// across replicas and shards plus the serializability conflict graph, and
-/// the black-box linearization DFS still applies.
+/// Vanilla 2PC-over-Paxos baseline: shards of 2f+1 servers, each one
+/// process hosting its member of the shard's Paxos group, so a fault unit
+/// is one pid.  Coordinator state is not replicated, so under kClassical a
+/// coordinator crash blocks its in-flight transactions — the weakness the
+/// paper's protocols remove; sweeps document it by tuning
+/// min_decided_fraction down.  No online monitor or TCS-LL oracle exists
+/// for this stack: verify() checks decision agreement across replicas and
+/// shards plus the serializability conflict graph, and the black-box
+/// linearization DFS still applies.
 class BaselineHarness : public HarnessBase<BaselineHarness, baseline::BaselineCluster> {
  public:
   static constexpr const char* kName = "baseline";

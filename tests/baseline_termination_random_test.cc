@@ -233,8 +233,7 @@ TEST(TerminationNemesis, FalseSuspicionPartitionsStaySafe) {
             // suspicion threshold, without crashing anything.
             ShardId s = static_cast<ShardId>(fault_rng.below(h.num_shards()));
             ProcessId leader = h.cluster().leader_server(s);
-            nemesis.isolate({leader, h.cluster().paxos_twin(leader)},
-                            /*len=*/150, /*lossy=*/false);
+            nemesis.isolate({leader}, /*len=*/150, /*lossy=*/false);
           }
           h.sim().run_until(h.sim().now() +
                             workload_rng.range(0, store::BaselineCoopHarness::kPaceHi));

@@ -217,9 +217,8 @@ TEST(TerminationProtocol, StrandedParticipantResolvesViaInDoubtTimeout) {
     client.certify_remote(cluster.coordinator_for(p), t, p);
     ASSERT_TRUE(cluster.sim().run_until_pred(
         [&] { return cluster.server(1, 0).has_prepared(t); }));
-    nemesis.isolate_one_way(
-        {cluster.leader_server(1), cluster.paxos_twin(cluster.leader_server(1))},
-        40, /*inbound_blocked=*/true, /*lossy=*/true);
+    nemesis.isolate_one_way({cluster.leader_server(1)}, 40, /*inbound_blocked=*/true,
+                            /*lossy=*/true);
     cluster.sim().run();
     // Let the partition window expire before probing with T2.
     cluster.sim().run_until(cluster.sim().now() + 60);
@@ -264,9 +263,7 @@ TEST(TerminationProtocol, NeverPreparedPeerForeclosesAbortAndReleasesObjects) {
     TxnId t = cluster.next_txn_id();
     Payload p = make_payload({0, 1}, {0, 1}, 0, 1);
     ProcessId coordinator = cluster.coordinator_for(p);
-    nemesis.isolate(
-        {cluster.leader_server(1), cluster.paxos_twin(cluster.leader_server(1))},
-        30, /*lossy=*/true);
+    nemesis.isolate({cluster.leader_server(1)}, 30, /*lossy=*/true);
     client.certify_remote(coordinator, t, p);
     ASSERT_TRUE(cluster.sim().run_until_pred(
         [&] { return cluster.server(0, 1).has_prepared(t); }));

@@ -2,6 +2,8 @@
 // the paper's introduction cites for the vanilla scheme.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "baseline/cluster.h"
 #include "checker/linearization.h"
 
@@ -105,8 +107,40 @@ TEST(Baseline, PaxosLeaderCarriesReplicationLoad) {
   cluster.sim().run();
   // The shard's Paxos leader sent 2 commands * 2 followers Phase2a messages
   // per transaction.
-  const auto& t = cluster.net().traffic(cluster.server(0, 0).paxos().id());
+  const auto& t = cluster.net().traffic(cluster.server(0, 0).id());
   EXPECT_GE(t.sent_by_type.at("PAXOS_2A"), 2u * 2u * kTxns);
+}
+
+TEST(Baseline, EveryTracedPidIsAServerOrAClient) {
+  // Each server hosts its shard's Paxos member, so the wire carries server
+  // and client pids only, and one crash(pid) takes a whole member down: the
+  // election after it runs among the surviving servers' pids.
+  BaselineCluster cluster(
+      {.seed = 11, .num_shards = 2, .shard_size = 3, .enable_tracer = true});
+  commit::Client& client = cluster.add_client();
+  auto commit_across_shards = [&](ObjectId a, ObjectId b) {
+    TxnId t = cluster.next_txn_id();
+    Payload p = make_payload({a, b}, {a, b}, 0, 1);
+    client.certify_remote(cluster.coordinator_for(p), t, p);
+    cluster.sim().run();
+    return client.decision(t);
+  };
+  ASSERT_EQ(commit_across_shards(0, 1), Decision::kCommit);
+
+  cluster.crash(cluster.leader_server(0));
+  cluster.elect_leader(0, cluster.shard_servers(0)[1]);
+  ASSERT_EQ(commit_across_shards(2, 3), Decision::kCommit);
+  ASSERT_TRUE(cluster.tracer().delivered("PAXOS_1B"));
+
+  std::set<ProcessId> known = {client.id()};
+  for (ShardId s = 0; s < cluster.num_shards(); ++s) {
+    for (ProcessId pid : cluster.shard_servers(s)) known.insert(pid);
+  }
+  for (const sim::TraceEntry& e : cluster.tracer().entries()) {
+    EXPECT_EQ(known.count(e.from), 1u) << "t=" << e.time << " " << e.type << " from p"
+                                       << e.from;
+    EXPECT_EQ(known.count(e.to), 1u) << "t=" << e.time << " " << e.type << " to p" << e.to;
+  }
 }
 
 TEST(Baseline, ManyTransactionsAcrossShards) {

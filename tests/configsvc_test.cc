@@ -200,7 +200,7 @@ TEST(SimpleGlobalConfigService, CasAndGet) {
 TEST(ReplicatedConfigService, EndToEndCasAndQueries) {
   sim::Simulator sim(8);
   sim::Network net(sim);
-  ReplicatedConfigService rcs(sim, net);
+  ReplicatedConfigService rcs(net.runtime());
   CsUser user(sim, net, 2, rcs.endpoints());
   sim.add_process(&user);
 
@@ -220,14 +220,14 @@ TEST(ReplicatedConfigService, EndToEndCasAndQueries) {
 TEST(ReplicatedConfigService, SurvivesLeaderCrashWithClientRetry) {
   sim::Simulator sim(9);
   sim::Network net(sim);
-  ReplicatedConfigService rcs(sim, net);
+  ReplicatedConfigService rcs(net.runtime());
   rcs.bootstrap(0, make_config(1, {10, 11}));
   CsUser user(sim, net, 2, rcs.endpoints());
   sim.add_process(&user);
 
-  // Crash the initial leader (server 0) and elect server 1.
-  rcs.crash_server(sim, 0);
-  rcs.paxos(1).start_election();
+  // Crash the initial leader (server 0) by its one pid and elect server 1.
+  sim.crash(rcs.server(0).id());
+  rcs.server(1).paxos().start_election();
 
   std::optional<bool> ok;
   user.client.cas(0, 1, make_config(2, {10, 12}), [&](bool r) { ok = r; });
@@ -236,12 +236,15 @@ TEST(ReplicatedConfigService, SurvivesLeaderCrashWithClientRetry) {
   EXPECT_TRUE(*ok);
   EXPECT_EQ(rcs.server(1).last(0).epoch, 2u);
   EXPECT_EQ(rcs.server(2).last(0).epoch, 2u);
+  // That one crash stopped the whole server, its Paxos member included: it
+  // did not apply the CAS.
+  EXPECT_EQ(rcs.server(0).last(0).epoch, 1u);
 }
 
 TEST(ReplicatedConfigService, NotifiesSubscribers) {
   sim::Simulator sim(10);
   sim::Network net(sim);
-  ReplicatedConfigService rcs(sim, net);
+  ReplicatedConfigService rcs(net.runtime());
   struct Sub : sim::Process {
     using Process::Process;
     int changes = 0;

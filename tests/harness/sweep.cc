@@ -7,7 +7,7 @@
 #include <set>
 
 #include "harness/nemesis.h"
-#include "paxos/replica.h"
+#include "harness/paxos_host.h"
 #include "sim/trace.h"
 
 namespace ratc::harness {
@@ -71,11 +71,6 @@ using tcs::Payload;
 // reconfiguration, and verify() checks prefix agreement and exactly-once
 // application across survivors.
 
-struct PaxosCmd {
-  static constexpr const char* kName = "HARNESS_CMD";
-  int value = 0;
-};
-
 class PaxosHarness {
  public:
   using Workload = PaxosWorkloadOptions;
@@ -91,23 +86,7 @@ class PaxosHarness {
                        ? sim::Network::exponential_delay_options(4.0)
                        : sim::Network::unit_delay_options()) {
     net_.add_observer(&tracer_);
-    std::vector<ProcessId> ids;
-    for (std::size_t i = 0; i < w.replicas; ++i) {
-      ids.push_back(static_cast<ProcessId>(100 + i));
-    }
-    applied_.resize(w.replicas);
-    for (std::size_t i = 0; i < w.replicas; ++i) {
-      paxos::PaxosReplica::Options opt;
-      opt.group = ids;
-      opt.initial_leader = ids[0];
-      auto& log = applied_[i];
-      replicas_.push_back(std::make_unique<paxos::PaxosReplica>(
-          net_.runtime(), ids[i], "hx" + std::to_string(i), opt,
-          [&log](Slot, const sim::AnyMessage& cmd) {
-            log.push_back(cmd.as<PaxosCmd>()->value);
-          }));
-      sim_.add_process(replicas_.back().get());
-    }
+    hosts_ = spawn_paxos_group(net_.runtime(), w.replicas);
   }
 
   sim::Simulator& sim() { return sim_; }
@@ -118,8 +97,7 @@ class PaxosHarness {
   TxnId next_txn_id() { return next_txn_++; }
 
   bool submit(Rng& rng, TxnId txn, const Payload&) {
-    replicas_[pick_alive(rng)]->submit(
-        sim::AnyMessage(PaxosCmd{static_cast<int>(txn)}));
+    hosts_[pick_alive(rng)]->submit(static_cast<int>(txn));
     return true;
   }
 
@@ -132,7 +110,7 @@ class PaxosHarness {
   std::uint32_t num_shards() const { return 1; }
   std::vector<std::vector<ProcessId>> all_units() const {
     std::vector<std::vector<ProcessId>> units;
-    for (const auto& r : replicas_) units.push_back({r->id()});
+    for (const auto& h : hosts_) units.push_back({h->id()});
     return units;
   }
   std::vector<std::vector<ProcessId>> fault_units(ShardId) const { return all_units(); }
@@ -141,15 +119,15 @@ class PaxosHarness {
     if (alive_count() <= majority()) return false;
     std::vector<std::size_t> alive = alive_indices();
     std::size_t victim = alive[rng.below(alive.size())];
-    sim_.crash(replicas_[victim]->id());
-    replicas_[pick_alive(rng)]->start_election();
+    sim_.crash(hosts_[victim]->id());
+    hosts_[pick_alive(rng)]->paxos().start_election();
     sim_.run_until(sim_.now() + 200);
     return true;
   }
 
   bool reconfigure_healthy(Rng& rng, ShardId) {
     // Leadership change is the Paxos analogue of reconfiguration.
-    replicas_[pick_alive(rng)]->start_election();
+    hosts_[pick_alive(rng)]->paxos().start_election();
     sim_.run_until(sim_.now() + 100);
     return true;
   }
@@ -158,7 +136,7 @@ class PaxosHarness {
     // Commands buffered at a dead leader need a new one: election nudges.
     for (int rounds = 0; rounds < 5; ++rounds) {
       sim_.run();
-      replicas_[pick_alive(rng)]->start_election();
+      hosts_[pick_alive(rng)]->paxos().start_election();
       sim_.run();
     }
   }
@@ -170,9 +148,9 @@ class PaxosHarness {
     // Agreement: every alive replica's applied log is a prefix of the
     // longest one (commands are applied in slot order, so under message
     // loss a replica may lag but never diverge).
-    for (std::size_t i = 0; i < replicas_.size(); ++i) {
-      if (sim_.crashed(replicas_[i]->id())) continue;
-      const auto& log = applied_[i];
+    for (std::size_t i = 0; i < hosts_.size(); ++i) {
+      if (sim_.crashed(hosts_[i]->id())) continue;
+      const auto& log = hosts_[i]->applied();
       if (!std::equal(log.begin(), log.end(), longest->begin())) {
         problems += "agreement: replica " + std::to_string(i) +
                     " diverged from the longest applied log\n";
@@ -189,9 +167,9 @@ class PaxosHarness {
 
   std::string trace() {
     std::string out = tracer_.render();
-    for (std::size_t i = 0; i < applied_.size(); ++i) {
+    for (std::size_t i = 0; i < hosts_.size(); ++i) {
       out += "log" + std::to_string(i) + ":";
-      for (int v : applied_[i]) out += std::to_string(v) + ",";
+      for (int v : hosts_[i]->applied()) out += std::to_string(v) + ",";
       out += ";";
     }
     return out;
@@ -200,31 +178,31 @@ class PaxosHarness {
  private:
   std::size_t alive_count() const {
     std::size_t n = 0;
-    for (const auto& r : replicas_) n += sim_.crashed(r->id()) ? 0 : 1;
+    for (const auto& h : hosts_) n += sim_.crashed(h->id()) ? 0 : 1;
     return n;
   }
-  std::size_t majority() const { return replicas_.size() / 2 + 1; }
+  std::size_t majority() const { return hosts_.size() / 2 + 1; }
   std::vector<std::size_t> alive_indices() const {
     std::vector<std::size_t> alive;
-    for (std::size_t i = 0; i < replicas_.size(); ++i) {
-      if (!sim_.crashed(replicas_[i]->id())) alive.push_back(i);
+    for (std::size_t i = 0; i < hosts_.size(); ++i) {
+      if (!sim_.crashed(hosts_[i]->id())) alive.push_back(i);
     }
     return alive;
   }
   std::size_t pick_alive(Rng& rng) {
     for (int attempts = 0; attempts < 64; ++attempts) {
-      std::size_t i = rng.below(replicas_.size());
-      if (!sim_.crashed(replicas_[i]->id())) return i;
+      std::size_t i = rng.below(hosts_.size());
+      if (!sim_.crashed(hosts_[i]->id())) return i;
     }
     std::vector<std::size_t> alive = alive_indices();
     return alive.empty() ? 0 : alive.front();
   }
   const std::vector<int>* longest_alive_log() const {
     const std::vector<int>* longest = nullptr;
-    for (std::size_t i = 0; i < replicas_.size(); ++i) {
-      if (sim_.crashed(replicas_[i]->id())) continue;
-      if (longest == nullptr || applied_[i].size() > longest->size()) {
-        longest = &applied_[i];
+    for (std::size_t i = 0; i < hosts_.size(); ++i) {
+      if (sim_.crashed(hosts_[i]->id())) continue;
+      if (longest == nullptr || hosts_[i]->applied().size() > longest->size()) {
+        longest = &hosts_[i]->applied();
       }
     }
     return longest;
@@ -234,8 +212,7 @@ class PaxosHarness {
   sim::Simulator sim_;
   sim::Network net_;
   sim::Tracer tracer_;
-  std::vector<std::unique_ptr<paxos::PaxosReplica>> replicas_;
-  std::vector<std::vector<int>> applied_;
+  std::vector<std::unique_ptr<PaxosHost>> hosts_;
   TxnId next_txn_ = 1;
 };
 

@@ -237,34 +237,34 @@ TEST(TraceGolden, Rdma) {
 
 TEST(TraceGolden, Baseline) {
   expect_goldens<BaselineWorkloadOptions>(
-      {{1, 1, 0x7894e42da2befd07ULL, 59},
-       {1, 2, 0xbc37508efa32f45bULL, 60},
-       {1, 3, 0xba6758533493b434ULL, 58},
-       {4, 1, 0xbe0f460f893c6f5aULL, 60},
-       {4, 2, 0xd0fa018390c5a118ULL, 60},
-       {4, 3, 0x342d55921a6eb183ULL, 58}},
+      {{1, 1, 0x8f49c8e866532e07ULL, 59},
+       {1, 2, 0xca1fea526916ed73ULL, 60},
+       {1, 3, 0xe32caf82789b798cULL, 58},
+       {4, 1, 0xc0da711a81109642ULL, 60},
+       {4, 2, 0x3c2bd26f6acf0ed8ULL, 60},
+       {4, 3, 0xade8b50d8d810c83ULL, 58}},
       run_baseline_workload);
 }
 
 TEST(TraceGolden, BaselineCoop) {
   expect_goldens<BaselineCoopWorkloadOptions>(
-      {{1, 1, 0x40150f00277c3a69ULL, 60},
-       {1, 2, 0x4e1804baff2d44f2ULL, 60},
-       {1, 3, 0x3868fd2796a66159ULL, 60},
-       {4, 1, 0x05ad9c98137fb65dULL, 60},
-       {4, 2, 0x26547054a36dc6fcULL, 60},
-       {4, 3, 0x521c5c122c7bc065ULL, 60}},
+      {{1, 1, 0xf50a81096a560ef8ULL, 60},
+       {1, 2, 0xbc0e8744d503d081ULL, 60},
+       {1, 3, 0x1c088fb1ff8f2521ULL, 60},
+       {4, 1, 0xf6bd9b3cb5364218ULL, 60},
+       {4, 2, 0xa15c11803f6235a4ULL, 60},
+       {4, 3, 0x19d1cd01efb8c2bbULL, 60}},
       run_baseline_coop_workload);
 }
 
 TEST(TraceGolden, PaxosCommit) {
   expect_goldens<PaxosCommitWorkloadOptions>(
-      {{1, 1, 0xd3290e517b20d1efULL, 60},
-       {1, 2, 0x2a9a0b56fe0ea634ULL, 60},
-       {1, 3, 0x88a0e40d016233aaULL, 60},
-       {4, 1, 0x1cfc0d0dbf9d9c3dULL, 60},
-       {4, 2, 0x924350ee6583950cULL, 60},
-       {4, 3, 0x5483c350f211ef61ULL, 60}},
+      {{1, 1, 0xdcfc5887b7078eb7ULL, 60},
+       {1, 2, 0xb0b9e4366cfa80ebULL, 60},
+       {1, 3, 0xa7cadbe4eca47d03ULL, 60},
+       {4, 1, 0x25d4848a203fe602ULL, 60},
+       {4, 2, 0x2ccb3cec3a4f2d44ULL, 60},
+       {4, 3, 0x0bd109aaa0e3bb73ULL, 60}},
       run_paxos_commit_workload);
 }
 

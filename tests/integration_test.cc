@@ -52,23 +52,12 @@ TEST(Integration, ReconfigurationSurvivesCsLeaderCrash) {
   cluster.crash(cluster.leader_of(0));
   cluster.reconfigure(0, cluster.replica(0, 1).id());
   // Let the GET_LAST land, then kill the CS leader before the CAS and
-  // elect a new one.
+  // elect CS server 1.
   cluster.sim().run_until(cluster.sim().now() + 2);
-  // (CS server 0 and its Paxos replica are the first pair.)
-  // Note: crash_server + election on server 1.
-  // We reach into the cluster's replicated CS through its process ids.
-  // The ReplicatedConfigService is owned by the cluster; use its public
-  // accessors via current_config reads to confirm progress instead.
-  // Crash by pid: frontends are 9000..9002, paxos 9003..9005.
-  cluster.sim().crash(9000);
-  cluster.sim().crash(9003);
-  // Elect server 1's paxos replica. It is registered in the simulator; we
-  // drive it through the cluster's accessor-free path: send an election
-  // nudge by having the cluster's replicated CS paxos replica 1 campaign.
-  // (Exposed via the cluster? Use the simulator's process registry.)
-  auto* paxos1 = dynamic_cast<paxos::PaxosReplica*>(cluster.sim().process(9004));
-  ASSERT_NE(paxos1, nullptr);
-  paxos1->start_election();
+  configsvc::ReplicatedConfigService* cs = cluster.replicated_cs();
+  ASSERT_NE(cs, nullptr);
+  cluster.crash(cs->server(0).id());
+  cs->server(1).paxos().start_election();
 
   ASSERT_TRUE(cluster.await_active_epoch(0, 2, 3'000'000));
   configsvc::ShardConfig cfg = cluster.current_config(0);

@@ -8,17 +8,12 @@
 #include <vector>
 
 #include "common/random.h"
-#include "paxos/replica.h"
+#include "harness/paxos_host.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 
 namespace ratc::paxos {
 namespace {
-
-struct Cmd {
-  static constexpr const char* kName = "CMD";
-  int value = 0;
-};
 
 class ChaosHarness {
  public:
@@ -26,23 +21,8 @@ class ChaosHarness {
       : sim_(seed),
         net_(sim_, exponential ? sim::Network::exponential_delay_options(4.0)
                                : sim::Network::unit_delay_options()),
-        rng_(seed ^ 0xc0ffee) {
-    std::vector<ProcessId> ids;
-    for (std::size_t i = 0; i < n; ++i) ids.push_back(static_cast<ProcessId>(100 + i));
-    applied_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      PaxosReplica::Options opt;
-      opt.group = ids;
-      opt.initial_leader = ids[0];
-      auto& log = applied_[i];
-      replicas_.push_back(std::make_unique<PaxosReplica>(
-          net_.runtime(), ids[i], "p" + std::to_string(i), opt,
-          [&log](Slot, const sim::AnyMessage& cmd) {
-            log.push_back(cmd.as<Cmd>()->value);
-          }));
-      sim_.add_process(replicas_.back().get());
-    }
-  }
+        rng_(seed ^ 0xc0ffee),
+        hosts_(harness::spawn_paxos_group(net_.runtime(), n)) {}
 
   void run_chaos(int commands, int crash_budget) {
     int next_value = 0;
@@ -52,20 +32,20 @@ class ChaosHarness {
       // forwarding must handle it).
       std::size_t idx = pick_alive();
       for (int j = 0; j < 3 && next_value < commands; ++j) {
-        replicas_[idx]->submit(sim::AnyMessage(Cmd{next_value++}));
+        hosts_[idx]->submit(next_value++);
       }
       sim_.run_until(sim_.now() + rng_.range(5, 40));
       // Occasionally crash the current leader (keeping a majority) and
       // elect a random survivor.
       if (crashes < crash_budget && rng_.chance(0.3)) {
         std::size_t leader = SIZE_MAX;
-        for (std::size_t i = 0; i < replicas_.size(); ++i) {
-          if (!sim_.crashed(replicas_[i]->id()) && replicas_[i]->is_leader()) leader = i;
+        for (std::size_t i = 0; i < hosts_.size(); ++i) {
+          if (!sim_.crashed(hosts_[i]->id()) && hosts_[i]->paxos().is_leader()) leader = i;
         }
         if (leader != SIZE_MAX && alive_count() > majority()) {
-          sim_.crash(replicas_[leader]->id());
+          sim_.crash(hosts_[leader]->id());
           ++crashes;
-          replicas_[pick_alive()]->start_election();
+          hosts_[pick_alive()]->paxos().start_election();
           sim_.run_until(sim_.now() + 200);
         }
       }
@@ -74,7 +54,7 @@ class ChaosHarness {
     for (int rounds = 0; rounds < 5; ++rounds) {
       sim_.run();
       // A final election nudge if no leader survived with pending backlog.
-      replicas_[pick_alive()]->start_election();
+      hosts_[pick_alive()]->paxos().start_election();
       sim_.run();
     }
   }
@@ -82,12 +62,12 @@ class ChaosHarness {
   /// All alive replicas applied the same sequence; no value twice.
   void verify(int commands) {
     const std::vector<int>* reference = nullptr;
-    for (std::size_t i = 0; i < replicas_.size(); ++i) {
-      if (sim_.crashed(replicas_[i]->id())) continue;
+    for (std::size_t i = 0; i < hosts_.size(); ++i) {
+      if (sim_.crashed(hosts_[i]->id())) continue;
       if (reference == nullptr) {
-        reference = &applied_[i];
+        reference = &hosts_[i]->applied();
       } else {
-        EXPECT_EQ(applied_[i], *reference) << "replica " << i << " diverged";
+        EXPECT_EQ(hosts_[i]->applied(), *reference) << "replica " << i << " diverged";
       }
     }
     ASSERT_NE(reference, nullptr);
@@ -103,22 +83,21 @@ class ChaosHarness {
  private:
   std::size_t alive_count() const {
     std::size_t n = 0;
-    for (const auto& r : replicas_) n += sim_.crashed(r->id()) ? 0 : 1;
+    for (const auto& h : hosts_) n += sim_.crashed(h->id()) ? 0 : 1;
     return n;
   }
-  std::size_t majority() const { return replicas_.size() / 2 + 1; }
+  std::size_t majority() const { return hosts_.size() / 2 + 1; }
   std::size_t pick_alive() {
     while (true) {
-      std::size_t i = rng_.below(replicas_.size());
-      if (!sim_.crashed(replicas_[i]->id())) return i;
+      std::size_t i = rng_.below(hosts_.size());
+      if (!sim_.crashed(hosts_[i]->id())) return i;
     }
   }
 
   sim::Simulator sim_;
   sim::Network net_;
   Rng rng_;
-  std::vector<std::unique_ptr<PaxosReplica>> replicas_;
-  std::vector<std::vector<int>> applied_;
+  std::vector<std::unique_ptr<harness::PaxosHost>> hosts_;
 };
 
 class PaxosChaos : public ::testing::TestWithParam<std::uint64_t> {};

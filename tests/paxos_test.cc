@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "harness/paxos_host.h"
 #include "paxos/replica.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -11,136 +12,104 @@
 namespace ratc::paxos {
 namespace {
 
-struct Cmd {
-  static constexpr const char* kName = "CMD";
-  int value = 0;
-};
-
-/// Harness: a group of Paxos replicas recording what they apply.
-class Group {
- public:
-  Group(sim::Simulator& sim, sim::Network& net, std::size_t n) {
-    std::vector<ProcessId> ids;
-    for (std::size_t i = 0; i < n; ++i) ids.push_back(static_cast<ProcessId>(100 + i));
-    applied.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      PaxosReplica::Options opt;
-      opt.group = ids;
-      opt.initial_leader = ids[0];
-      auto& log = applied[i];
-      replicas.push_back(std::make_unique<PaxosReplica>(
-          net.runtime(), ids[i], "paxos" + std::to_string(i), opt,
-          [&log](Slot, const sim::AnyMessage& cmd) {
-            log.push_back(cmd.as<Cmd>()->value);
-          }));
-      sim.add_process(replicas.back().get());
-    }
-  }
-
-  PaxosReplica& operator[](std::size_t i) { return *replicas[i]; }
-
-  std::vector<std::unique_ptr<PaxosReplica>> replicas;
-  std::vector<std::vector<int>> applied;
-};
-
 TEST(Paxos, ReplicatesInOrder) {
   sim::Simulator sim(1);
   sim::Network net(sim);
-  Group g(sim, net, 3);
-  for (int i = 0; i < 10; ++i) g[0].submit(sim::AnyMessage(Cmd{i}));
+  auto g = harness::spawn_paxos_group(net.runtime(), 3);
+  for (int i = 0; i < 10; ++i) g[0]->submit(i);
   sim.run();
   std::vector<int> expect{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  for (auto& log : g.applied) EXPECT_EQ(log, expect);
+  for (const auto& host : g) EXPECT_EQ(host->applied(), expect);
 }
 
 TEST(Paxos, ForwardsSubmissionsToLeader) {
   sim::Simulator sim(2);
   sim::Network net(sim);
-  Group g(sim, net, 3);
-  g[1].submit(sim::AnyMessage(Cmd{7}));  // non-leader
-  g[2].submit(sim::AnyMessage(Cmd{8}));  // non-leader
+  auto g = harness::spawn_paxos_group(net.runtime(), 3);
+  g[1]->submit(7);  // non-leader
+  g[2]->submit(8);  // non-leader
   sim.run();
-  for (auto& log : g.applied) {
-    ASSERT_EQ(log.size(), 2u);
+  for (const auto& host : g) {
+    ASSERT_EQ(host->applied().size(), 2u);
   }
-  EXPECT_EQ(g.applied[0], g.applied[1]);
-  EXPECT_EQ(g.applied[0], g.applied[2]);
+  EXPECT_EQ(g[0]->applied(), g[1]->applied());
+  EXPECT_EQ(g[0]->applied(), g[2]->applied());
 }
 
 TEST(Paxos, SingleReplicaGroupWorks) {
   sim::Simulator sim(3);
   sim::Network net(sim);
-  Group g(sim, net, 1);
-  g[0].submit(sim::AnyMessage(Cmd{1}));
-  g[0].submit(sim::AnyMessage(Cmd{2}));
+  auto g = harness::spawn_paxos_group(net.runtime(), 1);
+  g[0]->submit(1);
+  g[0]->submit(2);
   sim.run();
-  EXPECT_EQ(g.applied[0], (std::vector<int>{1, 2}));
+  EXPECT_EQ(g[0]->applied(), (std::vector<int>{1, 2}));
 }
 
 TEST(Paxos, LeaderFailoverPreservesChosenCommands) {
   sim::Simulator sim(4);
   sim::Network net(sim);
-  Group g(sim, net, 3);
-  for (int i = 0; i < 5; ++i) g[0].submit(sim::AnyMessage(Cmd{i}));
+  auto g = harness::spawn_paxos_group(net.runtime(), 3);
+  for (int i = 0; i < 5; ++i) g[0]->submit(i);
   sim.run();
-  ASSERT_EQ(g.applied[1].size(), 5u);
+  ASSERT_EQ(g[1]->applied().size(), 5u);
 
-  sim.crash(g[0].id());
-  g[1].start_election();
+  sim.crash(g[0]->id());
+  g[1]->paxos().start_election();
   sim.run();
-  EXPECT_TRUE(g[1].is_leader());
+  EXPECT_TRUE(g[1]->paxos().is_leader());
 
-  for (int i = 5; i < 8; ++i) g[1].submit(sim::AnyMessage(Cmd{i}));
+  for (int i = 5; i < 8; ++i) g[1]->submit(i);
   sim.run();
   std::vector<int> expect{0, 1, 2, 3, 4, 5, 6, 7};
-  EXPECT_EQ(g.applied[1], expect);
-  EXPECT_EQ(g.applied[2], expect);
+  EXPECT_EQ(g[1]->applied(), expect);
+  EXPECT_EQ(g[2]->applied(), expect);
 }
 
 TEST(Paxos, FailoverRecoversInFlightCommand) {
   sim::Simulator sim(5);
   sim::Network net(sim);
-  Group g(sim, net, 3);
+  auto g = harness::spawn_paxos_group(net.runtime(), 3);
   // Let the group settle with one committed command.
-  g[0].submit(sim::AnyMessage(Cmd{1}));
+  g[0]->submit(1);
   sim.run();
   // Submit another and crash the leader after the Phase2a messages go out
   // (run exactly to the point where acceptors stored it but the commit
   // hasn't been learned everywhere).
-  g[0].submit(sim::AnyMessage(Cmd{2}));
+  g[0]->submit(2);
   sim.run_until(sim.now() + 1);  // Phase2a delivered, acks in flight
-  sim.crash(g[0].id());
-  g[1].start_election();
+  sim.crash(g[0]->id());
+  g[1]->paxos().start_election();
   sim.run();
-  ASSERT_TRUE(g[1].is_leader());
+  ASSERT_TRUE(g[1]->paxos().is_leader());
   // The new leader must have re-proposed the accepted command.
-  EXPECT_EQ(g.applied[1], (std::vector<int>{1, 2}));
-  EXPECT_EQ(g.applied[2], (std::vector<int>{1, 2}));
+  EXPECT_EQ(g[1]->applied(), (std::vector<int>{1, 2}));
+  EXPECT_EQ(g[2]->applied(), (std::vector<int>{1, 2}));
 }
 
 TEST(Paxos, CompetingCandidatesConverge) {
   sim::Simulator sim(6);
   sim::Network net(sim);
-  Group g(sim, net, 5);
-  for (int i = 0; i < 3; ++i) g[0].submit(sim::AnyMessage(Cmd{i}));
+  auto g = harness::spawn_paxos_group(net.runtime(), 5);
+  for (int i = 0; i < 3; ++i) g[0]->submit(i);
   sim.run();
-  sim.crash(g[0].id());
+  sim.crash(g[0]->id());
   // Two candidates race.
-  g[1].start_election();
-  g[2].start_election();
+  g[1]->paxos().start_election();
+  g[2]->paxos().start_election();
   sim.run();
   // At most one winner; chosen prefix preserved at the winner.
-  int leaders = (g[1].is_leader() ? 1 : 0) + (g[2].is_leader() ? 1 : 0);
+  int leaders = (g[1]->paxos().is_leader() ? 1 : 0) + (g[2]->paxos().is_leader() ? 1 : 0);
   ASSERT_GE(leaders, 1);
   // The higher ballot (p2's, by tie-break on process id) wins if both raced
   // at the same round; either way submissions continue safely.
-  PaxosReplica& winner = g[2].is_leader() ? g[2] : g[1];
-  winner.submit(sim::AnyMessage(Cmd{99}));
+  harness::PaxosHost& winner = g[2]->paxos().is_leader() ? *g[2] : *g[1];
+  winner.submit(99);
   sim.run();
   for (std::size_t i = 1; i < 5; ++i) {
-    ASSERT_EQ(g.applied[i].size(), 4u) << "replica " << i;
-    EXPECT_EQ(g.applied[i].back(), 99);
-    EXPECT_EQ((std::vector<int>(g.applied[i].begin(), g.applied[i].begin() + 3)),
+    ASSERT_EQ(g[i]->applied().size(), 4u) << "replica " << i;
+    EXPECT_EQ(g[i]->applied().back(), 99);
+    EXPECT_EQ((std::vector<int>(g[i]->applied().begin(), g[i]->applied().begin() + 3)),
               (std::vector<int>{0, 1, 2}));
   }
 }
@@ -153,37 +122,37 @@ TEST(Paxos, CompetingProposersOnSameSlotConvergeOnOneValue) {
   // must apply the same sequence.
   sim::Simulator sim(8);
   sim::Network net(sim);
-  Group g(sim, net, 5);
-  for (int i = 0; i < 3; ++i) g[0].submit(sim::AnyMessage(Cmd{i}));
+  auto g = harness::spawn_paxos_group(net.runtime(), 5);
+  for (int i = 0; i < 3; ++i) g[0]->submit(i);
   sim.run();
-  sim.crash(g[0].id());
+  sim.crash(g[0]->id());
 
   // g[1] takes over cleanly first.
-  g[1].start_election();
+  g[1]->paxos().start_election();
   sim.run();
-  ASSERT_TRUE(g[1].is_leader());
+  ASSERT_TRUE(g[1]->paxos().is_leader());
 
   // g[2] starts a competing (higher-ballot) election; while its phase 1 is
   // in flight, both proposers get a submission.  Both target the same next
   // slot: g[1] proposes under its established ballot, g[2] buffers and
   // proposes once its phase 1 completes.
-  g[2].start_election();
-  g[1].submit(sim::AnyMessage(Cmd{10}));
-  g[2].submit(sim::AnyMessage(Cmd{20}));
+  g[2]->paxos().start_election();
+  g[1]->submit(10);
+  g[2]->submit(20);
   sim.run();
 
   // Probe through whoever won so stragglers get filled/committed.
-  PaxosReplica& winner = g[2].is_leader() ? g[2] : g[1];
-  winner.submit(sim::AnyMessage(Cmd{99}));
+  harness::PaxosHost& winner = g[2]->paxos().is_leader() ? *g[2] : *g[1];
+  winner.submit(99);
   sim.run();
 
   // Convergence: all alive replicas applied the identical sequence, the
   // shared prefix survived, the probe landed, and no command was applied
   // twice (one value per slot).
   for (std::size_t i = 2; i < 5; ++i) {
-    EXPECT_EQ(g.applied[i], g.applied[1]) << "replica " << i;
+    EXPECT_EQ(g[i]->applied(), g[1]->applied()) << "replica " << i;
   }
-  const std::vector<int>& log = g.applied[1];
+  const std::vector<int>& log = g[1]->applied();
   ASSERT_GE(log.size(), 4u);
   EXPECT_EQ((std::vector<int>(log.begin(), log.begin() + 3)),
             (std::vector<int>{0, 1, 2}));
@@ -201,51 +170,51 @@ TEST(Paxos, CaughtUpGateClosesAcrossLeaderCrash) {
   // new leader has applied everything.
   sim::Simulator sim(9);
   sim::Network net(sim);
-  Group g(sim, net, 3);
-  for (int i = 0; i < 5; ++i) g[0].submit(sim::AnyMessage(Cmd{i}));
+  auto g = harness::spawn_paxos_group(net.runtime(), 3);
+  for (int i = 0; i < 5; ++i) g[0]->submit(i);
   sim.run();
-  EXPECT_TRUE(g[0].caught_up());
-  EXPECT_TRUE(g[1].caught_up());  // followers apply too
+  EXPECT_TRUE(g[0]->paxos().caught_up());
+  EXPECT_TRUE(g[1]->paxos().caught_up());  // followers apply too
 
   // Crash the leader with a command in flight (acceptors stored it, the
   // commit is not yet learned everywhere).
-  g[0].submit(sim::AnyMessage(Cmd{5}));
+  g[0]->submit(5);
   sim.run_until(sim.now() + 1);
-  sim.crash(g[0].id());
+  sim.crash(g[0]->id());
 
   // The gate must already be closed on the candidate the moment it starts
   // electing — before any message flows.
-  g[1].start_election();
-  EXPECT_FALSE(g[1].is_leader());
-  EXPECT_FALSE(g[1].caught_up());
+  g[1]->paxos().start_election();
+  EXPECT_FALSE(g[1]->paxos().is_leader());
+  EXPECT_FALSE(g[1]->paxos().caught_up());
 
   sim.run();
   // Election done: the new leader recovered the in-flight command, applied
   // the full prefix, and may serve reads again.
-  ASSERT_TRUE(g[1].is_leader());
-  EXPECT_TRUE(g[1].caught_up());
-  EXPECT_EQ(g.applied[1], (std::vector<int>{0, 1, 2, 3, 4, 5}));
-  EXPECT_EQ(g.applied[2], g.applied[1]);
+  ASSERT_TRUE(g[1]->paxos().is_leader());
+  EXPECT_TRUE(g[1]->paxos().caught_up());
+  EXPECT_EQ(g[1]->applied(), (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(g[2]->applied(), g[1]->applied());
 }
 
 TEST(Paxos, NoDivergentLogsUnderRepeatedFailover) {
   sim::Simulator sim(7);
   sim::Network net(sim);
-  Group g(sim, net, 5);
+  auto g = harness::spawn_paxos_group(net.runtime(), 5);
   int next_value = 0;
   for (int round = 0; round < 3; ++round) {
     std::size_t leader_idx = 0;
     for (std::size_t i = 0; i < 5; ++i) {
-      if (!sim.crashed(g[i].id()) && g[i].is_leader()) leader_idx = i;
+      if (!sim.crashed(g[i]->id()) && g[i]->paxos().is_leader()) leader_idx = i;
     }
-    for (int i = 0; i < 3; ++i) g[leader_idx].submit(sim::AnyMessage(Cmd{next_value++}));
+    for (int i = 0; i < 3; ++i) g[leader_idx]->submit(next_value++);
     sim.run();
     if (round < 2) {
-      sim.crash(g[leader_idx].id());
+      sim.crash(g[leader_idx]->id());
       // Next alive replica becomes candidate.
       for (std::size_t i = 0; i < 5; ++i) {
-        if (!sim.crashed(g[i].id())) {
-          g[i].start_election();
+        if (!sim.crashed(g[i]->id())) {
+          g[i]->paxos().start_election();
           break;
         }
       }
@@ -253,17 +222,31 @@ TEST(Paxos, NoDivergentLogsUnderRepeatedFailover) {
     }
   }
   // All alive replicas agree on the full applied sequence.
-  std::vector<int>* reference = nullptr;
+  const std::vector<int>* reference = nullptr;
   for (std::size_t i = 0; i < 5; ++i) {
-    if (sim.crashed(g[i].id())) continue;
+    if (sim.crashed(g[i]->id())) continue;
     if (reference == nullptr) {
-      reference = &g.applied[i];
+      reference = &g[i]->applied();
     } else {
-      EXPECT_EQ(g.applied[i], *reference) << "replica " << i;
+      EXPECT_EQ(g[i]->applied(), *reference) << "replica " << i;
     }
   }
   ASSERT_NE(reference, nullptr);
   EXPECT_EQ(reference->size(), 9u);
+}
+
+TEST(Paxos, OnMessageClaimsOnlyPaxosMessages) {
+  // The host passes every message to its replica first and handles the
+  // message itself only when on_message returns false.
+  sim::Simulator sim(10);
+  sim::Network net(sim);
+  auto g = harness::spawn_paxos_group(net.runtime(), 3);
+  PaxosReplica& follower = g[1]->paxos();
+  EXPECT_FALSE(follower.on_message(100, sim::AnyMessage(harness::PaxosCmd{7})));
+  EXPECT_TRUE(g[1]->applied().empty());
+  EXPECT_TRUE(follower.on_message(
+      100, sim::AnyMessage(CommitSlot{Ballot{1, 100}, 1, sim::AnyMessage(harness::PaxosCmd{7})})));
+  EXPECT_EQ(g[1]->applied(), std::vector<int>{7});
 }
 
 }  // namespace
