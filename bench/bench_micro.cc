@@ -106,8 +106,9 @@ BENCHMARK(BM_SimulatorEventQueueChurn);
 
 // Full protocol round trips per iteration batch: 2 shards x 2 replicas,
 // with the invariant monitor off or on, over 100 or 1,000 transactions.  The
-// monitor's cost per transaction is the on/off gap; that it grows with the
-// log is Inv 1's O(slot) leader-prefix snapshot per acceptance.
+// monitor's cost per transaction is the on/off gap; what still grows with the
+// log is each vote's witness lists, one id per earlier slot, that the core
+// collects for TCS-LL when an observer is set.
 void BM_EndToEndCertification(benchmark::State& state) {
   const bool monitor = state.range(0) != 0;
   const int txns = static_cast<int>(state.range(1));

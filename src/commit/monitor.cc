@@ -1,12 +1,22 @@
 #include "commit/monitor.h"
 
+#include <algorithm>
 #include <mutex>
-#include <set>
 #include <sstream>
 
 namespace ratc::commit {
 
 using tcs::Decision;
+
+namespace {
+
+/// Whether a filled log entry holds what `c`, also filled, describes.
+template <typename Content>
+bool same_content(const LogEntry& e, const Content& c) {
+  return e.txn == c.txn && e.vote == c.vote && e.payload == c.payload;
+}
+
+}  // namespace
 
 void Monitor::register_replica(const ReplicaCore* r) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -41,9 +51,9 @@ void Monitor::register_config_locked(ShardId shard,
   if (!by_epoch.emplace(config.epoch, config).second) return;
   // Inv 5: a process that was skipped by a *fully accepted* epoch e (member
   // before e but not at e) must never appear in a configuration after e.
-  for (const auto& [key, acc] : acceptances_) {
-    (void)key;
-    if (!acc.complete || acc.shard != shard || acc.epoch >= config.epoch) continue;
+  for (const Acceptance* complete : complete_by_shard_[shard]) {
+    const Acceptance& acc = *complete;
+    if (acc.epoch >= config.epoch) continue;
     const configsvc::ShardConfig* at_e = config_of(shard, acc.epoch);
     if (at_e == nullptr) continue;
     for (ProcessId p : config.members) {
@@ -136,8 +146,30 @@ void Monitor::on_decision_applied(const ReplicaCore& replica, Slot slot, TxnId t
   }
 }
 
+void Monitor::on_slot_written(const ReplicaCore& replica, Slot slot) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (Reference* ref = reference_of(replica); ref != nullptr) {
+    ref->write(slot, replica.log().find(slot));
+  }
+  // The slot may differ from what Inv 1 found equal below a mark.
+  if (auto it = verified_.find(replica.id()); it != verified_.end()) {
+    for (Verified& v : it->second) v.upto = std::min(v.upto, slot - 1);
+  }
+}
+
+void Monitor::on_prepare_ack(const ReplicaCore& replica, const PrepareAck& ack) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto [it, fresh] =
+      references_.try_emplace(RefKey{replica.shard(), replica.epoch(), replica.id()});
+  // The leader's first PREPARE_ACK of the epoch seeds its reference; its
+  // slot writes keep it current from here on.
+  if (fresh) it->second.sync(replica.log());
+  open_acceptance(SlotRecord::of(ack), it->second.versions.back());
+}
+
 void Monitor::on_epoch_installed(const ReplicaCore& replica) {
   std::lock_guard<std::mutex> lock(mu_);
+  const ReplicaLog& log = replica.log();
   // Inv 8: new_epoch never trails the process's own epoch.
   if (replica.new_epoch() < replica.epoch()) {
     report("Invariant8", process_name(replica.id()) + " has new_epoch " +
@@ -146,44 +178,105 @@ void Monitor::on_epoch_installed(const ReplicaCore& replica) {
   }
   // Inv 10: all transactions in the txn array are distinct.
   {
-    std::set<TxnId> seen;
-    for (Slot k = 1; k <= replica.log().size(); ++k) {
-      const LogEntry* e = replica.log().find(k);
-      if (e == nullptr || !e->filled()) continue;
-      if (!seen.insert(e->txn).second) {
-        report("Invariant10", "txn" + std::to_string(e->txn) + " occupies two slots at " +
-                                  process_name(replica.id()));
-      }
+    std::vector<TxnId> txns;
+    txns.reserve(log.size());
+    for (const LogEntry& e : log.entries()) {
+      if (e.filled()) txns.push_back(e.txn);
+    }
+    std::sort(txns.begin(), txns.end());
+    for (std::size_t i = 1; i < txns.size(); ++i) {
+      if (txns[i] != txns[i - 1]) continue;
+      report("Invariant10", "txn" + std::to_string(txns[i]) + " occupies two slots at " +
+                                process_name(replica.id()));
     }
   }
-  // Inv 2: every fully accepted slot of a lower epoch persists, and the
-  // prefix before it matches what the leader had when it prepared it.
-  for (auto& [key, acc] : acceptances_) {
-    (void)key;
-    if (!acc.complete || acc.shard != replica.shard()) continue;
+  // A follower install replaces the log: Inv 1's marks on it no longer
+  // hold, and a reference at this epoch (a repeated install) takes the new
+  // content.
+  if (auto it = verified_.find(replica.id()); it != verified_.end()) {
+    for (Verified& v : it->second) v.upto = kNoSlot;
+  }
+  if (Reference* ref = reference_of(replica); ref != nullptr) ref->sync(log);
+  // Inv 2: every fully accepted slot of a lower epoch persists ...
+  for (const Acceptance* complete : complete_by_shard_[replica.shard()]) {
+    const Acceptance& acc = *complete;
     if (acc.epoch >= replica.epoch()) continue;
-    const LogEntry* e = replica.log().find(acc.slot);
+    const LogEntry* e = log.find(acc.slot);
     if (e == nullptr || !e->filled()) {
       report("Invariant2", "accepted slot " + std::to_string(acc.slot) + " of s" +
                                std::to_string(acc.shard) + " (epoch " +
                                std::to_string(acc.epoch) + ") missing at " +
                                process_name(replica.id()) + " in epoch " +
                                std::to_string(replica.epoch()));
-      continue;
-    }
-    if (e->txn != acc.txn || !(e->payload == acc.payload) || e->vote != acc.vote) {
+    } else if (!same_content(*e, acc)) {
       report("Invariant2", "accepted slot " + std::to_string(acc.slot) + " of s" +
                                std::to_string(acc.shard) + " differs at " +
                                process_name(replica.id()));
+    }
+  }
+  // ... and the prefix before it matches what the leader had when it
+  // prepared it: once per version of each lower-epoch reference.
+  for (auto it = references_.lower_bound(RefKey{replica.shard(), kNoEpoch, 0});
+       it != references_.end() && std::get<0>(it->first) == replica.shard() &&
+       std::get<1>(it->first) < replica.epoch();
+       ++it) {
+    for (const LeaderLog& saw : it->second.versions) {
+      check_prefix_at_install(replica, saw, std::get<1>(it->first));
+    }
+  }
+}
+
+void Monitor::check_prefix_at_install(const ReplicaCore& replica, const LeaderLog& saw,
+                                      Epoch ref_epoch) {
+  const ReplicaLog& log = replica.log();
+  for (Slot k = 1; k <= saw.complete_upto; ++k) {
+    const LogEntry* mine = log.find(k);
+    const SlotContent& theirs = saw.at(k);
+    if (mine == nullptr || !mine->filled() || !theirs.filled || same_content(*mine, theirs)) {
       continue;
     }
-    check_prefix_against_leader(replica, acc, "Invariant2");
+    std::ostringstream os;
+    os << process_name(replica.id()) << " diverges at slot " << k
+       << " from the log of the epoch-" << ref_epoch << " leader of s" << replica.shard();
+    report("Invariant2", os.str());
   }
+}
+
+// --- references -----------------------------------------------------------------
+
+Monitor::Reference* Monitor::reference_of(const ReplicaCore& replica) {
+  auto it = references_.find(RefKey{replica.shard(), replica.epoch(), replica.id()});
+  return it == references_.end() ? nullptr : &it->second;
+}
+
+const Monitor::SlotContent& Monitor::LeaderLog::at(Slot k) const {
+  static const SlotContent kHole;
+  return k <= slots.size() ? slots[k - 1] : kHole;
+}
+
+void Monitor::Reference::write(Slot k, const LogEntry* e) {
+  const bool filled = e != nullptr && e->filled();
+  LeaderLog* current = &versions.back();
+  if (k > current->slots.size()) {
+    if (!filled) return;  // past the end, every slot reads as a hole
+    current->slots.resize(k);
+  } else {
+    const SlotContent& old = current->slots[k - 1];
+    if (old.filled == filled && (!filled || same_content(*e, old))) return;
+    // A rewrite below the end: keep the version acceptances saw.
+    if (current->seen) current = &versions.emplace_back(LeaderLog{current->slots});
+  }
+  current->slots[k - 1] = filled ? SlotContent{true, e->txn, e->vote, e->payload} : SlotContent{};
+}
+
+void Monitor::Reference::sync(const ReplicaLog& log) {
+  const Slot end = std::max<Slot>(log.size(), versions.back().slots.size());
+  for (Slot k = 1; k <= end; ++k) write(k, log.find(k));
 }
 
 // --- acceptances ----------------------------------------------------------------
 
-void Monitor::open_acceptance(const ReplicaCore* leader, const SlotRecord& r) {
+void Monitor::open_acceptance(const SlotRecord& r, LeaderLog& saw) {
   AcceptKey key{r.shard, r.epoch, r.slot};
   if (acceptances_.count(key) != 0) return;
   Acceptance acc;
@@ -193,21 +286,8 @@ void Monitor::open_acceptance(const ReplicaCore* leader, const SlotRecord& r) {
   acc.txn = r.txn;
   acc.payload = *r.payload;
   acc.vote = r.vote;
-  if (leader != nullptr) {
-    // Snapshot the leader's arrays up to the slot — the reference state for
-    // Invariants 1 and 2.
-    acc.leader_prefix.resize(r.slot);
-    for (Slot k = 1; k <= r.slot; ++k) {
-      const LogEntry* e = leader->log().find(k);
-      SnapshotEntry& snap = acc.leader_prefix[k - 1];
-      if (e != nullptr && e->filled()) {
-        snap.filled = true;
-        snap.txn = e->txn;
-        snap.vote = e->vote;
-        snap.payload = e->payload;
-      }
-    }
-  }
+  acc.saw = &saw;
+  saw.seen = true;
   auto [it, _] = acceptances_.emplace(key, std::move(acc));
   maybe_complete(it->second);  // zero-follower configurations
 }
@@ -242,9 +322,8 @@ void Monitor::check_replication(const SlotRecord& r) {
 void Monitor::record_ack(ProcessId from, const AcceptKey& key, TxnId txn) {
   auto it = acceptances_.find(key);
   if (it == acceptances_.end() || it->second.txn != txn) return;
-  // Inv 1: the follower's prefix matches the leader snapshot.
   if (const ReplicaCore* follower = replica_of(from); follower != nullptr) {
-    check_prefix_against_leader(*follower, it->second, "Invariant1");
+    check_follower_prefix(*follower, it->second);
   }
   it->second.acks.insert(from);
   maybe_complete(it->second);
@@ -258,6 +337,8 @@ void Monitor::maybe_complete(Acceptance& acc) {
     if (acc.acks.count(f) == 0) return;
   }
   acc.complete = true;
+  complete_by_shard_[acc.shard].push_back(&acc);
+  acc.saw->complete_upto = std::max(acc.saw->complete_upto, acc.slot);
   // Inv 11b: one (slot, payload, vote) per accepted transaction per shard.
   auto key = std::make_pair(acc.shard, acc.txn);
   auto it = accepted_txn_.find(key);
@@ -288,33 +369,32 @@ void Monitor::maybe_complete(Acceptance& acc) {
   same_slot.push_back(AcceptKey{acc.shard, acc.epoch, acc.slot});
 }
 
-void Monitor::check_prefix_against_leader(const ReplicaCore& replica,
-                                          const Acceptance& acc,
-                                          const char* invariant) {
+void Monitor::check_follower_prefix(const ReplicaCore& follower, const Acceptance& acc) {
+  std::vector<Verified>& marks = verified_[follower.id()];
+  auto mark = std::find_if(marks.begin(), marks.end(),
+                           [&](const Verified& v) { return v.log == acc.saw; });
+  if (mark == marks.end()) mark = marks.insert(marks.end(), Verified{acc.saw, kNoSlot});
+  if (acc.slot <= mark->upto) return;
   // Compare slots where both sides are defined: a follower log may have
   // holes, since ACCEPTs come from coordinators and arrive unordered, and the
-  // paper's ≺ relation permits them.  An acceptance opened without a
-  // snapshot has nothing to compare.
-  for (Slot k = 1; k <= acc.leader_prefix.size(); ++k) {
-    const SnapshotEntry& snap = acc.leader_prefix[k - 1];
-    const LogEntry* mine = replica.log().find(k);
-    bool mine_filled = mine != nullptr && mine->filled();
-    if (!mine_filled || !snap.filled) continue;
-    if (mine->txn != snap.txn || !(mine->payload == snap.payload) ||
-        mine->vote != snap.vote) {
-      std::ostringstream os;
-      os << process_name(replica.id()) << " diverges from leader snapshot at slot "
-         << k << " (accepted slot " << acc.slot << ", epoch " << acc.epoch << ")";
-      report(invariant, os.str());
-    }
+  // paper's ≺ relation permits them.
+  for (Slot k = mark->upto + 1; k <= acc.slot; ++k) {
+    const LogEntry* mine = follower.log().find(k);
+    if (mine == nullptr || !mine->filled()) continue;
+    const SlotContent& theirs = acc.saw->at(k);
+    if (!theirs.filled || same_content(*mine, theirs)) continue;
+    std::ostringstream os;
+    os << process_name(follower.id()) << " diverges from the leader's log at slot " << k
+       << " (accepted slot " << acc.slot << ", epoch " << acc.epoch << ")";
+    report("Invariant1", os.str());
   }
+  mark->upto = acc.slot;
 }
 
 // --- one-sided writes -------------------------------------------------------------
 
 void Monitor::on_replication_write(const SlotRecord& r) {
   std::lock_guard<std::mutex> lock(mu_);
-  open_acceptance(nullptr, r);
   check_replication(r);
 }
 
@@ -358,13 +438,7 @@ void Monitor::on_send(Time now, ProcessId from, ProcessId to,
   // Batched wire forms carry the same protocol steps as their scalar
   // counterparts; the monitor observes each item or the acceptance records
   // (and with them TCS-LL's inputs) silently go missing for batched runs.
-  if (const auto* pa = msg.as<PrepareAck>()) {
-    open_acceptance(replica_of(from), SlotRecord::of(*pa));
-  } else if (const auto* pab = msg.as<PrepareAckBatch>()) {
-    for (const PrepareAck& item : pab->items) {
-      open_acceptance(replica_of(from), SlotRecord::of(item));
-    }
-  } else if (const auto* a = msg.as<Accept>()) {
+  if (const auto* a = msg.as<Accept>()) {
     check_replication(SlotRecord::of(*a));
   } else if (const auto* ab = msg.as<AcceptBatch>()) {
     for (const Accept& item : ab->items) check_replication(SlotRecord::of(item));

@@ -11,12 +11,13 @@
 //
 //   inv  property                          message stack         rdma stack
 //   ---  --------------------------------  --------------------  --------------------
-//   1    follower prefix = the leader's    ACCEPT_ACK send       not checked
-//        snapshot from PREPARE_ACK
+//   1    follower prefix = the leader's    ACCEPT_ACK send       write landing
+//        log at PREPARE_ACK
 //   2    a fully accepted slot persists    on_epoch_installed    on_epoch_installed
 //        into every later epoch ...
-//          ... with the prefix before it   on_epoch_installed    not checked
-//          equal to the leader's snapshot
+//          ... with the prefix before it   on_epoch_installed    on_epoch_installed
+//          equal to the leader's log at
+//          PREPARE_ACK
 //   3    no ACCEPT_ACK below an            ACCEPT_ACK send       not checked
 //        acknowledged PROBE epoch
 //   4a   one decision per slot of a shard  on_decided            on_decided
@@ -36,24 +37,38 @@
 //   13   a replication write lands in the  no one-sided writes   write landing
 //        epoch it was prepared at
 //
-// An acceptance opens at the leader's PREPARE_ACK on the message stack,
-// with a snapshot of the leader's log up to the slot, and at the first
-// RAccept write on rdma, without one.  Three checks are message-stack only
-// for now:
-//   * Inv 1 and Inv 2's prefix comparison compare against that snapshot.
-//     Taking it costs O(slot) per acceptance, most of what this monitor
-//     costs on the message stack; on rdma it would add about 9% to the
-//     simulator ladder's CPU.  An acceptance without a snapshot skips both.
-//   * Inv 3: on rdma, a probed replica that still coordinates at its old
-//     epoch writes RAccept into its own memory after its PROBE_ACK, because
-//     a self-write ignores connection state (rdma/fabric.h).  Whether the
-//     model or Inv 3's reach over local stores is wrong is an open question.
+// An acceptance opens at the leader's PREPARE_ACK (on_prepare_ack), on both
+// stacks.  Invariants 1 and 2 compare logs with the leader's log as of that
+// PREPARE_ACK, which the monitor keeps once per (leader, shard, epoch) as a
+// reference log: the leader's log seeds it at its first PREPARE_ACK of the
+// epoch, and each of the leader's slot writes (on_slot_written) keeps it
+// current.  An acceptance points at the reference's current version.  A
+// leader appends, so a write past a version's end extends it in place; a
+// write that changes a slot below the end of a version some acceptance
+// points at copies that version first, so each version stays what its
+// acceptances saw.  Only a write into one of the leader's holes or into its
+// memory from outside (a stale or forged one-sided write) does that, which
+// is rare.  The reference holds copies: every read of a process's log
+// happens on that process's own event.  The costs are linear in the log,
+// plus one copy of the reference per such rewrite:
+//   * a slot write costs one copy of the slot;
+//   * Inv 1 keeps, per (follower, version), how many leading slots were
+//     found equal; a follower write below that mark pulls it back, and a
+//     check walks only the slots past it;
+//   * Inv 2's prefix comparison walks each lower-epoch version once per
+//     install, up to its highest complete acceptance.
+// Inv 3 is message-stack only: on rdma, a probed replica that still
+// coordinates at its old epoch writes RAccept into its own memory after its
+// PROBE_ACK, because a self-write ignores connection state (rdma/fabric.h).
+// Whether the model or Inv 3's reach over local stores is wrong is an open
+// question.
 //
 // Violations are reported to a ViolationSink rather than asserted, so tests
 // can also verify that deliberately broken variants DO violate them; each
 // distinct report is kept once.
 #pragma once
 
+#include <deque>
 #include <map>
 #include <mutex>
 #include <set>
@@ -118,15 +133,16 @@ class Monitor : public sim::NetworkObserver, public CertificationObserver {
   void on_client_decision(TxnId txn, tcs::Decision d) override;
   void on_decision_applied(const ReplicaCore& replica, Slot slot, TxnId txn,
                            tcs::Decision d) override;
+  void on_slot_written(const ReplicaCore& replica, Slot slot) override;
+  void on_prepare_ack(const ReplicaCore& replica, const PrepareAck& ack) override;
   void on_epoch_installed(const ReplicaCore& replica) override;
 
   // --- one-sided writes (rdma::MonitorTap) ------------------------------------
 
-  /// A replication write of `r` left for a follower: opens the acceptance
-  /// without a snapshot, then Inv 6 and 9.
+  /// A replication write of `r` left for a follower: Inv 6 and 9.
   void on_replication_write(const SlotRecord& r);
   /// That write landed in `to`'s memory: Inv 13, then the landing counts as
-  /// `to`'s acknowledgement.
+  /// `to`'s acknowledgement, after Inv 1.
   void on_replication_landed(ProcessId to, const SlotRecord& r);
 
   // --- network tap (the message stack) --------------------------------------
@@ -144,12 +160,38 @@ class Monitor : public sim::NetworkObserver, public CertificationObserver {
                                   const tcs::Certifier& certifier) const;
 
  private:
-  struct SnapshotEntry {
+  /// What a slot holds, as Invariants 1 and 2 compare it.
+  struct SlotContent {
     bool filled = false;
     TxnId txn = 0;
     tcs::Decision vote = tcs::Decision::kAbort;
     tcs::Payload payload;
   };
+  /// The leader's log as one or more PREPARE_ACKs saw it: slot k at index
+  /// k - 1, a hole past the end.
+  struct LeaderLog {
+    std::vector<SlotContent> slots;
+    /// Whether an acceptance points at this version: a rewrite below its
+    /// end then goes to a copy.
+    bool seen = false;
+    /// The highest slot of a complete acceptance that saw this version:
+    /// where Inv 2's prefix comparison stops.
+    Slot complete_upto = kNoSlot;
+
+    const SlotContent& at(Slot k) const;
+  };
+  /// One leader's log at one epoch of its shard, in versions (see the
+  /// header comment); the last is current.
+  struct Reference {
+    std::deque<LeaderLog> versions = {LeaderLog{}};
+
+    /// Records slot k's content after a write; no-op if it did not change.
+    void write(Slot k, const LogEntry* e);
+    /// Writes every slot of `log`, and holes past its end.
+    void sync(const ReplicaLog& log);
+  };
+  using RefKey = std::tuple<ShardId, Epoch, ProcessId>;  // (shard, epoch, leader)
+
   struct Acceptance {
     ShardId shard = 0;
     Epoch epoch = kNoEpoch;
@@ -157,10 +199,16 @@ class Monitor : public sim::NetworkObserver, public CertificationObserver {
     TxnId txn = 0;
     tcs::Payload payload;
     tcs::Decision vote = tcs::Decision::kAbort;
-    /// Slots 1..slot of the leader at PREPARE_ACK; empty without a snapshot.
-    std::vector<SnapshotEntry> leader_prefix;
+    /// The leader's log as of the PREPARE_ACK.
+    LeaderLog* saw = nullptr;
     std::set<ProcessId> acks;
     bool complete = false;
+  };
+  /// Inv 1's mark for one follower against one version: the follower's
+  /// slots 1..upto equal the version's, wherever both are filled.
+  struct Verified {
+    const LeaderLog* log = nullptr;
+    Slot upto = kNoSlot;
   };
   struct VoteRecord {
     tcs::Decision vote = tcs::Decision::kAbort;
@@ -176,20 +224,27 @@ class Monitor : public sim::NetworkObserver, public CertificationObserver {
   void register_config_locked(ShardId shard, const configsvc::ShardConfig& config);
   void register_new_config_locked(ProcessId leader, Epoch epoch,
                                   const std::vector<ProcessId>& members);
-  /// Opens the acceptance of `r` unless one is open; `leader` non-null
-  /// snapshots its log up to the slot (Invariants 1 and 2).
-  void open_acceptance(const ReplicaCore* leader, const SlotRecord& r);
+  /// The reference of `replica` at its current epoch, or null.
+  Reference* reference_of(const ReplicaCore& replica);
+  /// Opens the acceptance of `r` unless one is open, against the leader's
+  /// log `saw`.
+  void open_acceptance(const SlotRecord& r, LeaderLog& saw);
   /// Inv 6 and 9 over one replication record.
   void check_replication(const SlotRecord& r);
-  /// The message stack's ACCEPT_ACK: Inv 3 and 1, then the shared ack.
+  /// The message stack's ACCEPT_ACK: Inv 3, then the shared ack.
   void observe_accept_ack(ProcessId from, const AcceptAck& aa);
   /// Counts `from`'s acknowledgement of the acceptance at `key` if it is of
-  /// `txn`, after Inv 1 (a no-op for an acceptance without a snapshot).
+  /// `txn`, after Inv 1.
   void record_ack(ProcessId from, const AcceptKey& key, TxnId txn);
   void check_decision(TxnId txn, tcs::Decision d);
   void maybe_complete(Acceptance& acc);
-  void check_prefix_against_leader(const ReplicaCore& replica, const Acceptance& acc,
-                                   const char* invariant);
+  /// Inv 1: `follower`'s slots up to the acceptance's equal the leader's
+  /// log as of its PREPARE_ACK, past the pair's mark.
+  void check_follower_prefix(const ReplicaCore& follower, const Acceptance& acc);
+  /// Inv 2's prefix comparison of an installed log with one version of a
+  /// lower-epoch reference.
+  void check_prefix_at_install(const ReplicaCore& replica, const LeaderLog& saw,
+                               Epoch ref_epoch);
   void report(const std::string& invariant, const std::string& details);
 
   rt::Runtime& rt_;
@@ -201,6 +256,12 @@ class Monitor : public sim::NetworkObserver, public CertificationObserver {
   std::map<ShardId, std::map<Epoch, configsvc::ShardConfig>> configs_;
 
   std::map<AcceptKey, Acceptance> acceptances_;
+  /// Ordered by shard, then epoch, so an install finds the lower epochs.
+  std::map<RefKey, Reference> references_;
+  /// Inv 1 marks per follower, one per version it acknowledged against.
+  std::map<ProcessId, std::vector<Verified>> verified_;
+  /// Complete acceptances per shard, in completion order (Inv 2 and 5).
+  std::map<ShardId, std::vector<const Acceptance*>> complete_by_shard_;
   /// First complete acceptance per (shard, txn) — the TCS-LL records; also
   /// backs the Inv 11 checks.
   std::map<std::pair<ShardId, TxnId>, AcceptKey> accepted_txn_;

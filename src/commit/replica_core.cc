@@ -283,12 +283,14 @@ PrepareAck ReplicaCore::prepare_txn(const Prepare& m) {
     // The slot's vote and payload are final for its prepared life: index it
     // (no-op for abort votes, which never enter L2).
     index_.on_prepared(log_, next_);
+    if (observer_) observer_->on_slot_written(*this, next_);
     ack.slot = next_;
     ack.payload = e.payload;
     ack.vote = e.vote;
     ack.meta = e.meta;
     ack.prepare_ts = e.prepare_ts;
   }
+  if (observer_) observer_->on_prepare_ack(*this, ack);
   return ack;
 }
 
@@ -468,12 +470,14 @@ void ReplicaCore::apply_decision(Slot slot, TxnId txn, tcs::Decision decision,
                                  Time csn_ts) {
   if (observer_) observer_->on_decision_applied(*this, slot, txn, decision);
   LogEntry& e = log_.at(slot);
-  if (e.phase == Phase::kStart) e.txn = txn;  // decision for a hole (abort only)
+  const bool fills_hole = e.phase == Phase::kStart;  // abort only
+  if (fills_hole) e.txn = txn;
   e.dec = decision;
   e.phase = Phase::kDecided;
   e.csn_ts = csn_ts;
   prepared_at_.erase(slot);
   index_.on_decided(log_, slot);
+  if (fills_hole && observer_) observer_->on_slot_written(*this, slot);
   // Advance the committed multi-version state.  A commit decision can only
   // land on a filled slot (line 26 needed this replica's ACCEPT_ACK, or its
   // NIC's ack of the one-sided ACCEPT), so the payload is present; duplicate

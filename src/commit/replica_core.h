@@ -41,10 +41,10 @@
 //   * on_probed, and the view and reconfiguration hooks, where its
 //     reconfiguration is not Fig. 1's.
 // The invariant monitor (commit::Monitor, one for both stacks) sees this
-// shared code through CertificationObserver: votes, decisions at the
-// coordinator and at each replica, client decisions and every installed
-// epoch.  Only what a substrate's wire shows reaches it through that
-// substrate's tap.
+// shared code through CertificationObserver: votes, PREPARE_ACKs, slot
+// writes, decisions at the coordinator and at each replica, client
+// decisions and every installed epoch.  Only what a substrate's wire shows
+// reaches it through that substrate's tap.
 #pragma once
 
 #include <bitset>
@@ -109,6 +109,15 @@ class CertificationObserver {
   /// Fig. 7 line 102).
   virtual void on_decision_applied(const ReplicaCore& replica, Slot slot, TxnId txn,
                                    tcs::Decision d) = 0;
+  /// `replica` has just written what its `slot` holds (the transaction,
+  /// payload and vote the invariants compare): a leader's append (lines
+  /// 9-16), a follower's fill (line 24, Fig. 7 line 95) or a decision that
+  /// fills a hole (line 32).  A log replaced wholesale raises
+  /// on_epoch_installed instead.
+  virtual void on_slot_written(const ReplicaCore& replica, Slot slot) = 0;
+  /// `replica`, a leader, produced `ack` for a PREPARE (lines 7 and 17),
+  /// with its log as the ack describes it; on a batch, once per item.
+  virtual void on_prepare_ack(const ReplicaCore& replica, const PrepareAck& ack) = 0;
   /// `replica` installed a new epoch of its shard, as the leader taking over
   /// its log (line 59, Fig. 8 line 145) or as a follower installing the
   /// transferred one (lines 63-66, Fig. 8 lines 148-153).
@@ -491,6 +500,7 @@ void ReplicaCore::fill_slot(const A& a) {
   e.prepare_ts = a.prepare_ts;  // the leader's CSN stamp, replicated
   prepared_at_[a.slot] = rt().now();
   index_.on_prepared(log_, a.slot);
+  if (observer_) observer_->on_slot_written(*this, a.slot);
 }
 
 /// The replication record (an Accept or rdma's RAccept) for a leader's

@@ -3,8 +3,9 @@
 // decision applies and epoch installs — reaches the monitor from the shared
 // replica core.
 //
-//   * an RAccept write opens its acceptance and feeds Inv 6 and 9;
-//   * its landing feeds Inv 13 and counts as the receiver's acknowledgement;
+//   * an RAccept write feeds Inv 6 and 9;
+//   * its landing feeds Inv 13 and 1 and counts as the receiver's
+//     acknowledgement;
 //   * the configurations the global protocol disseminates (CONFIG_PREPARE)
 //     and the strawman hands its new leaders (NEW_CONFIG) are registered.
 #pragma once

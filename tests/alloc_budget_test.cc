@@ -8,7 +8,9 @@
 //
 //   * colocated: bench_micro's BM_EndToEndCertification — 2 shards x 2
 //     replicas, one client co-located with a replica, 100 transactions,
-//     seed 4;
+//     seed 4; also with the invariant monitor on, at 100 and 1,000
+//     transactions, where the count per transaction must not grow with
+//     the log (it counts allocations, not work);
 //   * remote: 4 shards x 2 replicas, four clients, each certifying through
 //     the follower of its own shard by message, 100 two-shard transactions.
 //
@@ -71,14 +73,15 @@ double news_per_decided(Run run, std::size_t* decided) {
   return *decided == 0 ? 0.0 : static_cast<double>(news) / static_cast<double>(*decided);
 }
 
-TEST(AllocBudget, ColocatedTwoByTwo) {
+/// operator new calls per decided transaction in the co-located 2x2 shape
+/// (bench_micro's BM_EndToEndCertification) at `txns` transactions.
+double colocated_two_by_two(bool monitor, int txns, std::size_t* decided) {
   commit::Cluster cluster({.seed = 4, .num_shards = 2, .shard_size = 2,
-                           .enable_monitor = false});
+                           .enable_monitor = monitor});
   commit::Client& client = cluster.add_client();
-  std::size_t decided = 0;
-  double per_txn = news_per_decided(
+  return news_per_decided(
       [&] {
-        for (int i = 0; i < kTxns; ++i) {
+        for (int i = 0; i < txns; ++i) {
           tcs::Payload p;
           p.reads = {{static_cast<ObjectId>(2 * i), 0}, {static_cast<ObjectId>(2 * i + 1), 0}};
           p.writes = {{static_cast<ObjectId>(2 * i), 1}};
@@ -88,10 +91,33 @@ TEST(AllocBudget, ColocatedTwoByTwo) {
         cluster.sim().run();
         return client.decided_count();
       },
-      &decided);
+      decided);
+}
+
+TEST(AllocBudget, ColocatedTwoByTwo) {
+  std::size_t decided = 0;
+  double per_txn = colocated_two_by_two(/*monitor=*/false, kTxns, &decided);
   std::printf("colocated 2x2: %.2f operator new calls per decided transaction\n", per_txn);
   ASSERT_EQ(decided, static_cast<std::size_t>(kTxns));
   EXPECT_LE(per_txn, 84.0);  // 80.19 when pinned
+}
+
+TEST(AllocBudget, MonitoredColocatedTwoByTwoAllocatesLinearly) {
+  // With the invariant monitor on, ten times the transactions may cost at
+  // most 15% more allocations per transaction: a copy of the leader's log
+  // per acceptance fails this.  Work that grows with the log without
+  // allocating in proportion, such as the walk behind each vote's witness
+  // lists, passes it.
+  std::size_t decided_small = 0, decided_large = 0;
+  double small = colocated_two_by_two(/*monitor=*/true, kTxns, &decided_small);
+  double large = colocated_two_by_two(/*monitor=*/true, 10 * kTxns, &decided_large);
+  std::printf("colocated 2x2, monitor on: %.2f operator new calls per decided transaction "
+              "at %d transactions, %.2f at %d\n",
+              small, kTxns, large, 10 * kTxns);
+  ASSERT_EQ(decided_small, static_cast<std::size_t>(kTxns));
+  ASSERT_EQ(decided_large, static_cast<std::size_t>(10 * kTxns));
+  EXPECT_LE(large, 1.15 * small);
+  EXPECT_LE(large, 164.0);  // 156.10 when pinned (144.21 at 100)
 }
 
 TEST(AllocBudget, RemoteClientsAtFollowersFourByTwo) {

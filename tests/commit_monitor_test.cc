@@ -4,6 +4,8 @@
 // suite, so it must not be vacuous).  rdma_monitor_test covers the rdma tap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "commit/cluster.h"
 #include "commit/monitor.h"
 #include "sim/simulator.h"
@@ -22,9 +24,54 @@ Payload one_object(ObjectId o) {
   return p;
 }
 
+/// Whether `inv` was reported, by exact name: "Invariant1" must not match
+/// Invariant10-13.
 bool mentions(const Monitor& m, const std::string& inv) {
-  return m.violations().summary().find(inv) != std::string::npos;
+  const std::vector<Violation>& all = m.violations().all();
+  return std::any_of(all.begin(), all.end(),
+                     [&](const Violation& v) { return v.invariant == inv; });
 }
+
+/// Shard 0 of two shards is {r100 leader, r101 follower}; r201's messages
+/// to r101 take 100 ticks.  `forge_slot1` first puts another transaction
+/// in r101's slot 1 by a forged ACCEPT.  Then r201 coordinates t1, which
+/// the leader puts in slot 1, and r200 coordinates t2, in slot 2; the run
+/// stops once t2 is decided, before t1's ACCEPT reaches r101.
+struct SlowFirstAccept {
+  explicit SlowFirstAccept(bool forge_slot1)
+      : cluster({.seed = 11, .num_shards = 2, .shard_size = 2,
+                 .link_delay = [](ProcessId from, ProcessId to) -> Duration {
+                   return from == 201 && to == 101 ? 100 : 0;
+                 }}),
+        client(cluster.add_client()),
+        leader(cluster.replica(0, 0)),
+        follower(cluster.replica(0, 1)) {
+    if (forge_slot1) {
+      Accept forged;
+      forged.epoch = 1;
+      forged.shard = 0;
+      forged.slot = 1;
+      forged.txn = 999;
+      forged.payload = one_object(8);
+      forged.vote = Decision::kCommit;
+      cluster.net().send_msg(client.id(), follower.id(), forged);
+      cluster.sim().run();
+    }
+    t1 = cluster.next_txn_id();
+    t2 = cluster.next_txn_id();
+    client.certify_colocated(cluster.replica(1, 1), t1, one_object(0));
+    cluster.sim().run_until(cluster.sim().now() + 5);
+    client.certify_colocated(cluster.replica(1, 0), t2, one_object(2));
+    t2_decided = cluster.sim().run_until_pred([&] { return client.decided(t2); });
+  }
+
+  Cluster cluster;
+  Client& client;
+  Replica& leader;
+  Replica& follower;
+  TxnId t1 = 0, t2 = 0;
+  bool t2_decided = false;
+};
 
 TEST(MonitorSensitivity, Invariant4a_ConflictingSlotDecisions) {
   sim::Simulator sim(1);
@@ -93,6 +140,53 @@ TEST(MonitorSensitivity, Invariant9_SameTxnTwoSlots) {
   monitor.on_send(0, 1, 2, sim::AnyMessage(a));
   monitor.on_send(0, 1, 2, sim::AnyMessage(b));
   EXPECT_TRUE(mentions(monitor, "Invariant9"));
+}
+
+TEST(MonitorSensitivity, Invariant1_FollowerSlotBelowHoldsAnotherTxn) {
+  SlowFirstAccept run(/*forge_slot1=*/true);
+  ASSERT_TRUE(run.t2_decided);
+  ASSERT_EQ(run.leader.log().find(1)->txn, run.t1);
+  ASSERT_EQ(run.follower.log().find(1)->txn, 999u);
+  // r101 has acknowledged only slot 2 so far: that ACCEPT_ACK must see that
+  // its slot 1 is not what the leader held at slot 2's PREPARE_ACK.
+  ASSERT_FALSE(run.client.decided(run.t1));
+  EXPECT_TRUE(mentions(run.cluster.monitor(), "Invariant1"))
+      << run.cluster.monitor().violations().summary();
+}
+
+TEST(MonitorSensitivity, Invariant1_HolesBelowTheSlotReportNothing) {
+  SlowFirstAccept run(/*forge_slot1=*/false);
+  ASSERT_TRUE(run.t2_decided);
+  const LogEntry* slot1 = run.follower.log().find(1);
+  ASSERT_TRUE(slot1 == nullptr || !slot1->filled());  // t1's ACCEPT is in flight
+  EXPECT_TRUE(run.cluster.monitor().violations().empty())
+      << run.cluster.monitor().violations().summary();
+  run.cluster.sim().run();
+  EXPECT_TRUE(run.client.decided(run.t1));
+  EXPECT_TRUE(run.cluster.monitor().violations().empty())
+      << run.cluster.monitor().violations().summary();
+}
+
+TEST(MonitorSensitivity, Invariant2_InstalledLogDiffersBelowAcceptedSlot) {
+  // Only t2's slot 2 is fully accepted.  r101 then installs epoch 2 from a
+  // NEW_STATE that keeps slot 2 as the leader has it but holds another
+  // transaction in slot 1, which the leader had filled at slot 2's
+  // PREPARE_ACK: slot 2 persists, its prefix does not.
+  SlowFirstAccept run(/*forge_slot1=*/false);
+  ASSERT_TRUE(run.t2_decided);
+  NewState ns;
+  ns.epoch = 2;
+  ns.members = {run.leader.id(), run.follower.id()};
+  ns.log = run.leader.log();
+  ns.log.at(1).txn = 999;
+  ns.log.at(1).payload = one_object(8);
+  run.cluster.net().send_msg(run.leader.id(), run.follower.id(), ns);
+  run.cluster.sim().run_until(run.cluster.sim().now() + 5);
+  ASSERT_EQ(run.follower.epoch(), 2u);
+  EXPECT_TRUE(mentions(run.cluster.monitor(), "Invariant2"))
+      << run.cluster.monitor().violations().summary();
+  EXPECT_FALSE(mentions(run.cluster.monitor(), "Invariant1"))
+      << run.cluster.monitor().violations().summary();
 }
 
 TEST(MonitorSensitivity, Invariant12b_CommitDecisionOntoAbortVote) {
