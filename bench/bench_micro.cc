@@ -1,14 +1,16 @@
 // Microbenchmarks (google-benchmark) for the hot paths: certification
 // checks, payload projection, the simulator's event loop, the end-to-end
-// certification pipeline, the read watermark, the threaded runtime's inbox
+// certification pipeline, the read watermark, the message envelope, the
+// PREPARE -> PREPARE_ACK -> ACCEPT hand-off, the threaded runtime's inbox
 // hop and the history checkers.
 #include <benchmark/benchmark.h>
 
-#include <map>
 
 #include "checker/linearization.h"
 #include "commit/cluster.h"
 #include "commit/log.h"
+#include "commit/messages.h"
+#include "commit/replica_core.h"
 #include "common/random.h"
 #include "rt/inbox.h"
 #include "sim/network.h"
@@ -138,7 +140,7 @@ BENCHMARK(BM_EndToEndCertification)
 /// prepared_at_ holds them.
 struct WatermarkLog {
   commit::ReplicaLog log;
-  std::map<Slot, Time> prepared;
+  FlatMap<Slot, Time> prepared;
 };
 
 WatermarkLog watermark_log(Slot n) {
@@ -169,6 +171,46 @@ void BM_ReadWatermarkScan(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(w.log.scan_min_prepared_ts());
 }
 BENCHMARK(BM_ReadWatermarkScan)->Arg(1000)->Arg(10000)->Arg(100000);
+
+/// A PREPARE of a two-read, one-write projection, as perfbench's envelope
+/// replay builds it.
+commit::Prepare sample_prepare() {
+  tcs::Payload p;
+  p.reads = {{1, 3}, {2, 5}};
+  p.writes = {{1, 42}};
+  p.commit_version = 6;
+  return commit::Prepare{7, true, p, commit::TxnMeta{7, {0, 1}, 5000}};
+}
+
+// The envelope layer (sim/message.h): build, copy and destroy one message.
+// An ACCEPT_ACK (prepare=0) travels inline; a PREPARE (prepare=1) takes one
+// shared block that the copy shares.
+void BM_Envelope(benchmark::State& state) {
+  const commit::AcceptAck ack{0, 1, 9, 7, tcs::Decision::kCommit};
+  const commit::Prepare prepare = sample_prepare();
+  const bool shared = state.range(0) != 0;
+  for (auto _ : state) {
+    sim::AnyMessage m = shared ? sim::AnyMessage(prepare) : sim::AnyMessage(ack);
+    sim::AnyMessage copy = m;
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_Envelope)->ArgName("prepare")->Arg(0)->Arg(1);
+
+// The hand-off from one PREPARE to the leader's PREPARE_ACK and the
+// coordinator's ACCEPT, each in its envelope: both forward the PREPARE's
+// payload and meta objects.
+void BM_PrepareToAccept(benchmark::State& state) {
+  const commit::Prepare prepare = sample_prepare();
+  for (auto _ : state) {
+    sim::AnyMessage ack(commit::PrepareAck{1, 0, 9, prepare.txn, prepare.payload,
+                                           tcs::Decision::kCommit, prepare.meta, 11});
+    sim::AnyMessage accept(
+        commit::accept_for<commit::Accept>(*ack.as<commit::PrepareAck>()));
+    benchmark::DoNotOptimize(accept);
+  }
+}
+BENCHMARK(BM_PrepareToAccept);
 
 // The inbox hop (rt/inbox.h).  ThreadedRuntime::spawn builds one inbox per
 // process, with one lane per worker plus the shared lane.

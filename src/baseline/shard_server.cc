@@ -53,7 +53,7 @@ void ShardServer::handle_certify(ProcessId from,
   // SubmitPrepare for a single item.
   std::map<ShardId, SubmitPrepareBatch> per_shard;
   for (const commit::CertifyRequest& item : items) {
-    std::vector<ShardId> participants = options_.shard_map->shards_of(item.payload);
+    std::vector<ShardId> participants = options_.shard_map->shards_of(*item.payload);
     if (participants.empty()) {
       rt().send_msg(id(), from, commit::ClientDecision{item.txn, Decision::kCommit});
       continue;
@@ -68,7 +68,7 @@ void ShardServer::handle_certify(ProcessId from,
     for (ShardId s : participants) {
       SubmitPrepare sp;
       sp.txn = item.txn;
-      sp.payload = options_.shard_map->project(item.payload, s);
+      sp.payload = options_.shard_map->project(*item.payload, s);
       sp.participants = participants;
       sp.client = from;
       sp.coordinator = id();

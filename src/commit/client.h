@@ -11,6 +11,9 @@
 //    coordinator starts; the baseline's only mode);
 //  * co-located: the client shares a machine with its coordinator; certify
 //    and the decision callback are local (4 message delays total).
+//
+// Each transaction's payload becomes one Shared handle, which the history
+// and the CERTIFY (or the co-located coordinator) both hold.
 #pragma once
 
 #include <functional>
@@ -21,6 +24,7 @@
 
 #include "commit/messages.h"
 #include "commit/replica_core.h"
+#include "common/shared.h"
 #include "sim/process.h"
 #include "tcs/history.h"
 
@@ -32,9 +36,9 @@ class Client : public sim::Process {
       : Process(rt, id, "client" + std::to_string(id)), history_(history) {}
 
   /// Submits via messages to the replica with the given process id.
-  void certify_remote(ProcessId coordinator, TxnId txn, const tcs::Payload& payload) {
+  void certify_remote(ProcessId coordinator, TxnId txn, Shared<tcs::Payload> payload) {
     note_certify(txn, payload);
-    rt().send_msg(id(), coordinator, CertifyRequest{txn, payload});
+    rt().send_msg(id(), coordinator, CertifyRequest{txn, std::move(payload)});
   }
 
   /// Submits a whole batch via one CERTIFY_BATCH message to a remote
@@ -44,8 +48,9 @@ class Client : public sim::Process {
     CertifyBatchRequest req;
     req.items.reserve(batch.size());
     for (const auto& [txn, payload] : batch) {
-      note_certify(txn, payload);
-      req.items.push_back(CertifyRequest{txn, payload});
+      Shared<tcs::Payload> shared = payload;
+      note_certify(txn, shared);
+      req.items.push_back(CertifyRequest{txn, std::move(shared)});
     }
     if (req.items.size() == 1) {
       rt().send_msg(id(), coordinator, std::move(req.items.front()));
@@ -57,10 +62,10 @@ class Client : public sim::Process {
   /// Submits through a co-located coordinator replica (no network hop).
   /// Passing our id as the origin lets a successor coordinator deliver the
   /// decision as DECISION_CLIENT if the co-located replica crashes mid-2PC.
-  void certify_colocated(ReplicaCore& coordinator, TxnId txn, const tcs::Payload& payload) {
+  void certify_colocated(ReplicaCore& coordinator, TxnId txn, Shared<tcs::Payload> payload) {
     note_certify(txn, payload);
     coordinator.certify_local(
-        txn, payload,
+        txn, std::move(payload),
         [this, txn](tcs::Decision d, Time csn_ts) { record_decision(txn, d, csn_ts); },
         id());
   }
@@ -70,9 +75,14 @@ class Client : public sim::Process {
   void certify_batch_colocated(
       ReplicaCore& coordinator,
       const std::vector<std::pair<TxnId, tcs::Payload>>& batch) {
-    for (const auto& [txn, payload] : batch) note_certify(txn, payload);
+    std::vector<std::pair<TxnId, Shared<tcs::Payload>>> shared;
+    shared.reserve(batch.size());
+    for (const auto& [txn, payload] : batch) {
+      shared.emplace_back(txn, payload);
+      note_certify(txn, shared.back().second);
+    }
     coordinator.certify_batch_local(
-        batch,
+        shared,
         [this](TxnId txn, tcs::Decision d, Time csn_ts) {
           record_decision(txn, d, csn_ts);
         },
@@ -121,7 +131,7 @@ class Client : public sim::Process {
     }
   }
 
-  void note_certify(TxnId txn, const tcs::Payload& payload) {
+  void note_certify(TxnId txn, const Shared<tcs::Payload>& payload) {
     Time now = rt().now();
     history_->record_certify(now, txn, payload);
     txns_[txn].sent = now;

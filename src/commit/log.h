@@ -5,11 +5,11 @@
 // therefore arrive unordered (paper Sec. 3, Invariant 1 discussion).
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "tcs/decision.h"
 #include "tcs/payload.h"
@@ -66,7 +66,7 @@ class ReplicaLog {
   /// nullopt: a replica's read watermark sits just below it.  Exact when
   /// `slots` holds every prepared slot; replicas pass their retry
   /// bookkeeping (prepared_at_), so a read costs O(in-flight), not a scan.
-  std::optional<Time> min_prepared_ts(const std::map<Slot, Time>& slots) const {
+  std::optional<Time> min_prepared_ts(const FlatMap<Slot, Time>& slots) const {
     std::optional<Time> min_ts;
     for (const auto& [k, since] : slots) {
       const LogEntry* e = find(k);

@@ -1,10 +1,17 @@
 // Message vocabulary of the atomic commit protocol (Fig. 1), plus the
 // client-facing certification messages.
+//
+// A transaction's payload and metadata travel as Shared handles: the
+// client's CERTIFY, each shard's PREPARE, the leader's PREPARE_ACK and the
+// coordinator's ACCEPT all hold the objects built where the payload was
+// submitted or projected, never a copy.  Only the replicas' logs copy them,
+// each into its own LogEntry.
 #pragma once
 
 #include <vector>
 
 #include "commit/log.h"
+#include "common/shared.h"
 #include "common/types.h"
 #include "sim/message.h"
 #include "tcs/decision.h"
@@ -16,8 +23,8 @@ namespace ratc::commit {
 struct CertifyRequest {
   static constexpr const char* kName = "CERTIFY";
   TxnId txn = 0;
-  tcs::Payload payload;
-  std::size_t wire_size() const { return 16 + payload.wire_size(); }
+  Shared<tcs::Payload> payload;
+  std::size_t wire_size() const { return 16 + payload->wire_size(); }
 };
 
 namespace detail {
@@ -41,10 +48,10 @@ struct Prepare {
   static constexpr const char* kName = "PREPARE";
   TxnId txn = 0;
   bool has_payload = true;
-  tcs::Payload payload;  ///< l|s, the shard projection
-  TxnMeta meta;
+  Shared<tcs::Payload> payload;  ///< l|s, the shard projection
+  Shared<TxnMeta> meta;
   std::size_t wire_size() const {
-    return 24 + payload.wire_size() + meta.participants.size() * 4;
+    return 24 + payload->wire_size() + meta->participants.size() * 4;
   }
 };
 
@@ -55,12 +62,12 @@ struct PrepareAck {
   ShardId shard = 0;
   Slot slot = kNoSlot;
   TxnId txn = 0;
-  tcs::Payload payload;
+  Shared<tcs::Payload> payload;  ///< the PREPARE's, forwarded
   tcs::Decision vote = tcs::Decision::kAbort;
-  TxnMeta meta;
+  Shared<TxnMeta> meta;  ///< the PREPARE's, forwarded
   Time prepare_ts = 0;  ///< the leader's CSN-log stamp for this slot
   std::size_t wire_size() const {
-    return 48 + payload.wire_size() + meta.participants.size() * 4;
+    return 48 + payload->wire_size() + meta->participants.size() * 4;
   }
 };
 
@@ -75,13 +82,13 @@ struct Accept {
   ShardId shard = 0;
   Slot slot = kNoSlot;
   TxnId txn = 0;
-  tcs::Payload payload;
+  Shared<tcs::Payload> payload;  ///< the PREPARE_ACK's, forwarded
   tcs::Decision vote = tcs::Decision::kAbort;
-  TxnMeta meta;
+  Shared<TxnMeta> meta;  ///< the PREPARE_ACK's, forwarded
   ProcessId coordinator = kNoProcess;
   Time prepare_ts = 0;  ///< the leader's CSN-log stamp, replicated with the slot
   std::size_t wire_size() const {
-    return 48 + payload.wire_size() + meta.participants.size() * 4;
+    return 48 + payload->wire_size() + meta->participants.size() * 4;
   }
 };
 

@@ -99,7 +99,7 @@ struct SlotRecord {
   /// From any record carrying these fields.
   template <typename A>
   static SlotRecord of(const A& a) {
-    return {a.shard, a.epoch, a.slot, a.txn, &a.payload, a.vote};
+    return {a.shard, a.epoch, a.slot, a.txn, a.payload.get(), a.vote};
   }
 };
 

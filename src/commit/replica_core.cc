@@ -53,22 +53,22 @@ bool ReplicaCore::handle_core_message(ProcessId from, const sim::AnyMessage& msg
 
 // --- certification ----------------------------------------------------------
 
-TxnMeta ReplicaCore::meta_for(TxnId txn, const tcs::Payload& payload,
-                              ProcessId client) const {
+Shared<TxnMeta> ReplicaCore::meta_for(TxnId txn, const tcs::Payload& payload,
+                                      ProcessId client) const {
   return TxnMeta{txn, options_.shard_map->shards_of(payload), client};
 }
 
-void ReplicaCore::certify_local(TxnId txn, const tcs::Payload& payload,
+void ReplicaCore::certify_local(TxnId txn, Shared<tcs::Payload> payload,
                                 std::function<void(tcs::Decision, Time)> cb,
                                 ProcessId origin) {
   // The co-located client's id rides in the meta so a successor coordinator
   // (retry path, line 70) can still deliver the decision after this replica
   // crashed — the live coordinator itself always uses the local callback.
-  start_certification(meta_for(txn, payload, origin), &payload, std::move(cb));
+  start_certification(meta_for(txn, *payload, origin), &payload, std::move(cb));
 }
 
 void ReplicaCore::certify_batch_local(
-    const std::vector<std::pair<TxnId, tcs::Payload>>& batch,
+    const std::vector<std::pair<TxnId, Shared<tcs::Payload>>>& batch,
     std::function<void(TxnId, tcs::Decision, Time)> cb, ProcessId origin) {
   certify_batch(batch, origin, cb);
 }
@@ -87,7 +87,7 @@ void ReplicaCore::certify_batch(const Items& items, ProcessId client,
   for (const auto& [txn, payload] : items) {
     std::function<void(Decision, Time)> local_cb;
     if (cb) local_cb = [cb, t = txn](Decision d, Time csn_ts) { cb(t, d, csn_ts); };
-    start_certification(meta_for(txn, payload, client), &payload, std::move(local_cb),
+    start_certification(meta_for(txn, *payload, client), &payload, std::move(local_cb),
                         &per_shard);
   }
   for (auto& [s, pb] : per_shard) {
@@ -100,25 +100,26 @@ void ReplicaCore::certify_batch(const Items& items, ProcessId client,
   }
 }
 
-void ReplicaCore::start_certification(TxnMeta meta, const tcs::Payload* full_payload,
+void ReplicaCore::start_certification(Shared<TxnMeta> meta,
+                                      const Shared<tcs::Payload>* full_payload,
                                       std::function<void(tcs::Decision, Time)> local_cb,
                                       std::map<ShardId, PrepareBatch>* batch) {
-  TxnId txn = meta.txn;
+  TxnId txn = meta->txn;
   // Transactions touching no shard (empty payloads) commit trivially.
-  if (meta.participants.empty()) {
-    decide_to_client(txn, meta.client, local_cb, Decision::kCommit, 0);
+  if (meta->participants.empty()) {
+    decide_to_client(txn, meta->client, local_cb, Decision::kCommit, 0);
     return;
   }
   CoordState& c = coord_[txn];
   if (c.decided) return;  // late retry of an already-decided coordination
-  undecided_coords_.insert(txn);
+  undecided_coords_.emplace(txn, &c);
   c.meta = std::move(meta);
-  c.progress.resize(c.meta.participants.size());
+  c.progress.resize(c.meta->participants.size());
   if (local_cb) c.local_cb = std::move(local_cb);
   if (full_payload != nullptr) c.payload = *full_payload;
   c.last_driven = rt().now();
   // Line 2-3: send PREPARE with the shard projection to each leader.
-  for (ShardId s : c.meta.participants) {
+  for (ShardId s : c.meta->participants) {
     Prepare p;
     p.txn = txn;
     if (full_payload != nullptr) {
@@ -161,8 +162,8 @@ void ReplicaCore::redrive_coordinations(const std::set<TxnId>& driven_this_tick)
   // fate here, so one item's lost PREPARE never stalls its batch-mates.
   (void)driven_this_tick;  // only read by the assert below
   Time now = rt().now();
-  for (TxnId txn : undecided_coords_) {
-    CoordState& c = coord_.at(txn);
+  for (const auto& [txn, coordination] : undecided_coords_) {
+    CoordState& c = *coordination;
     if (now - c.last_driven < options_.retry_timeout) continue;
     // A transaction the slot-retry pass just re-drove has last_driven == now
     // and was skipped above; this pins that no coordination is driven twice
@@ -170,7 +171,7 @@ void ReplicaCore::redrive_coordinations(const std::set<TxnId>& driven_this_tick)
     assert(driven_this_tick.count(txn) == 0 &&
            "coordination re-driven twice in one retry tick");
     c.last_driven = now;
-    for (ShardId s : c.meta.participants) {
+    for (ShardId s : c.meta->participants) {
       Prepare p;
       p.txn = txn;
       p.has_payload = c.payload.has_value();
@@ -193,7 +194,7 @@ void ReplicaCore::retry(Slot k) {
 
 bool ReplicaCore::handle_certification(ProcessId from, const sim::AnyMessage& msg) {
   if (const auto* m = msg.as<CertifyRequest>()) {
-    start_certification(meta_for(m->txn, m->payload, from), &m->payload, nullptr);
+    start_certification(meta_for(m->txn, *m->payload, from), &m->payload, nullptr);
   } else if (const auto* b = msg.as<CertifyBatchRequest>()) {
     certify_batch(b->items, from, nullptr);
   } else if (const auto* p = msg.as<Prepare>()) {
@@ -241,7 +242,8 @@ PrepareAck ReplicaCore::prepare_txn(const Prepare& m) {
   ack.shard = options_.shard;
   ack.txn = m.txn;
   if (existing != kNoSlot) {
-    // Lines 6-7: already certified; re-send the stored result.
+    // Lines 6-7: already certified; re-send the stored result, copied out
+    // of the log entry.
     const LogEntry& e = *log_.find(existing);
     ack.slot = existing;
     ack.payload = e.payload;
@@ -254,13 +256,13 @@ PrepareAck ReplicaCore::prepare_txn(const Prepare& m) {
     LogEntry& e = log_.at(next_);
     e.txn = m.txn;
     e.phase = Phase::kPrepared;
-    e.meta = m.meta;
+    e.meta = *m.meta;  // the leader's own copy
     // The CSN-log stamp: final for the slot's life, replayed verbatim by the
     // stored-result path above so csn(t) is stable across prepare retries.
     e.prepare_ts = rt().now();
     if (m.has_payload) {
-      e.payload = m.payload;     // line 13
-      e.vote = compute_vote(next_, m.payload);  // line 12
+      e.payload = *m.payload;     // line 13
+      e.vote = compute_vote(next_, *m.payload);  // line 12
     } else {
       e.vote = Decision::kAbort;     // line 15
       e.payload = tcs::empty_payload();  // line 16
@@ -284,10 +286,12 @@ PrepareAck ReplicaCore::prepare_txn(const Prepare& m) {
     // (no-op for abort votes, which never enter L2).
     index_.on_prepared(log_, next_);
     if (observer_) observer_->on_slot_written(*this, next_);
+    // The ack forwards the PREPARE's objects, which hold what the entry
+    // now holds.
     ack.slot = next_;
-    ack.payload = e.payload;
+    if (m.has_payload) ack.payload = m.payload;
     ack.vote = e.vote;
-    ack.meta = e.meta;
+    ack.meta = m.meta;
     ack.prepare_ts = e.prepare_ts;
   }
   if (observer_) observer_->on_prepare_ack(*this, ack);
@@ -406,7 +410,7 @@ void ReplicaCore::handle_prepare_ack_batch(const PrepareAckBatch& m) {
 }
 
 ReplicaCore::ShardProgress* ReplicaCore::progress_at(CoordState& c, ShardId s) {
-  const std::vector<ShardId>& shards = c.meta.participants;
+  const std::vector<ShardId>& shards = c.meta->participants;
   auto it = std::find(shards.begin(), shards.end(), s);
   if (it == shards.end()) return nullptr;
   return &c.progress[static_cast<std::size_t>(it - shards.begin())];
@@ -434,8 +438,8 @@ void ReplicaCore::check_coordination(TxnId txn) {
   // their NICs' ack-rdma, with the PREPARE_ACK epoch still current).
   Decision decision = Decision::kCommit;
   Time csn_ts = 0;  // csn(t).ts = max prepare stamp over the involved shards
-  for (std::size_t i = 0; i < c.meta.participants.size(); ++i) {
-    ShardId s = c.meta.participants[i];
+  for (std::size_t i = 0; i < c.meta->participants.size(); ++i) {
+    ShardId s = c.meta->participants[i];
     const ShardProgress& pr = c.progress[i];
     if (!pr.have_prepare_ack || pr.epoch != epoch_of(s)) return;
     ProcessId leader = leader_of(s);
@@ -448,9 +452,9 @@ void ReplicaCore::check_coordination(TxnId txn) {
   }
   if (decision != Decision::kCommit) csn_ts = 0;  // aborts never enter the CSN log
   c.decided = true;  // guards re-entrancy from the client callback below
-  decide_to_client(txn, c.meta.client, c.local_cb, decision, csn_ts);  // line 27
-  for (std::size_t i = 0; i < c.meta.participants.size(); ++i) {
-    ShardId s = c.meta.participants[i];
+  decide_to_client(txn, c.meta->client, c.local_cb, decision, csn_ts);  // line 27
+  for (std::size_t i = 0; i < c.meta->participants.size(); ++i) {
+    ShardId s = c.meta->participants[i];
     if (observer_) observer_->on_decided(s, c.progress[i].slot, txn, decision);
     ship_decision(s, c.progress[i], txn, decision, csn_ts);
   }
@@ -459,6 +463,7 @@ void ReplicaCore::check_coordination(TxnId txn) {
   // otherwise recreate the coordination from scratch and re-decide.
   c.progress.clear();
   c.progress.shrink_to_fit();
+  c.meta = {};
   c.payload.reset();
   c.local_cb = nullptr;
   undecided_coords_.erase(txn);
@@ -498,7 +503,7 @@ void ReplicaCore::take_over_log() {
   rebuild_snapshot_store();
   for (Slot k = 1; k <= log_.size(); ++k) {
     const LogEntry* e = log_.find(k);
-    if (e != nullptr && e->phase == Phase::kPrepared && prepared_at_.count(k) == 0) {
+    if (e != nullptr && e->phase == Phase::kPrepared && !prepared_at_.contains(k)) {
       prepared_at_[k] = rt().now();
     }
   }

@@ -17,8 +17,12 @@
 // The coordinator state is flat, because every transaction allocates it.
 // One CoordState per transaction sits in a hashed table that is only looked
 // up; the ordered undecided set fixes the re-drive order.  A CoordState
-// keeps its per-shard progress in a vector parallel to meta.participants
-// and the full payload once, re-projected only when a PREPARE is re-sent.
+// keeps its per-shard progress in a vector parallel to meta.participants,
+// and it holds the client's payload and the meta its PREPAREs carry as
+// shared handles: the payload is projected once per shard when the PREPAREs
+// go out, and again only when one is re-sent.  The leader's PREPARE_ACK and
+// the coordinator's ACCEPTs forward the PREPARE's objects; each replica
+// copies them into its own log.
 // A shard's follower acks are a bitmask over positions in members_of(s):
 // acks at another epoch are rejected, and a PREPARE_ACK at a new epoch or
 // slot clears the mask, so every bit refers to the one view it was set in.
@@ -61,6 +65,8 @@
 #include "commit/log.h"
 #include "commit/messages.h"
 #include "commit/witness_index.h"
+#include "common/flat_map.h"
+#include "common/shared.h"
 #include "configsvc/client.h"
 #include "configsvc/config.h"
 #include "fd/failure_detector.h"
@@ -181,7 +187,7 @@ class ReplicaCore : public sim::Process, protected recon::StackHooks {
   /// successor coordinator that finishes the transaction after this replica
   /// crashed routes the decision there as DECISION_CLIENT instead of
   /// dropping it on the floor.
-  void certify_local(TxnId txn, const tcs::Payload& payload,
+  void certify_local(TxnId txn, Shared<tcs::Payload> payload,
                      std::function<void(tcs::Decision, Time)> cb,
                      ProcessId origin = kNoProcess);
 
@@ -194,7 +200,7 @@ class ReplicaCore : public sim::Process, protected recon::StackHooks {
   /// so a batch of one sends exactly what certify_local does.  `origin` as
   /// in certify_local.
   void certify_batch_local(
-      const std::vector<std::pair<TxnId, tcs::Payload>>& batch,
+      const std::vector<std::pair<TxnId, Shared<tcs::Payload>>>& batch,
       std::function<void(TxnId, tcs::Decision, Time)> cb,
       ProcessId origin = kNoProcess);
 
@@ -363,33 +369,34 @@ class ReplicaCore : public sim::Process, protected recon::StackHooks {
 
  private:
   /// One coordination (Fig. 1 lines 2-3 and 18-30).  Flat: the per-shard
-  /// progress is a vector parallel to meta.participants (sized to it once),
-  /// and the full payload is kept once rather than per shard.
+  /// progress is a vector parallel to meta->participants (sized to it
+  /// once), and the full payload is the client's own object.
   struct CoordState {
-    TxnMeta meta;
-    /// progress[i] is the progress at meta.participants[i].
+    Shared<TxnMeta> meta;  ///< the one every PREPARE of the coordination carries
+    /// progress[i] is the progress at meta->participants[i].
     std::vector<ShardProgress> progress;
     bool decided = false;
     /// Set for co-located clients; second arg is csn(t).ts (0 for aborts).
     std::function<void(tcs::Decision, Time)> local_cb;
     /// The full payload, kept so the coordinator can re-send (re-projected)
     /// a PREPARE that died with a crashed leader (unset for ⊥ retries).
-    std::optional<tcs::Payload> payload;
+    std::optional<Shared<tcs::Payload>> payload;
     Time last_driven = 0;  ///< when PREPAREs were last (re-)sent
   };
 
   /// c's progress at participant s, or null if s is not a participant.
   static ShardProgress* progress_at(CoordState& c, ShardId s);
 
-  TxnMeta meta_for(TxnId txn, const tcs::Payload& payload, ProcessId client) const;
+  Shared<TxnMeta> meta_for(TxnId txn, const tcs::Payload& payload, ProcessId client) const;
   /// Line 27: reports `d` to the client — through the co-located client's
   /// callback `cb` if set, else as DECISION_CLIENT to `client` if known.
   void decide_to_client(TxnId txn, ProcessId client,
                         const std::function<void(tcs::Decision, Time)>& cb,
                         tcs::Decision d, Time csn_ts);
-  /// Opens the coordination of meta.txn (line 2) and sends its PREPAREs —
+  /// Opens the coordination of meta->txn (line 2) and sends its PREPAREs —
   /// or, when `batch` is set, queues them in the per-shard PREPARE_BATCHes.
-  void start_certification(TxnMeta meta, const tcs::Payload* full_payload,
+  /// A null `full_payload` is the retry path's ⊥.
+  void start_certification(Shared<TxnMeta> meta, const Shared<tcs::Payload>* full_payload,
                            std::function<void(tcs::Decision, Time)> local_cb,
                            std::map<ShardId, PrepareBatch>* batch = nullptr);
   /// The batched entry points: certify_batch_local, and CERTIFY_BATCH with
@@ -472,17 +479,19 @@ class ReplicaCore : public sim::Process, protected recon::StackHooks {
   WitnessIndex index_;
 
   // Coordinator state.  Decided entries stay as slim tombstones (so a late
-  // retry cannot re-coordinate); the ordered set below keeps the re-drive
-  // scan bounded by the undecided set and fixes its order.  coord_ is only
-  // looked up, never iterated, so it is hashed; it must stay node-based,
-  // because check_coordination holds a CoordState& while the client
-  // callback may re-enter start_certification and grow the table.
+  // retry cannot re-coordinate); the undecided ones, in id order, keep the
+  // re-drive scan bounded by the undecided set and fix its order.  coord_
+  // is only looked up, never iterated, so it is hashed; it must stay
+  // node-based, because check_coordination holds a CoordState& while the
+  // client callback may re-enter start_certification and grow the table,
+  // and undecided_coords_ points into it.
   std::unordered_map<TxnId, CoordState> coord_;
-  std::set<TxnId> undecided_coords_;
+  FlatMap<TxnId, CoordState*> undecided_coords_;
 
   // Local bookkeeping for the retry timer: every prepared slot, with when it
-  // was prepared or last re-driven.  read_watermark() reads its slots.
-  std::map<Slot, Time> prepared_at_;
+  // was prepared or last re-driven.  read_watermark() reads its slots.  A
+  // leader appends here; a follower fill or a decision inserts or erases.
+  FlatMap<Slot, Time> prepared_at_;
 
   /// Committed multi-version state, filed under Csn{csn_ts, txn}; rebuilt
   /// from the log on a state transfer or leader takeover.
@@ -493,10 +502,10 @@ template <typename A>
 void ReplicaCore::fill_slot(const A& a) {
   LogEntry& e = log_.at(a.slot);
   e.txn = a.txn;
-  e.payload = a.payload;
+  e.payload = *a.payload;  // the follower's own copy
   e.vote = a.vote;
   e.phase = Phase::kPrepared;
-  e.meta = a.meta;
+  e.meta = *a.meta;
   e.prepare_ts = a.prepare_ts;  // the leader's CSN stamp, replicated
   prepared_at_[a.slot] = rt().now();
   index_.on_prepared(log_, a.slot);
@@ -504,7 +513,7 @@ void ReplicaCore::fill_slot(const A& a) {
 }
 
 /// The replication record (an Accept or rdma's RAccept) for a leader's
-/// PREPARE_ACK.
+/// PREPARE_ACK; it carries the ack's payload and meta objects on.
 template <typename A>
 A accept_for(const PrepareAck& ack) {
   A a;

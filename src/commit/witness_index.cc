@@ -68,7 +68,7 @@ void WitnessIndex::on_prepared(const ReplicaLog& log, Slot k) {
   const LogEntry* e = log.find(k);
   if (e == nullptr || e->phase != Phase::kPrepared) return;
   if (e->vote != Decision::kCommit) return;  // only commit votes enter L2
-  if (!prepared_.emplace(k, e->txn).second) return;  // duplicate notification
+  if (!prepared_.emplace(k, e->txn)) return;  // duplicate notification
   for_each_object(e->payload, [&](ObjectId obj) { prepared_by_object_.emplace(obj, k); });
 }
 
@@ -76,7 +76,7 @@ void WitnessIndex::on_decided(const ReplicaLog& log, Slot k) {
   const LogEntry* e = log.find(k);
   if (e == nullptr || e->phase != Phase::kDecided) return;
   // Leave L2 regardless of the outcome.
-  if (prepared_.erase(k) > 0) {
+  if (prepared_.erase(k)) {
     for_each_object(e->payload, [&](ObjectId obj) {
       auto [it, end] = prepared_by_object_.equal_range(obj);
       while (it != end && it->second != k) ++it;

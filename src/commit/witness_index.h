@@ -26,8 +26,8 @@
 // cross-check in sweeps.
 //
 // collect() reports the slot-ordered witness sets the monitor needs
-// (constraint (10) of Fig. 6 pins T_s exactly): P_s from the ordered
-// prepared map below, T_s read off the log itself, which already holds
+// (constraint (10) of Fig. 6 pins T_s exactly): P_s from the sorted
+// prepared slots below, T_s read off the log itself, which already holds
 // every decided slot — only the monitor and the cross-check call it.
 //
 // Maintenance contract (the embedding replica calls these):
@@ -43,11 +43,11 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
 #include "commit/log.h"
+#include "common/flat_map.h"
 #include "tcs/certifier.h"
 
 namespace ratc::commit {
@@ -96,8 +96,9 @@ class WitnessIndex {
 
   void index_committed_writer(Slot k, const tcs::Payload& p);
 
-  /// Prepared slots with commit votes in order -> txn id (the monitor's P_s).
-  std::map<Slot, TxnId> prepared_;
+  /// Prepared slots with commit votes in order -> txn id (the monitor's
+  /// P_s): only the slots in flight, appended by a leader in slot order.
+  FlatMap<Slot, TxnId> prepared_;
   /// object -> committed writer with the highest commit version.
   std::unordered_map<ObjectId, CommittedWriter> committed_writer_;
   /// object -> prepared (commit-vote) slot, once per object the slot's

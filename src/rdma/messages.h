@@ -6,6 +6,7 @@
 
 #include "commit/log.h"
 #include "commit/messages.h"
+#include "common/shared.h"
 #include "configsvc/config.h"
 #include "tcs/decision.h"
 #include "tcs/payload.h"
@@ -25,12 +26,12 @@ struct RAccept {
   ShardId shard = 0;       ///< monitor-only
   Slot slot = kNoSlot;
   TxnId txn = 0;
-  tcs::Payload payload;
+  Shared<tcs::Payload> payload;  ///< the PREPARE_ACK's, forwarded
   tcs::Decision vote = tcs::Decision::kAbort;
-  commit::TxnMeta meta;
+  Shared<commit::TxnMeta> meta;  ///< the PREPARE_ACK's, forwarded
   Time prepare_ts = 0;  ///< the leader's CSN-log stamp, replicated with the slot
   std::size_t wire_size() const {
-    return 48 + payload.wire_size() + meta.participants.size() * 4;
+    return 48 + payload->wire_size() + meta->participants.size() * 4;
   }
 };
 

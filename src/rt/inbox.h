@@ -88,7 +88,8 @@ class Inbox {
   static constexpr std::size_t kCacheLine = 64;
 
   struct Block {
-    // Engaged only between push and pop: an empty AnyMessage would allocate.
+    // Engaged only between push and pop, so a drained cell holds no
+    // message block.
     std::optional<Envelope> cells[kBlockSize];
     Block* next = nullptr;
   };

@@ -5,16 +5,28 @@
 // processes (replicas, clients, the configuration service) share one
 // simulator.  Receivers dispatch with `msg.as<Prepare>()`.
 //
+// Storage.  A trivially copyable message of at most kInlineSize bytes
+// (ACCEPT_ACK, DECISION, DECISION_CLIENT, PROBE, ...) travels inline in the
+// envelope: building, copying or moving it allocates nothing, and a copy
+// is a plain byte copy.  Only trivially copyable messages qualify, because
+// a byte copy of anything else would share or lose what it owns — copying
+// an inline message can never deep-copy a vector.  Every other message
+// lives in one reference-counted block: copying the envelope bumps the
+// count, and the block is freed with its last envelope.  The default
+// envelope holds an inline EmptyMessage.
+//
 // Messages opt into richer tracing/stats by providing:
 //   static constexpr const char* kName;   // message name for traces
 //   std::size_t wire_size() const;        // approximate bytes on the wire
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <new>
 #include <type_traits>
 #include <typeinfo>
 #include <utility>
+
+#include "common/shared.h"
 
 namespace ratc::sim {
 
@@ -31,54 +43,123 @@ struct EmptyMessage {
   static constexpr const char* kName = "EMPTY";
 };
 
-/// One object per message type; its address is the type's identity.  An
-/// inline variable has one address program-wide, so comparing tags is one
-/// pointer compare, where std::type_index equality falls back to comparing
-/// the mangled names on every mismatch — and dispatch is mostly mismatches.
+namespace detail {
+
+/// A message held in a reference-counted block.
 template <typename T>
-inline constexpr char kTypeTag = 0;
+struct SharedMessage : RefCount {
+  explicit SharedMessage(T&& m) : msg(std::move(m)) {}
+  T msg;
+};
+
+/// What an envelope knows of the type it holds.  One object per message
+/// type; its address is the type's identity.  An inline variable has one
+/// address program-wide, so a type check is one pointer compare, where
+/// std::type_index equality falls back to comparing the mangled names on
+/// every mismatch — and dispatch is mostly mismatches.
+struct MessageType {
+  const char* (*name)();
+  /// Frees a shared block; null for a type held inline.
+  void (*free)(const RefCount*);
+};
+
+}  // namespace detail
 
 class AnyMessage {
  public:
-  /// Default: an EmptyMessage placeholder (lets AnyMessage live in standard
-  /// containers).
+  /// Largest message kept inline; DECISION, the largest message sent once
+  /// per participant member, fills it.
+  static constexpr std::size_t kInlineSize = 48;
+
+  template <typename T>
+  static constexpr bool kInline = std::is_trivially_copyable_v<T> &&
+                                  sizeof(T) <= kInlineSize && alignof(T) <= alignof(void*);
+
+  /// An EmptyMessage placeholder (lets AnyMessage live in standard
+  /// containers); allocates nothing.
   AnyMessage() : AnyMessage(EmptyMessage{}) {}
 
   template <typename T>
-  explicit AnyMessage(T msg)
-      : ptr_(std::make_shared<T>(std::move(msg))), tag_(&kTypeTag<T>) {
-    const T& ref = *std::static_pointer_cast<const T>(ptr_);
-    if constexpr (HasMessageName<T>) {
-      name_ = T::kName;
-    } else {
-      name_ = typeid(T).name();
-    }
+    requires(!std::is_same_v<T, AnyMessage>)
+  explicit AnyMessage(T msg) : type_(&kType<T>) {
     if constexpr (HasWireSize<T>) {
-      size_ = ref.wire_size();
+      size_ = msg.wire_size();
     } else {
       size_ = sizeof(T);
     }
+    if constexpr (kInline<T>) {
+      ::new (static_cast<void*>(storage_.bytes)) T(msg);
+    } else {
+      storage_.block = new detail::SharedMessage<T>(std::move(msg));
+    }
+  }
+
+  AnyMessage(const AnyMessage& other) noexcept
+      : storage_(other.storage_), type_(other.type_), size_(other.size_) {
+    if (type_->free != nullptr) storage_.block->retain();
+  }
+
+  AnyMessage(AnyMessage&& other) noexcept
+      : storage_(other.storage_), type_(other.type_), size_(other.size_) {
+    other.type_ = &kType<EmptyMessage>;
+  }
+
+  AnyMessage& operator=(AnyMessage other) noexcept {
+    std::swap(storage_, other.storage_);
+    std::swap(type_, other.type_);
+    std::swap(size_, other.size_);
+    return *this;
+  }
+
+  ~AnyMessage() {
+    if (type_->free != nullptr && storage_.block->release()) type_->free(storage_.block);
   }
 
   /// Returns the contained message if it has dynamic type T, else nullptr.
   template <typename T>
   const T* as() const {
     if (!is<T>()) return nullptr;
-    return static_cast<const T*>(ptr_.get());
+    if constexpr (kInline<T>) {
+      return std::launder(reinterpret_cast<const T*>(storage_.bytes));
+    } else {
+      return &static_cast<const detail::SharedMessage<T>*>(storage_.block)->msg;
+    }
   }
 
   template <typename T>
   bool is() const {
-    return tag_ == &kTypeTag<std::remove_cv_t<T>>;
+    return type_ == &kType<std::remove_cv_t<T>>;
   }
 
-  const char* type_name() const { return name_; }
+  const char* type_name() const { return type_->name(); }
   std::size_t wire_size() const { return size_; }
 
  private:
-  std::shared_ptr<const void> ptr_;
-  const char* tag_;  ///< &kTypeTag<T> of the contained type
-  const char* name_ = "?";
+  template <typename T>
+  static const char* name_of() {
+    if constexpr (HasMessageName<T>) {
+      return T::kName;
+    } else {
+      return typeid(T).name();
+    }
+  }
+
+  template <typename T>
+  static void free_shared(const RefCount* block) {
+    delete static_cast<const detail::SharedMessage<T>*>(block);
+  }
+
+  template <typename T>
+  static constexpr detail::MessageType kType{&name_of<T>,
+                                             kInline<T> ? nullptr : &free_shared<T>};
+
+  union Storage {
+    alignas(void*) unsigned char bytes[kInlineSize];
+    const RefCount* block;
+  };
+
+  Storage storage_;
+  const detail::MessageType* type_;
   std::size_t size_ = 0;
 };
 

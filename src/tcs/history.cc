@@ -5,7 +5,7 @@
 
 namespace ratc::tcs {
 
-void History::record_certify(Time time, TxnId txn, Payload payload) {
+void History::record_certify(Time time, TxnId txn, Shared<Payload> payload) {
   TxnRecord& rec = txns_[txn];
   if (rec.certify_event == kNoEvent) rec.certify_event = events_.size();
   HistoryEvent ev;
@@ -53,7 +53,7 @@ std::optional<Decision> History::decision_of(TxnId t) const {
 const Payload* History::payload_of(TxnId t) const {
   const TxnRecord* rec = txn_record(t);
   if (rec == nullptr || rec->certify_event == kNoEvent) return nullptr;
-  return &events_[rec->certify_event].payload;
+  return events_[rec->certify_event].payload.get();
 }
 
 std::optional<Csn> History::csn_of(TxnId t) const {
@@ -113,7 +113,7 @@ std::string History::to_string() const {
   std::ostringstream os;
   for (const auto& ev : events_) {
     if (ev.kind == HistoryEvent::Kind::kCertify) {
-      os << "t=" << ev.time << " certify(txn" << ev.txn << ", " << ev.payload.to_string()
+      os << "t=" << ev.time << " certify(txn" << ev.txn << ", " << ev.payload->to_string()
          << ")\n";
     } else {
       os << "t=" << ev.time << " decide(txn" << ev.txn << ", "

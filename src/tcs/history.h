@@ -4,13 +4,14 @@
 // snapshot with zero certification messages; checker/snapshot.h validates
 // them against the committed writers).
 //
-// Storage: the event list holds every action, and each payload lives only
-// in its certify event.  Beside it, one record per transaction (ordered by
-// id, so the transaction lists come out ascending) holds what the queries
-// need: the index of the first certify event, and the first decision with
-// its time and the first commit csn.  payload_of() therefore points into
-// the event list, and the pointer stays valid only until the next record_*
-// call, which may grow the list.  Use it at once, or on a finished history.
+// Storage: the event list holds every action, and each certify event holds
+// its payload as a Shared handle, usually the very object the client
+// certified (and a merged history shares it again).  Beside the list, one
+// record per transaction (ordered by id, so the transaction lists come out
+// ascending) holds what the queries need: the index of the first certify
+// event, and the first decision with its time and the first commit csn.
+// payload_of() points at the shared object, so it stays valid as long as
+// the history does.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/shared.h"
 #include "common/types.h"
 #include "tcs/csn.h"
 #include "tcs/decision.h"
@@ -30,7 +32,7 @@ struct HistoryEvent {
   enum class Kind { kCertify, kDecide } kind = Kind::kCertify;
   Time time = 0;
   TxnId txn = 0;
-  Payload payload;              // for kCertify
+  Shared<Payload> payload;      // for kCertify
   Decision decision = Decision::kAbort;  // for kDecide
 };
 
@@ -54,7 +56,7 @@ struct SnapshotReadRecord {
 
 class History {
  public:
-  void record_certify(Time time, TxnId txn, Payload payload);
+  void record_certify(Time time, TxnId txn, Shared<Payload> payload);
 
   /// Records a decide action.  Duplicate decide events for the same
   /// transaction are recorded too (they occur only in the deliberately
@@ -73,7 +75,7 @@ class History {
 
   bool certified(TxnId t) const;
   std::optional<Decision> decision_of(TxnId t) const;
-  /// t's first certified payload, or null; valid until the next record_*.
+  /// t's first certified payload, or null.
   const Payload* payload_of(TxnId t) const;
 
   /// Commit sequence number externalized with t's first commit decision

@@ -11,6 +11,7 @@
 #include <iterator>
 #include <vector>
 
+#include "common/shared.h"
 #include "common/types.h"
 #include "tcs/payload.h"
 
@@ -34,6 +35,23 @@ class ShardMap {
     copy_on_shard(l.reads, s, out.reads);
     copy_on_shard(l.writes, s, out.writes);
     return out;
+  }
+
+  /// The projection l|s as a handle.  A payload that lies wholly on s is
+  /// its own projection, and a shard the payload does not touch gets ε;
+  /// only a payload split across shards is copied, once per shard.
+  Shared<Payload> project(const Shared<Payload>& l, ShardId s) const {
+    bool all_on_s = true, any_on_s = false;
+    auto visit = [&](ObjectId object) {
+      bool on_s = shard_of(object) == s;
+      all_on_s = all_on_s && on_s;
+      any_on_s = any_on_s || on_s;
+    };
+    for (const auto& r : l->reads) visit(r.object);
+    for (const auto& w : l->writes) visit(w.object);
+    if (all_on_s) return l;
+    if (!any_on_s) return {};
+    return project(*l, s);
   }
 
   /// shards(t): the sorted set of shards that must certify the payload.

@@ -36,9 +36,7 @@ TEST(CommitEdge, DuplicatePrepareIsResentNotReprepared) {
   dup.txn = t;
   dup.has_payload = true;
   dup.payload = one_object(0);
-  dup.meta.txn = t;
-  dup.meta.participants = {0};
-  dup.meta.client = client.id();
+  dup.meta = TxnMeta{t, {0}, client.id()};
   cluster.net().send_msg(client.id(), leader.id(), dup);
   cluster.sim().run();
   EXPECT_EQ(leader.log().max_filled(), before);  // no new slot
@@ -54,9 +52,7 @@ TEST(CommitEdge, PrepareAtNonLeaderIsDropped) {
   p.txn = 42;
   p.has_payload = true;
   p.payload = one_object(0);
-  p.meta.txn = 42;
-  p.meta.participants = {0};
-  p.meta.client = client.id();
+  p.meta = TxnMeta{42, {0}, client.id()};
   cluster.net().send_msg(client.id(), follower.id(), p);
   cluster.sim().run();
   EXPECT_EQ(follower.log().slot_of(42), kNoSlot);
@@ -74,9 +70,7 @@ TEST(CommitEdge, StaleEpochAcceptRejected) {
   acc.txn = 42;
   acc.payload = one_object(0);
   acc.vote = Decision::kCommit;
-  acc.meta.txn = 42;
-  acc.meta.participants = {0};
-  acc.meta.client = client.id();
+  acc.meta = TxnMeta{42, {0}, client.id()};
   cluster.net().send_msg(client.id(), follower.id(), acc);
   cluster.sim().run();
   EXPECT_EQ(follower.log().slot_of(42), kNoSlot);

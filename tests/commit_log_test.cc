@@ -94,7 +94,7 @@ TEST(ReplicaLog, WireSizeGrowsWithPayloads) {
 // That the replicas keep prepared_at_ covering is cross-checked on every
 // read of the SnapshotReadSweep suites (check_certifier_index).
 
-using Slots = std::map<Slot, Time>;
+using Slots = FlatMap<Slot, Time>;
 
 /// Slot k prepared for `txn` under stamp `ts` and tracked, as a leader
 /// append, a follower ACCEPT or an RAccept (no phase guard) does it.
@@ -129,7 +129,7 @@ TEST(ReplicaLogWatermark, ReadsOnlyTrackedSlotsThatArePrepared) {
   decide(log, slots, 4, 14);
   EXPECT_EQ(log.min_prepared_ts(slots), 50u);
   // Stale keys (a hole, decided slots, a slot past the end) never gate.
-  slots.insert({{2, 0}, {3, 0}, {4, 0}, {9, 0}});
+  for (Slot k : {2, 3, 4, 9}) slots.emplace(k, 0);
   EXPECT_EQ(log.min_prepared_ts(slots), 50u);
   decide(log, slots, 1, 11);
   EXPECT_EQ(log.min_prepared_ts(slots), std::nullopt);

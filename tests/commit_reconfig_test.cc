@@ -160,9 +160,7 @@ TEST(CommitReconfig, RetryAbortsTransactionUnknownToAShard) {
   p.txn = t;
   p.has_payload = true;
   p.payload = cluster.shard_map().project(full, 0);
-  p.meta.txn = t;
-  p.meta.participants = {0, 1};
-  p.meta.client = client.id();
+  p.meta = TxnMeta{t, {0, 1}, client.id()};
   cluster.history().record_certify(cluster.sim().now(), t, full);
   cluster.net().send_msg(client.id(), cluster.leader_of(0), p);
   cluster.sim().run();

@@ -2,8 +2,12 @@
 
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "common/flat_map.h"
 #include "common/random.h"
+#include "common/shared.h"
 #include "common/violation.h"
 
 namespace ratc {
@@ -120,6 +124,50 @@ TEST(ViolationSink, CollectsAndSummarizes) {
   EXPECT_NE(sink.summary().find("prefix mismatch"), std::string::npos);
   sink.clear();
   EXPECT_TRUE(sink.empty());
+}
+
+struct Pair {
+  std::vector<int> values;
+  friend bool operator==(const Pair&, const Pair&) = default;
+};
+
+TEST(Shared, DefaultIsOneStaticEpsilonNeverNull) {
+  Shared<Pair> a, b;
+  ASSERT_NE(a.get(), nullptr);
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_TRUE(a->values.empty());
+  Shared<Pair> moved_from = Pair{{1, 2}};
+  Shared<Pair> c = std::move(moved_from);
+  EXPECT_EQ(moved_from.get(), a.get());  // a moved-from handle is ε again
+  EXPECT_EQ(c->values.size(), 2u);
+}
+
+TEST(Shared, CopiesShareOneObjectAndCompareByValue) {
+  Shared<Pair> a = Pair{{1, 2, 3}};
+  Shared<Pair> b = a;
+  EXPECT_EQ(a.get(), b.get());
+  Shared<Pair> c = Pair{{1, 2, 3}};
+  EXPECT_NE(a.get(), c.get());
+  EXPECT_EQ(a, c);
+  EXPECT_FALSE(a == Shared<Pair>());
+  b = Shared<Pair>();
+  EXPECT_EQ(a->values.size(), 3u);  // a still holds its object
+}
+
+TEST(FlatMap, KeepsKeyOrderAcrossAppendsInsertsAndErases) {
+  FlatMap<int, int> m;
+  m[5] = 50;
+  m[9] = 90;  // append
+  m[1] = 10;  // insert in front
+  EXPECT_TRUE(m.emplace(7, 70));
+  EXPECT_FALSE(m.emplace(7, 71));
+  EXPECT_TRUE(m.erase(5));
+  EXPECT_FALSE(m.erase(5));
+  EXPECT_TRUE(m.contains(7));
+  EXPECT_FALSE(m.contains(5));
+  std::vector<std::pair<int, int>> seen(m.begin(), m.end());
+  EXPECT_EQ(seen, (std::vector<std::pair<int, int>>{{1, 10}, {7, 70}, {9, 90}}));
+  EXPECT_EQ(m.size(), 3u);
 }
 
 }  // namespace

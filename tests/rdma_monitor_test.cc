@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "commit/monitor.h"
 #include "rdma/cluster.h"
@@ -138,6 +139,14 @@ RAccept write_of(const commit::LogEntry& e, Slot k) {
   return a;
 }
 
+/// Keeps every one-sided write, so what each carried outlives its landing.
+struct WriteLog : FabricObserver {
+  void on_write(Time, ProcessId, ProcessId, const sim::AnyMessage& m) override {
+    writes.push_back(m);
+  }
+  std::vector<sim::AnyMessage> writes;
+};
+
 /// One shard {r100 leader, r101} plus a spare; t1 commits at epoch 1 and
 /// t2, which conflicts with it, aborts.  r101 coordinates both, so its
 /// writes to itself land at once.
@@ -145,6 +154,7 @@ struct ClusterRun {
   ClusterRun()
       : cluster({.seed = 7, .num_shards = 1, .shard_size = 2, .spares_per_shard = 1}),
         client(cluster.add_client()) {
+    cluster.fabric().add_observer(&written);
     t1 = cluster.next_txn_id();
     t2 = cluster.next_txn_id();
     client.certify_colocated(cluster.replica(0, 1), t1, one_object(0));
@@ -161,6 +171,7 @@ struct ClusterRun {
 
   Cluster cluster;
   Client& client;
+  WriteLog written;
   TxnId t1 = 0, t2 = 0;
   bool committed = false;
 };
@@ -267,6 +278,34 @@ TEST(RdmaInvariantSensitivity, Invariant1_EachAcceptanceJudgedAgainstTheLeaderLo
   run.cluster.sim().run();
   EXPECT_TRUE(mentions(run.cluster.monitor(), "Invariant1"))
       << run.cluster.monitor().violations().summary();
+}
+
+TEST(RdmaInvariantSensitivity, ForgedRewriteChangesOnlyTheMemoryItLandsIn) {
+  ClusterRun run;
+  ASSERT_TRUE(run.committed);
+  Replica& leader = run.cluster.replica(0, 0);
+  Replica& follower = run.cluster.replica(0, 1);
+  // t1's write of slot 1 as it travelled to r101; the envelope holds the
+  // objects it carried.
+  sim::AnyMessage sent;
+  for (const sim::AnyMessage& m : run.written.writes) {
+    const RAccept* a = m.as<RAccept>();
+    if (a != nullptr && a->slot == 1) sent = m;
+  }
+  ASSERT_TRUE(sent.is<RAccept>());
+  const commit::LogEntry before = *follower.log().find(1);
+  // A write forged into the leader's memory rewrites its slot 1 ...
+  run.cluster.fabric().send_rdma(follower.id(), leader.id(),
+                                 sim::AnyMessage(raccept(1, 1, 999)));
+  run.cluster.sim().run();
+  ASSERT_EQ(leader.log().find(1)->txn, 999u);
+  // ... and neither the write in flight nor r101's log.
+  EXPECT_EQ(sent.as<RAccept>()->txn, run.t1);
+  EXPECT_EQ(*sent.as<RAccept>()->payload, one_object(0));
+  const commit::LogEntry& after = *follower.log().find(1);
+  EXPECT_EQ(after.txn, run.t1);
+  EXPECT_EQ(after.payload, before.payload);
+  EXPECT_EQ(after.meta, before.meta);
 }
 
 TEST(RdmaInvariantSensitivity, Invariant1_InstallRechecksTheWholePrefix) {

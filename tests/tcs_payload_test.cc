@@ -91,6 +91,21 @@ TEST(ShardMap, ProjectionToUninvolvedShardIsEmpty) {
   EXPECT_FALSE(sm.project(p, 0).is_empty());
 }
 
+TEST(ShardMap, SharedProjectionReusesOrSplits) {
+  ShardMap sm(4);
+  Shared<Payload> on_one = make_payload({{0, 1}, {4, 2}}, {{0, 9}}, 3);  // both on shard 0
+  // A payload on one shard is its own projection there, and ε elsewhere.
+  EXPECT_EQ(sm.project(on_one, 0).get(), on_one.get());
+  EXPECT_EQ(sm.project(on_one, 1).get(), Shared<Payload>().get());
+  EXPECT_TRUE(sm.project(on_one, 1)->is_empty());
+  // A split payload gets a new object per shard, equal to project()'s.
+  Shared<Payload> split = make_payload({{1, 5}, {2, 7}}, {{1, 10}}, 8);
+  Shared<Payload> p1 = sm.project(split, 1);
+  EXPECT_NE(p1.get(), split.get());
+  EXPECT_EQ(*p1, sm.project(*split, 1));
+  EXPECT_EQ(*sm.project(split, 2), sm.project(*split, 2));
+}
+
 TEST(ShardMap, ShardsOfCollectsInvolvedShards) {
   ShardMap sm(3);
   Payload p = make_payload({{0, 1}, {1, 1}, {3, 1}}, {{1, 5}}, 2);
@@ -102,6 +117,24 @@ TEST(ShardMap, ShardsOfCollectsInvolvedShards) {
 TEST(ShardMap, EmptyPayloadTouchesNoShards) {
   ShardMap sm(3);
   EXPECT_TRUE(sm.shards_of(empty_payload()).empty());
+}
+
+TEST(History, SharesTheCertifiedPayload) {
+  Shared<Payload> p = make_payload({{1, 0}}, {{1, 7}}, 1);
+  History h;
+  h.record_certify(10, 1, p);
+  h.record_decide(11, 1, Decision::kCommit);
+  EXPECT_EQ(h.payload_of(1), p.get());
+  // A history merged from it holds the same object, and payload_of stays
+  // valid as events are added.
+  History merged;
+  for (const HistoryEvent& e : h.events()) {
+    if (e.kind == HistoryEvent::Kind::kCertify) merged.record_certify(e.time, e.txn, e.payload);
+  }
+  const Payload* first = merged.payload_of(1);
+  for (TxnId t = 2; t < 100; ++t) merged.record_certify(12, t, Payload{});
+  EXPECT_EQ(first, p.get());
+  EXPECT_EQ(merged.payload_of(1), p.get());
 }
 
 TEST(History, RecordsAndQueries) {
