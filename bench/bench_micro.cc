@@ -5,6 +5,8 @@
 // hop and the history checkers.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <ctime>
 
 #include "checker/linearization.h"
 #include "commit/cluster.h"
@@ -13,6 +15,7 @@
 #include "commit/replica_core.h"
 #include "common/random.h"
 #include "rt/inbox.h"
+#include "rt/threaded_runtime.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "tcs/certifier.h"
@@ -245,6 +248,57 @@ void BM_InboxPushPop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(burst));
 }
 BENCHMARK(BM_InboxPushPop)->Arg(64);
+
+struct BallMsg {
+  static constexpr const char* kName = "BALL";
+  std::uint64_t hops_left = 0;
+};
+
+/// Returns the ball with one hop fewer; the last hop raises `done`.
+class HopProcess : public sim::Process {
+ public:
+  HopProcess(rt::Runtime& rt, ProcessId id, std::atomic<bool>& done)
+      : Process(rt, id, "hop" + std::to_string(id)), done_(done) {}
+
+  void on_message(ProcessId from, const sim::AnyMessage& msg) override {
+    std::uint64_t left = msg.as<BallMsg>()->hops_left - 1;
+    if (left > 0) {
+      rt().send(id(), from, sim::AnyMessage(BallMsg{left}));
+      return;
+    }
+    done_.store(true, std::memory_order_release);
+    done_.notify_one();
+  }
+
+ private:
+  std::atomic<bool>& done_;
+};
+
+// The whole inbox hop of rt::ThreadedRuntime, idle path included: two
+// processes on the two workers of a runtime bounce one ball, so each hop is
+// a send, the receiver's wake-up and its delivery.  One iteration is one
+// hop; the main thread only starts each batch of hops and sleeps until it
+// ends.  cpu_per_hop is the process's CPU time per hop.
+void BM_CrossWorkerHop(benchmark::State& state) {
+  constexpr std::uint64_t kBatch = 1000;
+  rt::ThreadedRuntime trt({.threads = 2, .seed = 1});
+  std::atomic<bool> done{false};
+  HopProcess a(trt, 1, done);
+  HopProcess b(trt, 2, done);
+  trt.spawn(&a);  // worker 0
+  trt.spawn(&b);  // worker 1
+  trt.start();
+  std::clock_t cpu0 = std::clock();
+  while (state.KeepRunningBatch(kBatch)) {
+    done.store(false, std::memory_order_relaxed);
+    trt.send(1, 2, sim::AnyMessage(BallMsg{kBatch}));
+    done.wait(false, std::memory_order_acquire);
+  }
+  double cpu_s = static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC;
+  trt.stop();
+  state.counters["cpu_per_hop"] = cpu_s / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_CrossWorkerHop)->UseRealTime();
 
 void BM_LinearizationChecker(benchmark::State& state) {
   // 16 committed transactions with a mix of dependencies.

@@ -14,6 +14,16 @@
 //    each lane preserves order (mail sent before start() is the exception
 //    inbox.h orders).  The inbox is unbounded: overload costs memory, never
 //    a stalled sender; bounding it is admission control's job.
+//  * Idle path: scan -> spin -> park.  A worker whose scan finds no mail
+//    and no due timer spins on its own `signaled` flag, with a CPU pause
+//    hint, for a constant budget of a few microseconds or until its next
+//    timer is due, whichever comes first; mail within that window costs
+//    the sender one store and one load and the receiver no futex wake-up.
+//    A spin that ends without mail parks on the worker's condition
+//    variable (see Worker for why no wake-up is lost).  Each cross-worker
+//    message delay of a commit would otherwise pay a park and a wake-up,
+//    which costs more CPU than a typical handler; the spin pays off only
+//    because senders run on other CPUs.
 //  * Per-worker timer min-heap; schedule_for() routes to the owner's
 //    worker.  now() is steady-clock microseconds since construction;
 //    protocol Durations (sim ticks) are scaled by Options::tick_us.
@@ -124,9 +134,22 @@ class ThreadedRuntime final : public Runtime {
     std::condition_variable cv;
     /// Pending-wakeup / parked flags.  seq_cst on both sides makes the
     /// classic store-then-load-the-other-flag handshake safe: a producer
-    /// that finds waiting == false is guaranteed the worker saw signaled
-    /// before parking, so the mutex + notify can be skipped entirely on the
-    /// hot path.
+    /// stores signaled, then loads waiting; a parking worker stores
+    /// waiting, then loads signaled under the mutex.  A producer that finds
+    /// waiting == false is therefore guaranteed the worker sees signaled
+    /// before it parks, so the mutex + notify can be skipped entirely on
+    /// the hot path.
+    ///
+    /// Before parking, an idle worker spins on signaled (spin_for_signal)
+    /// with waiting still false, so a wake() during the spin takes the
+    /// skip branch.  That is safe for the same reason: the spin either
+    /// sees the flag, clears it and rescans, or ends and takes the park
+    /// path above, whose check of signaled comes after its store of
+    /// waiting and so sees every signal the spin missed.  The spin budget
+    /// is a constant of about one park/wake's CPU cost, not an option nor
+    /// adaptive: that bounds the waste of a spin that ends without mail at
+    /// about the cost of the park it precedes, and a fixed rule measured
+    /// both simpler and faster than one scaled by the last idle gap.
     std::atomic<bool> signaled{false};
     std::atomic<bool> waiting{false};
     std::vector<Timer> timers;      // heap, guarded by mu
@@ -138,6 +161,9 @@ class ThreadedRuntime final : public Runtime {
   ProcessRecord* find(ProcessId id) const;
   void wake(std::size_t w);
   void worker_loop(std::size_t index);
+  /// Spins until `w.signaled` is set (and clears it) or the spin budget or
+  /// `next_deadline` (0: none) passes; returns whether it saw the signal.
+  bool spin_for_signal(Worker& w, Time next_deadline);
   /// Pops due timers (deadline <= now) into `out`; returns the next pending
   /// deadline or 0 if none.
   Time pop_due_timers(Worker& w, std::vector<Timer>& out);

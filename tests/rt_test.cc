@@ -1,6 +1,7 @@
 // Unit and stress tests for the threaded runtime (src/rt/): inbox FIFO
 // across its lanes, timer ordering, crash-stop semantics matching
-// Simulator::crash, graceful shutdown with mail in flight — plus the
+// Simulator::crash, graceful shutdown with mail in flight, both idle paths
+// (spin and park) of a cross-worker ping-pong — plus the
 // sim-vs-threaded twin tests: the same commit-protocol workload runs on the
 // deterministic simulator and on real threads, and the threaded histories
 // must satisfy the same monitor / TCS-LL / linearization checkers.
@@ -251,6 +252,53 @@ TEST(ThreadedRuntime, GracefulShutdownWithMailInFlight) {
   std::this_thread::sleep_for(20ms);
   EXPECT_EQ(trt.delivered_count(), delivered);  // really stopped
   trt.stop();  // idempotent
+}
+
+/// Bounces one message with its peer: bounce n replies with bounce n + 1
+/// while n is below `last`.  Every 64th bounce sleeps past the runtime's
+/// spin budget first, so the peer parks; every other one replies at once,
+/// so the peer catches it mid-spin.
+class Bouncer : public sim::Process {
+ public:
+  Bouncer(rt::Runtime& rt, ProcessId id, const std::atomic<std::uint64_t>& last)
+      : Process(rt, id, "bouncer" + std::to_string(id)), last_(last) {}
+
+  void on_message(ProcessId from, const sim::AnyMessage& msg) override {
+    std::uint64_t n = msg.as<SeqMsg>()->n;
+    if (n >= last_.load(std::memory_order_acquire)) return;
+    if (n % 64 == 0) std::this_thread::sleep_for(200us);
+    rt().send(id(), from, sim::AnyMessage(SeqMsg{id(), n + 1}));
+  }
+
+ private:
+  const std::atomic<std::uint64_t>& last_;
+};
+
+TEST(ThreadedRuntime, CrossWorkerPingPongTakesBothIdlePaths) {
+  // One message in flight between the two workers: after each hop the
+  // sender's worker idles, so every hop goes through the idle path, either
+  // the spin (most bounces) or the park (the bounces after a slow one).
+  constexpr std::uint64_t kBounces = 20000;
+  std::atomic<std::uint64_t> last{kBounces};
+  rt::ThreadedRuntime trt({.threads = 2, .seed = 17});
+  Bouncer a(trt, 1, last);
+  Bouncer b(trt, 2, last);
+  trt.spawn(&a);  // worker 0
+  trt.spawn(&b);  // worker 1
+  trt.start();
+  trt.send(2, 1, sim::AnyMessage(SeqMsg{2, 1}));
+  ASSERT_TRUE(eventually([&] { return trt.delivered_count() == kBounces; }));
+  EXPECT_EQ(trt.dropped_count(), 0u);
+
+  // Bounce again without a limit and stop mid-flight: at almost any moment
+  // one worker is handling the message and the other spins for it.
+  last.store(UINT64_MAX, std::memory_order_release);
+  trt.send(2, 1, sim::AnyMessage(SeqMsg{2, 1}));
+  ASSERT_TRUE(eventually([&] { return trt.delivered_count() > kBounces + 1000; }));
+  trt.stop();
+  std::uint64_t delivered = trt.delivered_count();
+  std::this_thread::sleep_for(20ms);
+  EXPECT_EQ(trt.delivered_count(), delivered);  // really stopped
 }
 
 // --- sim-vs-threaded twins ---------------------------------------------------
