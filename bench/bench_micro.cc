@@ -1,13 +1,16 @@
 // Microbenchmarks (google-benchmark) for the hot paths: certification
 // checks, payload projection, the simulator's event loop, the end-to-end
-// certification pipeline, the read watermark, the message envelope, the
+// certification pipeline (commit stack and 2PC baseline), the read
+// watermark, the message envelope, the
 // PREPARE -> PREPARE_ACK -> ACCEPT hand-off, the threaded runtime's inbox
 // hop and the history checkers.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <ctime>
+#include <memory>
 
+#include "baseline/cluster.h"
 #include "checker/linearization.h"
 #include "commit/cluster.h"
 #include "commit/log.h"
@@ -137,6 +140,38 @@ void BM_EndToEndCertification(benchmark::State& state) {
 BENCHMARK(BM_EndToEndCertification)
     ->ArgNames({"monitor", "txns"})
     ->ArgsProduct({{0, 1}, {100, 1000}});
+
+// The 2PC baseline's row beside it: 2 shards x 3 servers, the same payload
+// shape, and one sim().run() per 16 submissions, so few transactions are in
+// flight.  Each prepare votes through the object index (tcs::ObjectIndex),
+// so the time per transaction stays about flat from 1,000 to 10,000; a fold
+// over every applied transaction grows with the history instead.  Tearing
+// the cluster down is left out of the timing: at 10,000 transactions it
+// takes about a third of an iteration.
+void BM_EndToEndBaseline(benchmark::State& state) {
+  const int txns = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto cluster = std::make_unique<baseline::BaselineCluster>(
+        baseline::BaselineCluster::Options{.seed = 4, .num_shards = 2, .shard_size = 3});
+    commit::Client& client = cluster->add_client();
+    state.ResumeTiming();
+    for (int i = 0; i < txns; ++i) {
+      tcs::Payload p;
+      p.reads = {{static_cast<ObjectId>(2 * i), 0}, {static_cast<ObjectId>(2 * i + 1), 0}};
+      p.writes = {{static_cast<ObjectId>(2 * i), 1}};
+      p.commit_version = 1;
+      client.certify_remote(cluster->coordinator_for(p), cluster->next_txn_id(), p);
+      if (i % 16 == 15) cluster->sim().run();
+    }
+    cluster->sim().run();
+    state.PauseTiming();
+    cluster.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * txns);
+}
+BENCHMARK(BM_EndToEndBaseline)->ArgName("txns")->Arg(100)->Arg(1000)->Arg(10000);
 
 /// A certification log of n slots with the last 1% still prepared (the
 /// shape perfbench's replay uses), and its prepared slots as a replica's

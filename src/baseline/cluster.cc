@@ -20,6 +20,7 @@ BaselineCluster::BaselineCluster(Options options)
     sopt.shard_map = &shard_map_;
     sopt.certifier = certifier_.get();
     sopt.termination = options_.termination;
+    sopt.check_certifier_index = options_.check_certifier_index;
     sopt.paxos.group = shard_servers(s);
     sopt.paxos.initial_leader = sopt.paxos.group.front();
     for (ProcessId pid : sopt.paxos.group) {

@@ -34,6 +34,9 @@ class BaselineCluster : public recon::SimHost, public recon::PidLayout {
     /// (participants query their peers), kPaxosCommit Gray & Lamport's
     /// non-blocking Paxos Commit.
     TerminationMode termination = TerminationMode::kClassical;
+    /// Every server cross-checks its indexed votes against the flat fold
+    /// (ShardServer::Options::check_certifier_index).
+    bool check_certifier_index = false;
   };
 
   explicit BaselineCluster(Options options);

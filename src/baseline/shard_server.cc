@@ -1,6 +1,9 @@
 #include "baseline/shard_server.h"
 
 #include <cassert>
+#include <cstdlib>
+
+#include "common/log.h"
 
 namespace ratc::baseline {
 
@@ -160,18 +163,23 @@ void ShardServer::apply_prepare(const CmdPrepare& c) {
       st.vote = Decision::kAbort;
     } else {
       prepared_stamps_.insert(st.prepare_ts, c.txn);
-      // Deterministic vote: certify against the applied prefix.
-      std::vector<const tcs::Payload*> prepared_commit;
-      for (const auto& [t, other] : txns_) {
-        if (t != c.txn && other.prepared && !other.decided &&
-            other.vote == Decision::kCommit) {
-          prepared_commit.push_back(&other.payload);
+      // Deterministic vote: certify against the applied prefix, which the
+      // index holds (t itself enters it only after its vote).
+      st.vote = index_.vote(*options_.certifier, c.payload,
+                            [this](TxnId t) -> const tcs::Payload& {
+                              return txns_.find(t)->second.payload;
+                            });
+      if (options_.check_certifier_index) {
+        // Deliberately not assert(): the cross-check must fire in
+        // RelWithDebInfo sweeps too.
+        Decision flat = flat_vote(c.txn, c.payload);
+        if (st.vote != flat) {
+          RATC_ERROR(name() << " indexed vote diverged for txn" << c.txn << ": indexed="
+                            << tcs::to_string(st.vote) << " flat=" << tcs::to_string(flat));
+          std::abort();
         }
       }
-      std::vector<const tcs::Payload*> committed;
-      committed.reserve(committed_.size());
-      for (const auto& pl : committed_) committed.push_back(&pl);
-      st.vote = options_.certifier->vote(committed, prepared_commit, c.payload);
+      if (st.vote == Decision::kCommit) index_.add_prepared(c.txn, st.payload);
     }
   }
   // Only the current leader reports the vote to the coordinator.
@@ -186,6 +194,18 @@ void ShardServer::apply_prepare(const CmdPrepare& c) {
       c.coordinator != id()) {
     note_in_doubt(c.txn, c.coordinator);
   }
+}
+
+tcs::Decision ShardServer::flat_vote(TxnId t, const tcs::Payload& l) const {
+  std::vector<const tcs::Payload*> committed, prepared;
+  for (const auto& [u, other] : txns_) {
+    if (other.decided && other.decision == Decision::kCommit) {
+      committed.push_back(&other.payload);
+    } else if (u != t && other.prepared && !other.decided && other.vote == Decision::kCommit) {
+      prepared.push_back(&other.payload);
+    }
+  }
+  return options_.certifier->vote(committed, prepared, l);
 }
 
 void ShardServer::apply_decide(const CmdDecide& c) {
@@ -205,10 +225,12 @@ void ShardServer::apply_decide(const CmdDecide& c) {
   if (it->second.decided) return;
   TxnState& st = it->second;
   if (st.prepared) prepared_stamps_.erase(st.prepare_ts, c.txn);
+  // An undecided prepare with a commit vote is in L2 (apply_prepare).
+  if (st.prepared && st.vote == Decision::kCommit) index_.remove_prepared(c.txn, st.payload);
   st.decided = true;
   st.decision = c.decision;
   if (c.decision == Decision::kCommit) {
-    committed_.push_back(st.payload);
+    index_.add_committed(c.txn, st.payload);
     // Snapshot visibility is gated on the csn (the replicated coordinator
     // stamp), never on apply order: decides landing out of order across
     // shards cannot expose a non-prefix state to reads.

@@ -7,6 +7,12 @@
 // command prefix, so every replica of a shard computes identical votes —
 // the standard state-machine-replication discipline.  Only the replica
 // that currently leads its Paxos group emits the Vote/decision messages.
+// The vote is Fig. 1's f_s(L1, l) ⊓ g_s(L2, l) over the applied prefix
+// (L1: committed transactions, L2: prepared-undecided ones with commit
+// votes), computed through the object index the replica stacks share
+// (tcs::ObjectIndex, keyed by transaction): O(objects of the payload) per
+// prepare, not a walk of every transaction applied.  The flat fold over
+// txns_ survives only as Options::check_certifier_index's oracle.
 //
 // Options::termination picks what follows a coordinator crash
 // (baseline/termination.h).  Under kCooperative the classic 2PC fix is bolted
@@ -46,6 +52,7 @@
 #include "store/versioned_store.h"
 #include "tcs/certifier.h"
 #include "tcs/csn.h"
+#include "tcs/object_index.h"
 #include "tcs/shard_map.h"
 
 namespace ratc::baseline {
@@ -61,6 +68,9 @@ class ShardServer : public sim::Process {
     fd::PingMonitor::Options fd;
     /// This shard's Paxos group: every server's pid, this one's included.
     paxos::PaxosReplica::Options paxos;
+    /// Debug cross-check: recompute every vote with the flat fold over the
+    /// applied prefix and abort on divergence from the indexed vote.
+    bool check_certifier_index = false;
   };
 
   /// In-doubt fallback: query peers this long after preparing even if the
@@ -90,7 +100,8 @@ class ShardServer : public sim::Process {
   bool has_prepared(TxnId t) const;
   bool has_decided(TxnId t) const;
   tcs::Decision decision_of(TxnId t) const { return txns_.at(t).decision; }
-  std::size_t committed_count() const { return committed_.size(); }
+  /// This shard's vote for prepared t.
+  tcs::Decision vote_of(TxnId t) const { return txns_.at(t).vote; }
   /// Every transaction this replica applied a decision for.
   std::map<TxnId, tcs::Decision> decided_txns() const {
     std::map<TxnId, tcs::Decision> out;
@@ -163,6 +174,9 @@ class ShardServer : public sim::Process {
   void handle_vote(const Vote& m);
   void handle_submit_decide(const SubmitDecide& m);
   void apply_prepare(const CmdPrepare& c);
+  /// The oracle: certifier->vote folded over every committed and every
+  /// other prepared commit-vote payload of txns_.
+  tcs::Decision flat_vote(TxnId t, const tcs::Payload& l) const;
   void apply_decide(const CmdDecide& c);
   void apply_resolve_abort(const CmdResolveAbort& c);
   void maybe_decide(TxnId t);
@@ -202,7 +216,10 @@ class ShardServer : public sim::Process {
   /// (prepare_ts, txn) of every prepared-undecided entry of txns_, kept by
   /// apply_prepare and apply_decide: the read watermark's index.
   tcs::PreparedStamps prepared_stamps_;
-  std::vector<tcs::Payload> committed_;
+  /// L1 and L2 of the vote, indexed by object; kept by apply_prepare and
+  /// apply_decide.  It holds transaction ids and reaches payloads through
+  /// txns_ at vote time, so no pointer into txns_ is kept.
+  tcs::ObjectIndex<TxnId> index_;
   /// Multi-version committed state for snapshot reads, fed by apply_decide;
   /// deterministic across replicas (csn = the replicated coordinator stamp).
   store::SnapshotStore store_;

@@ -5,25 +5,13 @@
 //   L1 = payloads of decided-commit slots before the voting slot,
 //   L2 = payloads of prepared slots with commit votes before it.
 // Rescanning the whole log per vote makes certification O(n²) per run.
-// Both shipped certifiers are *object-local*: a pairwise check can only
-// abort through an object both payloads touch, and the committed-side check
-// is monotone in the committed payload's commit version ("abort iff
-// commit_version > some per-object threshold").  That licenses an index:
-//
-//   * object -> the committed writer with the highest commit version
-//     (ties broken towards the later slot) — checking only these per object
-//     of l decides f_s(L1, l) exactly;
-//   * object -> prepared (commit-vote) slots, one multimap entry per object
-//     of the slot's reads ∪ writes — the slots listed under l's objects are
-//     exactly the prepared payloads whose pairwise g_s check can abort.
-//
-// The vote checks each candidate slot as it finds it: the fold is a meet, so
-// neither the order of the checks nor a slot checked twice (through two
-// shared objects) changes it.  The result is identical to the flat scan by
-// construction (payloads skipped by the index return kCommit from the
-// pairwise check); replicas can assert this per vote with
-// Options::check_certifier_index, which keeps the flat path alive as a
-// cross-check in sweeps.
+// The object-indexed vote is tcs::ObjectIndex (tcs/object_index.h), shared
+// with the 2PC baseline; this class keys it by log slot, reads payloads out
+// of the log, and keeps what only the replicas need: which slots are
+// indexed (a re-sent DECISION must not count twice) and the slot-ordered
+// witness sets.  The vote is identical to the flat scan by construction;
+// replicas can assert this per vote with Options::check_certifier_index,
+// which keeps the flat path alive as a cross-check in sweeps.
 //
 // collect() reports the slot-ordered witness sets the monitor needs
 // (constraint (10) of Fig. 6 pins T_s exactly): P_s from the sorted
@@ -43,12 +31,11 @@
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "commit/log.h"
 #include "common/flat_map.h"
-#include "tcs/certifier.h"
+#include "tcs/object_index.h"
 
 namespace ratc::commit {
 
@@ -89,21 +76,11 @@ class WitnessIndex {
   std::size_t prepared_size() const { return prepared_.size(); }
 
  private:
-  struct CommittedWriter {
-    Version version = 0;
-    Slot slot = kNoSlot;
-  };
-
-  void index_committed_writer(Slot k, const tcs::Payload& p);
-
+  /// The indexed L1 (decided-commit slots) and L2 (prepared_ below).
+  tcs::ObjectIndex<Slot> objects_;
   /// Prepared slots with commit votes in order -> txn id (the monitor's
   /// P_s): only the slots in flight, appended by a leader in slot order.
   FlatMap<Slot, TxnId> prepared_;
-  /// object -> committed writer with the highest commit version.
-  std::unordered_map<ObjectId, CommittedWriter> committed_writer_;
-  /// object -> prepared (commit-vote) slot, once per object the slot's
-  /// payload reads or writes.
-  std::unordered_multimap<ObjectId, Slot> prepared_by_object_;
   /// Bit k-1: slot k's commit is already counted and indexed.
   std::vector<bool> committed_seen_;
   std::size_t committed_count_ = 0;

@@ -199,7 +199,8 @@ BaselineHarness::BaselineHarness(std::uint64_t seed, const StackWorkload& w)
                       .isolation = w.isolation,
                       .exponential_delays = w.exponential_delays,
                       .enable_tracer = w.capture_trace,
-                      .termination = w.termination}) {}
+                      .termination = w.termination,
+                      .check_certifier_index = w.check_certifier_index}) {}
 
 bool BaselineHarness::submit(Rng& rng, TxnId txn, const tcs::Payload& payload) {
   (void)rng;  // routing is deterministic: the leader of the first shard

@@ -111,8 +111,9 @@ struct StackWorkload {
   /// round per coordinator; see store::WorkloadRunner.
   std::size_t batch_size = 1;
   /// Debug cross-check: recompute every certification vote with the flat
-  /// L1/L2 log scan and every read watermark with a whole-log scan, and
-  /// abort on divergence (commit/rdma stacks; the baseline ignores it).
+  /// L1/L2 fold (a log scan on the commit/rdma stacks, a walk of the applied
+  /// transactions on the baseline) and every commit/rdma read watermark
+  /// with a whole-log scan, and abort on divergence.
   bool check_certifier_index = false;
   /// Read-mix knob for the CSN snapshot fast path: each workload iteration
   /// issues a geometric number of read-only snapshot transactions with this

@@ -2,10 +2,12 @@
 // the paper's introduction cites for the vanilla scheme.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "baseline/cluster.h"
 #include "checker/linearization.h"
+#include "common/random.h"
 
 namespace ratc::baseline {
 namespace {
@@ -196,6 +198,283 @@ TEST(Baseline, SnapshotIsolationVariant) {
   cluster.sim().run();
   EXPECT_EQ(client.decision(t1), Decision::kCommit);
   EXPECT_EQ(client.decision(t2), Decision::kCommit);
+}
+
+// --- the apply-time vote ----------------------------------------------------------
+//
+// One shard server fed replicated commands directly, the way its Paxos
+// replica applies them.  It follows in a group whose leader is never built,
+// so no vote or termination answer leaves it.
+
+/// Counts the pairwise checks made through it.
+class CountingCertifier final : public tcs::Certifier {
+ public:
+  explicit CountingCertifier(const tcs::Certifier& inner) : inner_(inner) {}
+  Decision against_committed(const Payload& committed, const Payload& l) const override {
+    ++checks;
+    return inner_.against_committed(committed, l);
+  }
+  Decision against_prepared(const Payload& prepared, const Payload& l) const override {
+    ++checks;
+    return inner_.against_prepared(prepared, l);
+  }
+  const char* name() const override { return inner_.name(); }
+
+  mutable std::size_t checks = 0;
+
+ private:
+  const tcs::Certifier& inner_;
+};
+
+class LoneServer {
+ public:
+  static constexpr ProcessId kPid = 1;
+  static constexpr ProcessId kAbsentLeader = 2;
+
+  explicit LoneServer(const tcs::Certifier& certifier, bool check_certifier_index = false)
+      : net_(sim_), server_(net_.runtime(), kPid, options(certifier, check_certifier_index)) {
+    sim_.add_process(&server_);
+  }
+
+  ShardServer& server() { return server_; }
+
+  void apply(sim::AnyMessage cmd) { server_.apply(++slot_, cmd); }
+  void prepare(TxnId t, const Payload& p) { apply(sim::AnyMessage(prepare_cmd(t, p))); }
+  void prepare_batch(const std::vector<std::pair<TxnId, Payload>>& items) {
+    CmdPrepareBatch batch;
+    for (const auto& [t, p] : items) batch.items.push_back(prepare_cmd(t, p));
+    apply(sim::AnyMessage(std::move(batch)));
+  }
+  void decide(TxnId t, Decision d) { apply(sim::AnyMessage(CmdDecide{t, d})); }
+  void resolve_abort(TxnId t) { apply(sim::AnyMessage(CmdResolveAbort{t, kAbsentLeader})); }
+
+ private:
+  ShardServer::Options options(const tcs::Certifier& certifier, bool check) {
+    ShardServer::Options o;
+    o.shard = 0;
+    o.shard_map = &map_;
+    o.certifier = &certifier;
+    o.paxos.group = {kPid, kAbsentLeader};
+    o.paxos.initial_leader = kAbsentLeader;
+    o.check_certifier_index = check;
+    return o;
+  }
+  static CmdPrepare prepare_cmd(TxnId t, const Payload& p) {
+    CmdPrepare c;
+    c.txn = t;
+    c.payload = p;
+    c.participants = {0};
+    c.coordinator = kAbsentLeader;
+    c.prepare_ts = static_cast<Time>(t);
+    return c;
+  }
+
+  sim::Simulator sim_;
+  sim::Network net_;
+  tcs::ShardMap map_{1};
+  ShardServer server_;
+  Slot slot_ = 0;
+};
+
+/// The replicated TCS state of one shard as the baseline defines it, with
+/// the vote as the flat fold over the applied prefix: the specification the
+/// server's indexed vote must meet.
+class FlatModel {
+ public:
+  explicit FlatModel(const tcs::Certifier& certifier) : certifier_(certifier) {}
+
+  struct Txn {
+    Payload payload;
+    bool prepared = false, decided = false;
+    Decision vote = Decision::kAbort, decision = Decision::kAbort;
+  };
+
+  const std::map<TxnId, Txn>& txns() const { return txns_; }
+
+  void prepare(TxnId t, const Payload& p) {
+    auto [it, inserted] = txns_.try_emplace(t);
+    Txn& x = it->second;
+    if (!inserted && x.prepared) return;  // a duplicate keeps the first vote
+    x.payload = p;
+    x.prepared = true;
+    if (x.decided) {
+      x.vote = Decision::kAbort;  // a tombstone got there first
+      return;
+    }
+    std::vector<const Payload*> committed, prepared;
+    for (const auto& [u, y] : txns_) {
+      if (y.decided && y.decision == Decision::kCommit) committed.push_back(&y.payload);
+      if (u != t && y.prepared && !y.decided && y.vote == Decision::kCommit) {
+        prepared.push_back(&y.payload);
+      }
+    }
+    x.vote = certifier_.vote(committed, prepared, p);
+  }
+  void decide(TxnId t, Decision d) {
+    auto it = txns_.find(t);
+    if (it == txns_.end()) {
+      if (d == Decision::kAbort) txns_[t] = Txn{.decided = true};
+      return;  // an unknown commit is ignored
+    }
+    if (it->second.decided) return;
+    it->second.decided = true;
+    it->second.decision = d;
+  }
+  void resolve_abort(TxnId t) {
+    Txn& x = txns_[t];
+    if (!x.prepared && !x.decided) x.decided = true;
+  }
+
+ private:
+  const tcs::Certifier& certifier_;
+  std::map<TxnId, Txn> txns_;
+};
+
+/// Random command sequences over a small object universe, applied to the
+/// server (its flat-fold cross-check on, so a divergence aborts) and to the
+/// model: after every command the server's votes and decisions match the
+/// model's.  The mix covers duplicate prepares, batched prepares, re-sent
+/// decides, tombstones (CmdResolveAbort, or an abort decide for an unknown
+/// transaction) that land before the prepare, and an ignored commit decide
+/// for an unknown transaction.
+void expect_votes_match_flat_fold(const std::string& isolation) {
+  auto certifier = tcs::make_certifier(isolation);
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    LoneServer lone(*certifier, /*check_certifier_index=*/true);
+    FlatModel model(*certifier);
+    std::map<ObjectId, Version> latest;  // highest committed version per object
+    std::vector<TxnId> unprepared;       // named by a tombstone or decide first
+    TxnId next = 1;
+    auto payload = [&] {
+      Payload p;
+      Version maxv = 0;
+      for (std::uint64_t n = 1 + rng.below(3); n > 0; --n) {
+        ObjectId obj = rng.below(8);
+        if (p.reads_object(obj)) continue;
+        // Mostly the latest committed version, sometimes a stale one.
+        Version v = latest[obj];
+        if (v > 0 && rng.chance(0.3)) v = rng.below(v);
+        p.reads.push_back({obj, v});
+        maxv = std::max(maxv, v);
+      }
+      for (const auto& r : p.reads) {
+        if (rng.chance(0.6)) p.writes.push_back({r.object, static_cast<Value>(rng.below(100))});
+      }
+      p.commit_version = maxv + 1;
+      return p;
+    };
+    auto fresh_txn = [&] {
+      if (!unprepared.empty() && rng.chance(0.3)) {
+        std::size_t i = rng.below(unprepared.size());
+        TxnId t = unprepared[i];
+        unprepared.erase(unprepared.begin() + static_cast<std::ptrdiff_t>(i));
+        return t;
+      }
+      return next++;
+    };
+    auto known_txn = [&] {
+      auto it = model.txns().begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.below(model.txns().size())));
+      return it->first;
+    };
+    for (int step = 0; step < 400; ++step) {
+      std::uint64_t action = rng.below(100);
+      if (model.txns().empty() || action < 40) {
+        TxnId t = fresh_txn();
+        Payload p = payload();
+        model.prepare(t, p);
+        lone.prepare(t, p);
+      } else if (action < 45) {
+        std::vector<std::pair<TxnId, Payload>> items;
+        for (std::uint64_t n = 2 + rng.below(2); n > 0; --n) {
+          items.emplace_back(fresh_txn(), payload());
+          model.prepare(items.back().first, items.back().second);
+        }
+        lone.prepare_batch(items);
+      } else if (action < 52) {
+        TxnId t = known_txn();  // a duplicate prepare, or one after a tombstone
+        Payload p = payload();
+        model.prepare(t, p);
+        lone.prepare(t, p);
+      } else if (action < 82) {
+        TxnId t = known_txn();  // a decide, or a re-sent one
+        const FlatModel::Txn& x = model.txns().at(t);
+        Decision d = Decision::kAbort;
+        if (x.decided) {
+          d = x.decision;
+        } else if (x.vote == Decision::kCommit && rng.chance(0.7)) {
+          d = Decision::kCommit;
+        }
+        if (d == Decision::kCommit) {
+          for (const auto& w : x.payload.writes) {
+            latest[w.object] = std::max(latest[w.object], x.payload.commit_version);
+          }
+        }
+        model.decide(t, d);
+        lone.decide(t, d);
+      } else if (action < 88) {
+        TxnId t = next++;  // a decide for an unknown transaction
+        unprepared.push_back(t);
+        Decision d = rng.chance(0.5) ? Decision::kCommit : Decision::kAbort;
+        model.decide(t, d);
+        lone.decide(t, d);
+      } else {
+        const bool unknown = rng.chance(0.5);
+        TxnId t = unknown ? next++ : known_txn();
+        if (unknown) unprepared.push_back(t);
+        model.resolve_abort(t);
+        lone.resolve_abort(t);
+      }
+      for (const auto& [t, x] : model.txns()) {
+        const ShardServer& sv = lone.server();
+        ASSERT_EQ(sv.has_prepared(t), x.prepared) << isolation << " seed " << seed << " txn" << t;
+        ASSERT_EQ(sv.has_decided(t), x.decided) << isolation << " seed " << seed << " txn" << t;
+        if (x.prepared) {
+          ASSERT_EQ(sv.vote_of(t), x.vote) << isolation << " seed " << seed << " txn" << t;
+        }
+        if (x.decided) {
+          ASSERT_EQ(sv.decision_of(t), x.decision)
+              << isolation << " seed " << seed << " txn" << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(BaselineVote, SerializabilityMatchesFlatFold) {
+  expect_votes_match_flat_fold("serializability");
+}
+
+TEST(BaselineVote, SnapshotIsolationMatchesFlatFold) {
+  expect_votes_match_flat_fold("snapshot-isolation");
+}
+
+TEST(BaselineVote, PairwiseChecksPerPrepareStayFlatAsHistoryGrows) {
+  // Transactions over disjoint objects, four in flight at a time: no earlier
+  // payload shares an object with the next one, so an object-indexed vote
+  // makes the same number of pairwise checks at 100 applied transactions as
+  // at 1,000.  A fold over the applied history makes one per transaction.
+  tcs::SerializabilityCertifier serializability;
+  CountingCertifier certifier(serializability);
+  LoneServer lone(certifier);
+  constexpr TxnId kInFlight = 4;
+  std::map<TxnId, std::size_t> checks_at;
+  for (TxnId t = 1; t <= 1000; ++t) {
+    const auto a = static_cast<ObjectId>(2 * t);
+    certifier.checks = 0;
+    lone.prepare(t, make_payload({a, a + 1}, {a}, 0, 1));
+    if (t == 100 || t == 1000) checks_at[t] = certifier.checks;
+    ASSERT_EQ(lone.server().vote_of(t), Decision::kCommit) << "txn" << t;
+    if (t > kInFlight) lone.decide(t - kInFlight, Decision::kCommit);
+  }
+  EXPECT_EQ(checks_at[1000], checks_at[100]);
+
+  // The counter does count: a stale read of txn 1's write meets its commit.
+  certifier.checks = 0;
+  lone.prepare(1001, make_payload({2}, {2}, 0, 1));
+  EXPECT_GE(certifier.checks, 1u);
+  EXPECT_EQ(lone.server().vote_of(1001), Decision::kAbort);
 }
 
 }  // namespace

@@ -245,6 +245,9 @@ TEST(BaselineFaultSweep, CrashAndFailoverSchedules) {
   opt.delay_windows = 1;
   BaselineWorkloadOptions w;
   w.total_txns = 120;
+  // Every apply-time vote recomputed through the flat fold: divergence from
+  // the object index aborts the run, leader elections included.
+  w.check_certifier_index = true;
   SweepResult sweep =
       parallel_sweep_seeds(kFirstSeed, kSweepSeeds, [&](std::uint64_t seed) {
         return run_baseline_workload(seed, w, schedule_for(seed, opt));
@@ -308,6 +311,8 @@ TEST(BaselineCoopFaultSweep, CrashAndFailoverSchedules) {
   BaselineCoopWorkloadOptions w;
   w.total_txns = 120;
   w.min_decided_fraction = 0.6;  // above the classical baseline's 0.5
+  // Indexed votes cross-checked against the flat fold on every apply.
+  w.check_certifier_index = true;
   SweepResult sweep =
       parallel_sweep_seeds(kFirstSeed, kSweepSeeds, [&](std::uint64_t seed) {
         return run_baseline_coop_workload(seed, w, schedule_for(seed, opt));

@@ -41,6 +41,8 @@ TEST(PaxosCommitFaultSweep, CrashAndFailoverSchedules) {
   w.total_txns = 120;
   // 50-seed census (RATC_SWEEP_SEEDS=50): worst decided=0.9583 at seed 4.
   w.min_decided_fraction = 0.9;
+  // Indexed votes cross-checked against the flat fold on every apply.
+  w.check_certifier_index = true;
   SweepResult sweep =
       parallel_sweep_seeds(kFirstSeed, kSweepSeeds, [&](std::uint64_t seed) {
         return run_paxos_commit_workload(seed, w, schedule_for(seed, opt));

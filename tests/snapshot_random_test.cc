@@ -37,7 +37,8 @@ constexpr double kMixes[] = {0.0, 0.5, 0.95};
 /// Every sweep sets `check_certifier_index`: the commit and rdma replicas
 /// then recompute every vote and every read watermark with a whole-log scan
 /// and abort on divergence, so reads under faults cross-check the
-/// watermark's in-flight query (the baseline ignores the flag).
+/// watermark's in-flight query; the baseline servers recompute every vote
+/// with the flat fold over their applied transactions.
 template <typename WorkloadT, typename RunFn>
 void sweep_read_mixes(RunFn run_workload, int fallback_seeds,
                       const char* stack) {
