@@ -76,7 +76,7 @@ void figure_2a_trace() {
   for (const auto& e : cluster.tracer().entries()) {
     if (e.kind != sim::TraceEntry::Kind::kDeliver) continue;
     std::printf("  t=%llu  %-12s %s -> %s\n", (unsigned long long)e.time,
-                e.type.c_str(), process_name(e.from).c_str(),
+                std::string(e.type).c_str(), process_name(e.from).c_str(),
                 process_name(e.to).c_str());
   }
   std::printf("\n");

@@ -1,5 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot paths: certification
-// checks, payload projection, the simulator's event loop, the end-to-end
+// checks, payload projection, the simulator's event loop and message hop,
+// snapshot-read serving, the end-to-end
 // certification pipeline (commit stack and 2PC baseline), the read
 // watermark, the message envelope, the
 // PREPARE -> PREPARE_ACK -> ACCEPT hand-off, the threaded runtime's inbox
@@ -93,10 +94,11 @@ void BM_SimulatorEventLoop(benchmark::State& state) {
 BENCHMARK(BM_SimulatorEventLoop);
 
 void BM_SimulatorEventQueueChurn(benchmark::State& state) {
-  // Pins the event queue's move-only push/pop: every closure captures a
-  // shared_ptr (the shape Network::send produces when it captures an
-  // AnyMessage).  A queue that copied std::function on push or pop would
-  // pay an extra atomic refcount round trip per event and show up here.
+  // Pins the event queue's move-only push/pop of closures: every closure
+  // captures a shared_ptr, so a queue that copied std::function on push or
+  // pop would pay an extra atomic refcount round trip per event and show up
+  // here.  Message hops do not take this path: Network::send schedules a
+  // delivery event that holds the envelope itself.
   auto payload = std::make_shared<std::string>(64, 'x');
   for (auto _ : state) {
     sim::Simulator sim(7);
@@ -116,24 +118,28 @@ BENCHMARK(BM_SimulatorEventQueueChurn);
 // with the invariant monitor off or on, over 100 or 1,000 transactions.  The
 // monitor's cost per transaction is the on/off gap; what still grows with the
 // log is each vote's witness lists, one id per earlier slot, that the core
-// collects for TCS-LL when an observer is set.
+// collects for TCS-LL when an observer is set.  Tearing the cluster down is
+// left out of the timing, as in BM_EndToEndBaseline.
 void BM_EndToEndCertification(benchmark::State& state) {
   const bool monitor = state.range(0) != 0;
   const int txns = static_cast<int>(state.range(1));
   for (auto _ : state) {
     state.PauseTiming();
-    commit::Cluster cluster({.seed = 4, .num_shards = 2, .shard_size = 2,
-                             .enable_monitor = monitor});
-    commit::Client& client = cluster.add_client();
+    auto cluster = std::make_unique<commit::Cluster>(commit::Cluster::Options{
+        .seed = 4, .num_shards = 2, .shard_size = 2, .enable_monitor = monitor});
+    commit::Client& client = cluster->add_client();
     state.ResumeTiming();
     for (int i = 0; i < txns; ++i) {
       tcs::Payload p;
       p.reads = {{static_cast<ObjectId>(2 * i), 0}, {static_cast<ObjectId>(2 * i + 1), 0}};
       p.writes = {{static_cast<ObjectId>(2 * i), 1}};
       p.commit_version = 1;
-      client.certify_colocated(cluster.replica(0, 1), cluster.next_txn_id(), p);
+      client.certify_colocated(cluster->replica(0, 1), cluster->next_txn_id(), p);
     }
-    cluster.sim().run();
+    cluster->sim().run();
+    state.PauseTiming();
+    cluster.reset();
+    state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * txns);
 }
@@ -234,6 +240,48 @@ void BM_Envelope(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Envelope)->ArgName("prepare")->Arg(0)->Arg(1);
+
+/// A process that counts what it receives.
+class Sink : public sim::Process {
+ public:
+  using Process::Process;
+  void on_message(ProcessId, const sim::AnyMessage&) override { ++received; }
+  std::uint64_t received = 0;
+};
+
+// The simulator's message path: one hop (Network::send, the delivery
+// event, the delivery) between two processes on a bare Simulator and
+// Network.  An ACCEPT_ACK (shared=0) travels inline; a PREPARE (shared=1)
+// in its counted block.
+void BM_SimulatedHop(benchmark::State& state) {
+  sim::Simulator sim(1);
+  sim::Network net(sim);
+  Sink a(net.runtime(), 1, "a"), b(net.runtime(), 2, "b");
+  sim.add_process(&a);
+  sim.add_process(&b);
+  const sim::AnyMessage msg =
+      state.range(0) != 0
+          ? sim::AnyMessage(sample_prepare())
+          : sim::AnyMessage(commit::AcceptAck{0, 1, 9, 7, tcs::Decision::kCommit});
+  for (auto _ : state) {
+    net.send(a.id(), b.id(), msg);
+    sim.run();
+  }
+  benchmark::DoNotOptimize(b.received);
+}
+BENCHMARK(BM_SimulatedHop)->ArgName("shared")->Arg(0)->Arg(1);
+
+// Snapshot-read serving (SimHost::serve_snapshot_read): one read of three
+// objects, one per shard, on a 3-shard commit cluster, served by rotating
+// members.
+void BM_SnapshotRead(benchmark::State& state) {
+  commit::Cluster cluster({.seed = 4, .num_shards = 3, .shard_size = 2,
+                           .enable_monitor = false});
+  const std::vector<ObjectId> objects = {0, 1, 2};
+  std::uint64_t hint = 0;
+  for (auto _ : state) benchmark::DoNotOptimize(cluster.snapshot_read(objects, 0, hint++));
+}
+BENCHMARK(BM_SnapshotRead);
 
 // The hand-off from one PREPARE to the leader's PREPARE_ACK and the
 // coordinator's ACCEPT, each in its envelope: both forward the PREPARE's

@@ -27,11 +27,11 @@ BaselineCluster::BaselineCluster(Options options)
       servers_.push_back(std::make_unique<ShardServer>(net_.runtime(), pid, sopt));
       sim_.add_process(servers_.back().get());
     }
-    leader_[s] = sopt.paxos.initial_leader;
+    leader_.push_back(sopt.paxos.initial_leader);
   }
   // Install the full routing table at every server.
   for (auto& server : servers_) {
-    for (const auto& [s, l] : leader_) server->set_shard_leader(s, l);
+    for (ShardId s = 0; s < options_.num_shards; ++s) server->set_shard_leader(s, leader_[s]);
   }
 }
 
@@ -44,8 +44,11 @@ ShardServer& BaselineCluster::server(ShardId s, std::size_t idx) {
 }
 
 ShardServer& BaselineCluster::server_by_pid(ProcessId pid) {
-  for (auto& sv : servers_) {
-    if (sv->id() == pid) return *sv;
+  if (pid >= kReplicaBase) {
+    std::size_t shard = (pid - kReplicaBase) / kShardStride;
+    std::size_t idx = (pid - kReplicaBase) % kShardStride;
+    std::size_t i = shard * options_.shard_size + idx;
+    if (idx < options_.shard_size && i < servers_.size()) return *servers_[i];
   }
   throw std::out_of_range("no baseline server with pid " + std::to_string(pid));
 }
@@ -68,7 +71,7 @@ void BaselineCluster::crash_server(ProcessId server) { sim_.crash(server); }
 
 void BaselineCluster::elect_leader(ShardId s, ProcessId new_leader) {
   server_by_pid(new_leader).paxos().start_election();
-  leader_[s] = new_leader;
+  leader_.at(s) = new_leader;
   // Repoint the routing tables (in a real deployment clients discover this
   // via the Paxos leader hint; the harness shortcuts that).
   for (auto& sv : servers_) sv->set_shard_leader(s, new_leader);

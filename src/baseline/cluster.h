@@ -103,8 +103,10 @@ class BaselineCluster : public recon::SimHost, public recon::PidLayout {
   Options options_;
   tcs::ShardMap shard_map_;
   std::unique_ptr<tcs::Certifier> certifier_;
+  /// Shard-major: shard s's server idx at s * shard_size + idx.
   std::vector<std::unique_ptr<ShardServer>> servers_;
-  std::map<ShardId, ProcessId> leader_;
+  /// The routing table's leader per shard.
+  std::vector<ProcessId> leader_;
 };
 
 }  // namespace ratc::baseline

@@ -174,9 +174,8 @@ void ShardServer::apply_prepare(const CmdPrepare& c) {
         // RelWithDebInfo sweeps too.
         Decision flat = flat_vote(c.txn, c.payload);
         if (st.vote != flat) {
-          RATC_ERROR(name() << " indexed vote diverged for txn" << c.txn << ": indexed="
+          RATC_FATAL(name() << " indexed vote diverged for txn " << c.txn << ": indexed="
                             << tcs::to_string(st.vote) << " flat=" << tcs::to_string(flat));
-          std::abort();
         }
       }
       if (st.vote == Decision::kCommit) index_.add_prepared(c.txn, st.payload);

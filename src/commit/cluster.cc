@@ -67,7 +67,7 @@ Cluster::Cluster(Options options)
   }
 }
 
-configsvc::ShardConfig Cluster::current_config(ShardId s) const {
+const configsvc::ShardConfig& Cluster::current_config(ShardId s) const {
   if (simple_cs_) return simple_cs_->last(s);
   // Replicated CS: read any alive server's applied state.
   for (std::size_t i = 0; i < replicated_cs_->num_servers(); ++i) {
@@ -75,7 +75,8 @@ configsvc::ShardConfig Cluster::current_config(ShardId s) const {
       return replicated_cs_->server(i).last(s);
     }
   }
-  return {};
+  static const configsvc::ShardConfig kNone;
+  return kNone;
 }
 
 bool Cluster::await_active_epoch(ShardId s, Epoch at_least, std::size_t max_events) {

@@ -67,8 +67,9 @@ class Cluster : public recon::SimHost, public rt::CommitSystem {
 
   explicit Cluster(Options options);
 
-  /// Current configuration according to the configuration service.
-  configsvc::ShardConfig current_config(ShardId s) const;
+  /// Current configuration according to the configuration service, read
+  /// in place from its state.
+  const configsvc::ShardConfig& current_config(ShardId s) const;
   ProcessId leader_of(ShardId s) const { return current_config(s).leader; }
 
   // --- failure & reconfiguration helpers -----------------------------------------

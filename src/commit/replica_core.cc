@@ -326,9 +326,8 @@ void ReplicaCore::check_index_against_flat(Slot slot, tcs::Decision indexed_vote
   Witnesses flat = collect_witnesses(slot);
   Decision flat_vote = options_.certifier->vote(flat.l1, flat.l2, l);
   if (indexed_vote != flat_vote) {
-    RATC_ERROR(name() << " witness index vote diverged at slot " << slot << ": indexed="
+    RATC_FATAL(name() << " witness index vote diverged at slot " << slot << ": indexed="
                       << tcs::to_string(indexed_vote) << " flat=" << tcs::to_string(flat_vote));
-    std::abort();
   }
   check_index_sets_against_flat(slot, w);
 }
@@ -338,8 +337,7 @@ void ReplicaCore::check_index_sets_against_flat(
   if (!options_.check_certifier_index) return;
   Witnesses flat = collect_witnesses(slot);
   if (flat.committed != w.committed || flat.prepared != w.prepared) {
-    RATC_ERROR(name() << " witness index T_s/P_s sets diverged at slot " << slot);
-    std::abort();
+    RATC_FATAL(name() << " witness index T_s/P_s sets diverged at slot " << slot);
   }
 }
 
@@ -651,8 +649,7 @@ tcs::Csn ReplicaCore::read_watermark() const {
   // one, a state transfer rebuilds it), so only the in-flight slots are read.
   std::optional<Time> min_ts = log_.min_prepared_ts(prepared_at_);
   if (options_.check_certifier_index && min_ts != log_.scan_min_prepared_ts()) {
-    RATC_ERROR(name() << " read watermark diverged from the log scan");
-    std::abort();
+    RATC_FATAL(name() << " read watermark diverged from the log scan");
   }
   return tcs::watermark(min_ts, rt().now());
 }

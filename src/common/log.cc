@@ -1,6 +1,7 @@
 #include "common/log.h"
 
 #include <cstdio>
+#include <cstdlib>
 
 namespace ratc {
 namespace {
@@ -27,5 +28,10 @@ void log_line(LogLevel level, const std::string& msg) {
   std::fprintf(stderr, "[%s] %s\n", level_name(level), msg.c_str());
 }
 }  // namespace detail
+
+void fatal(const std::string& msg) {
+  detail::log_line(LogLevel::kError, msg);
+  std::abort();
+}
 
 }  // namespace ratc

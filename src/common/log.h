@@ -17,6 +17,10 @@ namespace detail {
 void log_line(LogLevel level, const std::string& msg);
 }
 
+/// Writes `msg` to stderr whatever the log level, then aborts: for the
+/// cross-checks whose failure must name what diverged.
+[[noreturn]] void fatal(const std::string& msg);
+
 }  // namespace ratc
 
 #define RATC_LOG(level, expr)                                       \
@@ -33,3 +37,11 @@ void log_line(LogLevel level, const std::string& msg);
 #define RATC_INFO(expr) RATC_LOG(::ratc::LogLevel::kInfo, expr)
 #define RATC_WARN(expr) RATC_LOG(::ratc::LogLevel::kWarn, expr)
 #define RATC_ERROR(expr) RATC_LOG(::ratc::LogLevel::kError, expr)
+
+/// Streams `expr` into a message and calls ratc::fatal with it.
+#define RATC_FATAL(expr)                   \
+  do {                                     \
+    std::ostringstream ratc_fatal_os_;     \
+    ratc_fatal_os_ << expr;                \
+    ::ratc::fatal(ratc_fatal_os_.str());   \
+  } while (0)

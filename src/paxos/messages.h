@@ -33,6 +33,9 @@ struct SubmitCmd {
 struct Phase1a {
   static constexpr const char* kName = "PAXOS_1A";
   Ballot ballot;
+  /// The candidate has applied every slot up to here, so it knows them
+  /// chosen: acceptors report only what they accepted above it.
+  Slot applied_upto = 0;
 };
 
 struct AcceptedEntry {
@@ -43,7 +46,7 @@ struct AcceptedEntry {
 struct Phase1b {
   static constexpr const char* kName = "PAXOS_1B";
   Ballot ballot;                          ///< the promise
-  std::map<Slot, AcceptedEntry> accepted; ///< everything this acceptor accepted
+  std::map<Slot, AcceptedEntry> accepted; ///< accepted above the candidate's applied prefix
   std::size_t wire_size() const { return 24 + accepted.size() * 32; }
 };
 

@@ -45,11 +45,11 @@ void PaxosReplica::start_election() {
                                   << "," << my_ballot_.proposer << ")");
   for (ProcessId p : options_.group) {
     if (p == owner_) continue;
-    rt_.send_msg(owner_, p, Phase1a{my_ballot_});
+    rt_.send_msg(owner_, p, Phase1a{my_ballot_, applied_upto_});
   }
   // Self-promise.
   promised_ = my_ballot_;
-  phase1_responses_[owner_] = accepted_;
+  phase1_responses_[owner_] = accepted_above(applied_upto_);
   check_election();
 }
 
@@ -79,7 +79,11 @@ void PaxosReplica::handle_phase1a(ProcessId from, const Phase1a& m) {
   promised_ = m.ballot;
   leading_ = false;
   electing_ = false;
-  rt_.send_msg(owner_, from, Phase1b{m.ballot, accepted_});
+  rt_.send_msg(owner_, from, Phase1b{m.ballot, accepted_above(m.applied_upto)});
+}
+
+std::map<Slot, AcceptedEntry> PaxosReplica::accepted_above(Slot prefix) const {
+  return {accepted_.upper_bound(prefix), accepted_.end()};
 }
 
 void PaxosReplica::handle_phase1b(ProcessId from, const Phase1b& m) {
@@ -92,12 +96,14 @@ void PaxosReplica::check_election() {
   if (!electing_ || phase1_responses_.size() < majority()) return;
 
   // Won the election: adopt the highest-ballot accepted value per slot,
-  // fill gaps with no-ops, then drain the backlog.
+  // fill gaps with no-ops, then drain the backlog.  The responses hold only
+  // slots above the applied prefix the candidate sent, and every slot up to
+  // applied_upto_ is chosen here, so the walk starts above it.
   electing_ = false;
   leading_ = true;
   leader_hint_ = owner_;
   std::map<Slot, AcceptedEntry> best;
-  Slot max_slot = 0;
+  Slot max_slot = chosen_.empty() ? 0 : chosen_.rbegin()->first;
   for (const auto& [p, acc] : phase1_responses_) {
     (void)p;
     for (const auto& [slot, entry] : acc) {
@@ -106,12 +112,8 @@ void PaxosReplica::check_election() {
       max_slot = std::max(max_slot, slot);
     }
   }
-  for (const auto& [slot, cmd] : chosen_) {
-    (void)cmd;
-    max_slot = std::max(max_slot, slot);
-  }
   next_slot_ = max_slot + 1;
-  for (Slot s = 1; s < next_slot_; ++s) {
+  for (Slot s = applied_upto_ + 1; s < next_slot_; ++s) {
     if (chosen_.count(s)) continue;
     auto it = best.find(s);
     if (it != best.end()) {

@@ -20,11 +20,13 @@
 //  * Stable-leader optimization: phase 1 runs once per ballot and covers
 //    all slots; subsequent commands go straight to phase 2.
 //  * A new leader re-proposes the highest-ballot accepted value per slot
-//    and fills gaps with no-ops.
+//    and fills gaps with no-ops.  Every slot up to its applied prefix is
+//    already chosen at the candidate, so phase 1 ships and re-proposes only
+//    the slots above it.
 //  * Chosen commands are applied in slot order through the ApplyFn; no-ops
 //    are skipped.  All replicas apply the same sequence (tested).
-//  * Log compaction is out of scope (phase 1 returns the full accepted
-//    map); runs are bounded, so this only costs memory.
+//  * Log compaction is out of scope (chosen_ and accepted_ keep every
+//    slot); runs are bounded, so this only costs memory.
 #pragma once
 
 #include <functional>
@@ -85,6 +87,9 @@ class PaxosReplica {
 
   void handle_submit(const SubmitCmd& m);
   void handle_phase1a(ProcessId from, const Phase1a& m);
+  /// The accepted_ entries above slot `prefix`: what a phase-1 response
+  /// reports to a candidate that has applied up to `prefix`.
+  std::map<Slot, AcceptedEntry> accepted_above(Slot prefix) const;
   void handle_phase1b(ProcessId from, const Phase1b& m);
   void check_election();
   void handle_phase2a(ProcessId from, const Phase2a& m);

@@ -121,8 +121,14 @@ Cluster::Cluster(Options options)
   }
 }
 
-configsvc::ShardConfig Cluster::current_config(ShardId s) const {
-  return mode_ == ReconfigMode::kGlobalSafe ? cs_->last().shard(s) : cs_->last(s);
+const configsvc::ShardConfig& Cluster::current_config(ShardId s) const {
+  if (mode_ != ReconfigMode::kGlobalSafe) return cs_->last(s);
+  const configsvc::GlobalConfig& global = cs_->last();
+  if (shard_views_.empty() || shard_views_.front().epoch != global.epoch) {
+    shard_views_.clear();
+    for (ShardId k = 0; k < num_shards(); ++k) shard_views_.push_back(global.shard(k));
+  }
+  return shard_views_.at(s);
 }
 
 Epoch Cluster::current_epoch() const {

@@ -65,7 +65,10 @@ class Cluster : public recon::SimHost, public recon::ReplicaCluster<Replica> {
 
   explicit Cluster(Options options);
 
-  configsvc::ShardConfig current_config(ShardId s) const;
+  /// Shard s's current configuration, read in place: the stored per-shard
+  /// configuration (unsafe mode) or shard s's view of the stored global one
+  /// (safe mode), which is built once per global epoch.
+  const configsvc::ShardConfig& current_config(ShardId s) const;
   Epoch current_epoch() const;  ///< safe mode: the stored global epoch
   ProcessId leader_of(ShardId s) const { return current_config(s).leader; }
 
@@ -96,6 +99,9 @@ class Cluster : public recon::SimHost, public recon::ReplicaCluster<Replica> {
   commit::Monitor monitor_;
   MonitorTap monitor_tap_;
   std::unique_ptr<configsvc::SimpleConfigService> cs_;
+  /// Safe mode: every shard's view of the latest global configuration,
+  /// rebuilt when its epoch changes.
+  mutable std::vector<configsvc::ShardConfig> shard_views_;
 };
 
 }  // namespace ratc::rdma

@@ -22,11 +22,12 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -98,9 +99,16 @@ class ReplicaCluster : public PidLayout {
   Replica& replica_by_pid(ProcessId pid) {
     return const_cast<Replica&>(std::as_const(*this).replica_by_pid(pid));
   }
+  /// Found from the pid layout: replicas_ is shard-major, members before
+  /// spares, as spawn_replicas creates them.
   const Replica& replica_by_pid(ProcessId pid) const {
-    for (const auto& r : replicas_) {
-      if (r->id() == pid) return *r;
+    if (pid >= kReplicaBase) {
+      std::size_t shard = (pid - kReplicaBase) / kShardStride;
+      std::size_t offset = (pid - kReplicaBase) % kShardStride;
+      std::size_t idx = offset < kSpareOffset ? offset
+                                              : params_.shard_size + (offset - kSpareOffset);
+      std::size_t i = shard * hosts_per_shard() + idx;
+      if (i < replicas_.size() && replicas_[i]->id() == pid) return *replicas_[i];
     }
     throw std::out_of_range("no replica with pid " + std::to_string(pid));
   }
@@ -340,14 +348,34 @@ class SimHost {
                                               Duration staleness_bound, Serving serving) {
     if (objects.empty()) return std::nullopt;
     Time now = sim_.now();
-    std::set<ShardId> shards;
-    for (ObjectId o : objects) shards.insert(shard_map.shard_of(o));
-    std::map<ShardId, decltype(serving(ShardId{}))> server;
+    // The involved shards and their servers, in first-use order; a read
+    // set of up to kInlineShards objects keeps them on the stack.
+    struct Served {
+      ShardId shard;
+      decltype(serving(ShardId{})) server;
+    };
+    constexpr std::size_t kInlineShards = 8;
+    std::array<Served, kInlineShards> inline_servers;
+    std::vector<Served> spilled;
+    std::span<Served> servers(inline_servers);
+    if (objects.size() > kInlineShards) {
+      spilled.resize(objects.size());
+      servers = spilled;
+    }
+    std::size_t involved = 0;
+    auto server_of = [&](ShardId s) -> Served* {
+      for (std::size_t i = 0; i < involved; ++i) {
+        if (servers[i].shard == s) return &servers[i];
+      }
+      return nullptr;
+    };
     tcs::Csn snapshot = tcs::watermark_at(now);
-    for (ShardId s : shards) {
+    for (ObjectId o : objects) {
+      ShardId s = shard_map.shard_of(o);
+      if (server_of(s) != nullptr) continue;
       auto pick = serving(s);
       if (pick == nullptr) return std::nullopt;
-      server[s] = pick;
+      servers[involved++] = {s, pick};
       snapshot = std::min(snapshot, pick->read_watermark());
     }
     if (staleness_bound > 0 && snapshot.ts + staleness_bound < now) {
@@ -357,9 +385,10 @@ class SimHost {
     rec.time = now;
     rec.snapshot = snapshot;
     rec.staleness_bound = staleness_bound;
+    rec.observations.reserve(objects.size());
     for (ObjectId o : objects) {
       std::optional<store::VersionedValue> v =
-          server.at(shard_map.shard_of(o))->snapshot_store().read_at(o, snapshot);
+          server_of(shard_map.shard_of(o))->server->snapshot_store().read_at(o, snapshot);
       if (!v) return std::nullopt;  // version history truncated below snapshot
       rec.observations.push_back({o, v->version, v->value});
     }
@@ -395,7 +424,7 @@ class SimHost {
 template <typename Cluster>
 const commit::ReplicaCore* epoch_current_member(Cluster& cluster, ShardId s,
                                                 std::uint64_t member_hint) {
-  configsvc::ShardConfig cfg = cluster.current_config(s);
+  const configsvc::ShardConfig& cfg = cluster.current_config(s);
   for (std::size_t i = 0; i < cfg.members.size(); ++i) {
     ProcessId pid = cfg.members[(member_hint + i) % cfg.members.size()];
     if (cluster.sim().crashed(pid)) continue;

@@ -133,6 +133,9 @@ class AnyMessage {
 
   const char* type_name() const { return type_->name(); }
   std::size_t wire_size() const { return size_; }
+  /// The held type's descriptor: one object per message type, so its
+  /// address keys per-type tables without building a name.
+  const detail::MessageType* descriptor() const { return type_; }
 
  private:
   template <typename T>

@@ -29,6 +29,29 @@ Network::Options Network::exponential_delay_options(double mean) {
 Network::Network(Simulator& sim, Options options)
     : sim_(sim), runtime_(sim, this), options_(std::move(options)) {}
 
+ProcessTraffic::TypeCount& ProcessTraffic::count_of(const AnyMessage& msg) {
+  for (TypeCount& c : by_type_) {
+    if (c.type == msg.descriptor()) return c;
+  }
+  return by_type_.emplace_back(TypeCount{msg.descriptor()});
+}
+
+std::map<std::string, std::uint64_t> ProcessTraffic::sent_by_type() const {
+  std::map<std::string, std::uint64_t> out;
+  for (const TypeCount& c : by_type_) {
+    if (c.sent > 0) out[c.type->name()] += c.sent;
+  }
+  return out;
+}
+
+std::map<std::string, std::uint64_t> ProcessTraffic::received_by_type() const {
+  std::map<std::string, std::uint64_t> out;
+  for (const TypeCount& c : by_type_) {
+    if (c.received > 0) out[c.type->name()] += c.received;
+  }
+  return out;
+}
+
 const ProcessTraffic& Network::traffic(ProcessId p) const {
   static const ProcessTraffic kEmpty;
   auto it = traffic_.find(p);
@@ -42,7 +65,7 @@ void Network::send(ProcessId from, ProcessId to, AnyMessage msg) {
   auto& t = traffic_[from];
   ++t.msgs_sent;
   t.bytes_sent += msg.wire_size();
-  ++t.sent_by_type[msg.type_name()];
+  ++t.count_of(msg).sent;
   ++total_messages_;
   total_bytes_ += msg.wire_size();
   MessageFate fate;
@@ -59,9 +82,7 @@ void Network::send(ProcessId from, ProcessId to, AnyMessage msg) {
   Time& clock = channel_clock_[channel_key(from, to)];
   deliver_at = std::max(deliver_at, clock);
   clock = deliver_at;
-  sim_.schedule(deliver_at - now, [this, from, to, m = std::move(msg)]() {
-    deliver(from, to, m);
-  });
+  sim_.schedule_delivery(deliver_at - now, *this, from, to, std::move(msg));
 }
 
 void Network::deliver(ProcessId from, ProcessId to, const AnyMessage& msg) {
@@ -75,7 +96,7 @@ void Network::deliver(ProcessId from, ProcessId to, const AnyMessage& msg) {
   auto& t = traffic_[to];
   ++t.msgs_received;
   t.bytes_received += msg.wire_size();
-  ++t.received_by_type[msg.type_name()];
+  ++t.count_of(msg).received;
   RATC_TRACE("deliver t=" << now << " " << process_name(from) << "->"
                           << process_name(to) << " " << msg.type_name());
   p->on_message(from, msg);

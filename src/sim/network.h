@@ -43,14 +43,33 @@ class NetworkObserver {
 };
 
 /// Per-process traffic counters, broken down by message type for the
-/// leader-load experiment (E3).
-struct ProcessTraffic {
+/// leader-load experiment (E3).  The per-type counts are kept by the
+/// envelope's type descriptor, so counting a message builds no string; the
+/// by-name maps are built when read.
+class ProcessTraffic {
+ public:
   std::uint64_t msgs_sent = 0;
   std::uint64_t msgs_received = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
-  std::map<std::string, std::uint64_t> sent_by_type;
-  std::map<std::string, std::uint64_t> received_by_type;
+
+  /// Messages sent (received) by message type name; types never sent
+  /// (received) are absent.
+  std::map<std::string, std::uint64_t> sent_by_type() const;
+  std::map<std::string, std::uint64_t> received_by_type() const;
+
+ private:
+  friend class Network;
+  struct TypeCount {
+    const detail::MessageType* type;
+    std::uint64_t sent = 0;
+    std::uint64_t received = 0;
+  };
+  TypeCount& count_of(const AnyMessage& msg);
+
+  /// A process sends and receives a handful of types: a linear scan by
+  /// descriptor address beats any keyed container.
+  std::vector<TypeCount> by_type_;
 };
 
 class Network {
@@ -91,6 +110,7 @@ class Network {
   rt::SimRuntime& runtime() { return runtime_; }
 
  private:
+  friend class Simulator;  // runs the delivery events send() schedules
   void deliver(ProcessId from, ProcessId to, const AnyMessage& msg);
 
   Simulator& sim_;

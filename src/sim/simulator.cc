@@ -3,16 +3,20 @@
 #include <algorithm>
 #include <cassert>
 
+#include "sim/network.h"
+
 namespace ratc::sim {
 
 namespace {
-// Big enough that typical sweeps never regrow the heap's backing vector,
-// small enough (an Event is ~64 bytes) to be negligible per Simulator.
+// Big enough that typical sweeps never regrow the heap's backing vector or
+// the action pool, small enough to be negligible per Simulator.
 constexpr std::size_t kInitialQueueCapacity = 1024;
 }  // namespace
 
 Simulator::Simulator(std::uint64_t seed) : rng_(seed), runtime_(*this, nullptr) {
   queue_.reserve(kInitialQueueCapacity);
+  actions_.reserve(kInitialQueueCapacity);
+  free_slots_.reserve(kInitialQueueCapacity);
 }
 
 Process::Process(Simulator& sim, ProcessId id, std::string name)
@@ -31,29 +35,48 @@ Process* Simulator::process(ProcessId id) const {
 
 void Simulator::crash(ProcessId id) { crashed_.insert(id); }
 
-void Simulator::push_event(Time time, ProcessId owner, std::function<void()> fn) {
-  queue_.push_back(Event{time, next_seq_++, owner, std::move(fn)});
+void Simulator::push_event(Time time, Action action) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(actions_.size());
+    actions_.push_back(std::move(action));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    actions_[slot] = std::move(action);
+  }
+  queue_.push_back(Event{time, next_seq_++, slot});
   std::push_heap(queue_.begin(), queue_.end(), EventOrder{});
 }
 
 void Simulator::schedule(Duration delay, std::function<void()> fn) {
-  push_event(now_ + delay, kNoProcess, std::move(fn));
+  push_event(now_ + delay, Action{.fn = std::move(fn)});
 }
 
 void Simulator::schedule_for(ProcessId owner, Duration delay, std::function<void()> fn) {
-  push_event(now_ + delay, owner, std::move(fn));
+  push_event(now_ + delay, Action{.owner = owner, .fn = std::move(fn)});
+}
+
+void Simulator::schedule_delivery(Duration delay, Network& net, ProcessId from, ProcessId to,
+                                  AnyMessage msg) {
+  push_event(now_ + delay,
+             Action{.from = from, .to = to, .net = &net, .msg = std::move(msg)});
 }
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
   std::pop_heap(queue_.begin(), queue_.end(), EventOrder{});
-  Event ev = std::move(queue_.back());
+  const Event ev = queue_.back();
   queue_.pop_back();
+  Action action = std::move(actions_[ev.slot]);
+  free_slots_.push_back(ev.slot);
   assert(ev.time >= now_);
   now_ = ev.time;
   ++events_executed_;
-  if (ev.owner == kNoProcess || crashed_.count(ev.owner) == 0) {
-    ev.fn();
+  if (action.net != nullptr) {
+    action.net->deliver(action.from, action.to, action.msg);
+  } else if (action.owner == kNoProcess || crashed_.count(action.owner) == 0) {
+    action.fn();
   }
   return true;
 }

@@ -16,9 +16,12 @@
 #include "common/random.h"
 #include "common/types.h"
 #include "rt/sim_runtime.h"
+#include "sim/message.h"
 #include "sim/process.h"
 
 namespace ratc::sim {
+
+class Network;
 
 class Simulator {
  public:
@@ -53,6 +56,12 @@ class Simulator {
   /// then.  Use for all process-local timers.
   void schedule_for(ProcessId owner, Duration delay, std::function<void()> fn);
 
+  /// Schedules `net` to deliver `msg` from `from` to `to` at now()+delay
+  /// (Network::send's hop).  The event holds the envelope itself, so a hop
+  /// allocates nothing; it orders and counts like any other event.
+  void schedule_delivery(Duration delay, Network& net, ProcessId from, ProcessId to,
+                         AnyMessage msg);
+
   /// Runs events until the queue drains or `max_events` fire.
   /// Returns the number of events executed.
   std::size_t run(std::size_t max_events = SIZE_MAX);
@@ -68,11 +77,20 @@ class Simulator {
   bool idle() const { return queue_.empty(); }
 
  private:
+  /// What an event does: a message hop (`net` set) or a closure.
+  struct Action {
+    ProcessId owner = kNoProcess;  // kNoProcess => unconditional
+    ProcessId from = kNoProcess;
+    ProcessId to = kNoProcess;
+    Network* net = nullptr;
+    AnyMessage msg;
+    std::function<void()> fn;
+  };
+  /// A heap entry: the event's (time, seq) key and the slot of its action.
   struct Event {
     Time time;
     std::uint64_t seq;
-    ProcessId owner;  // kNoProcess => unconditional
-    std::function<void()> fn;
+    std::uint32_t slot;
   };
   // Min-heap comparator over (time, seq); seq is unique, so the order is a
   // strict total order and heap restructuring cannot reorder equal keys.
@@ -83,19 +101,21 @@ class Simulator {
     }
   };
 
-  void push_event(Time time, ProcessId owner, std::function<void()> fn);
+  void push_event(Time time, Action action);
   bool step();
 
   Time now_ = kTimeZero;
   std::uint64_t next_seq_ = 0;
   std::size_t events_executed_ = 0;
   Rng rng_;
-  // A raw vector managed with std::push_heap/pop_heap instead of
-  // std::priority_queue: top() of a priority_queue is const, which forces a
-  // copy of the std::function closure on every pop.  The raw heap lets
-  // step() move the event out before running it, and lets the constructor
-  // reserve the backing store (hot-path: millions of events per sweep).
+  // The heap orders small (time, seq, slot) keys with std::push_heap and
+  // std::pop_heap; the actions stay put in a slot pool until they fire, so
+  // restructuring the heap never moves an envelope or a closure.  step()
+  // moves the action out before running it: a handler may schedule events,
+  // and those may grow the pool.
   std::vector<Event> queue_;
+  std::vector<Action> actions_;
+  std::vector<std::uint32_t> free_slots_;
   rt::SimRuntime runtime_;
   std::unordered_map<ProcessId, Process*> processes_;
   std::unordered_set<ProcessId> crashed_;

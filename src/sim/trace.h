@@ -3,6 +3,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/network.h"
@@ -14,7 +15,8 @@ struct TraceEntry {
   enum class Kind { kSend, kDeliver, kDrop } kind = Kind::kSend;
   ProcessId from = kNoProcess;
   ProcessId to = kNoProcess;
-  std::string type;
+  /// The message type's static name (AnyMessage::type_name()).
+  std::string_view type;
 };
 
 class Tracer : public NetworkObserver {
@@ -36,13 +38,13 @@ class Tracer : public NetworkObserver {
   std::vector<std::string> delivered_types() const {
     std::vector<std::string> out;
     for (const auto& e : entries_) {
-      if (e.kind == TraceEntry::Kind::kDeliver) out.push_back(e.type);
+      if (e.kind == TraceEntry::Kind::kDeliver) out.emplace_back(e.type);
     }
     return out;
   }
 
   /// True if a message of the given type was ever delivered.
-  bool delivered(const std::string& type) const {
+  bool delivered(std::string_view type) const {
     for (const auto& e : entries_) {
       if (e.kind == TraceEntry::Kind::kDeliver && e.type == type) return true;
     }
@@ -57,7 +59,9 @@ class Tracer : public NetworkObserver {
                           ? "send  "
                           : (e.kind == TraceEntry::Kind::kDeliver ? "deliver" : "drop  ");
       out += "t=" + std::to_string(e.time) + "\t" + k + "\t" +
-             process_name(e.from) + " -> " + process_name(e.to) + "\t" + e.type + "\n";
+             process_name(e.from) + " -> " + process_name(e.to) + "\t";
+      out += e.type;
+      out += "\n";
     }
     return out;
   }

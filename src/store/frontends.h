@@ -69,7 +69,7 @@ class ReplicaFrontend : public ClientFrontend<Cluster> {
     const std::uint32_t shards = cluster_.shard_map().num_shards();
     for (std::uint32_t attempts = 0; attempts < 4 * shards; ++attempts) {
       ShardId s = next_shard_++ % shards;
-      configsvc::ShardConfig cfg = cluster_.current_config(s);
+      const configsvc::ShardConfig& cfg = cluster_.current_config(s);
       if (cfg.members.empty()) continue;
       ProcessId pid = cfg.members[next_member_++ % cfg.members.size()];
       if (cluster_.sim().crashed(pid)) continue;

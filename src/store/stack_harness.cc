@@ -105,7 +105,7 @@ template <typename Stack>
 commit::ReplicaCore* ReplicaHarness<Stack>::pick_coordinator(Rng& rng) {
   for (int attempts = 0; attempts < 20; ++attempts) {
     ShardId s = static_cast<ShardId>(rng.below(w_.num_shards));
-    configsvc::ShardConfig cfg = cluster_.current_config(s);
+    const configsvc::ShardConfig& cfg = cluster_.current_config(s);
     if (cfg.members.empty()) continue;
     ProcessId pid = cfg.members[rng.below(cfg.members.size())];
     if (cluster_.sim().crashed(pid)) continue;

@@ -18,6 +18,8 @@
 //   * envelopes: an inline message (ACCEPT_ACK, DECISION, the default
 //     envelope) allocates nothing, and a PREPARE one block that its copies
 //     share;
+//   * a simulated hop allocates nothing beyond its message's own block, and
+//     a served snapshot read only its observations block;
 //   * threaded: the remote shape on rt::ThreadedRuntime with rt::LoadGen,
 //     counting allocations and other-thread deletes per decided
 //     transaction.
@@ -45,6 +47,7 @@
 #include "rt/commit_system.h"
 #include "rt/loadgen.h"
 #include "rt/threaded_runtime.h"
+#include "sim/network.h"
 
 namespace {
 
@@ -135,7 +138,7 @@ TEST(AllocBudget, ColocatedTwoByTwo) {
   double per_txn = colocated_two_by_two(/*monitor=*/false, kTxns, &decided);
   std::printf("colocated 2x2: %.2f operator new calls per decided transaction\n", per_txn);
   ASSERT_EQ(decided, static_cast<std::size_t>(kTxns));
-  EXPECT_LE(per_txn, 59.0);  // 55.91 when pinned
+  EXPECT_LE(per_txn, 46.0);  // 43.87 when pinned
 }
 
 TEST(AllocBudget, MonitoredColocatedTwoByTwoAllocatesLinearly) {
@@ -153,7 +156,7 @@ TEST(AllocBudget, MonitoredColocatedTwoByTwoAllocatesLinearly) {
   ASSERT_EQ(decided_small, static_cast<std::size_t>(kTxns));
   ASSERT_EQ(decided_large, static_cast<std::size_t>(10 * kTxns));
   EXPECT_LE(large, 1.15 * small);
-  EXPECT_LE(large, 138.0);  // 131.19 when pinned (119.93 at 100)
+  EXPECT_LE(large, 125.0);  // 119.19 when pinned (107.89 at 100)
 }
 
 TEST(AllocBudget, RemoteClientsAtFollowersFourByTwo) {
@@ -182,7 +185,7 @@ TEST(AllocBudget, RemoteClientsAtFollowersFourByTwo) {
       &decided);
   std::printf("remote 4x2: %.2f operator new calls per decided transaction\n", per_txn);
   ASSERT_EQ(decided, static_cast<std::size_t>(kTxns));
-  EXPECT_LE(per_txn, 64.0);  // 60.85 when pinned
+  EXPECT_LE(per_txn, 49.0);  // 46.61 when pinned
 }
 
 /// operator new calls made while `f` runs.
@@ -239,6 +242,68 @@ TEST(AllocBudget, PrepareTakesOneBlockAndItsCopiesNone) {
   }
   EXPECT_EQ(built, 1u);
   EXPECT_EQ(copied, 0u);
+}
+
+/// A process that counts what it receives.
+class Sink : public sim::Process {
+ public:
+  using Process::Process;
+  void on_message(ProcessId, const sim::AnyMessage&) override { ++received; }
+  std::uint64_t received = 0;
+};
+
+TEST(AllocBudget, SimulatedHopAllocatesOnlyItsMessage) {
+  // A hop is Network::send, one delivery event that holds the envelope,
+  // and the delivery: after the first message of each type has made its
+  // channel and traffic entries, an inline message takes no block and a
+  // shared one only its own.
+  sim::Simulator sim(1);
+  sim::Network net(sim);
+  Sink a(net.runtime(), 1, "a"), b(net.runtime(), 2, "b");
+  sim.add_process(&a);
+  sim.add_process(&b);
+  const commit::AcceptAck ack{0, 1, 9, 7, tcs::Decision::kCommit};
+  tcs::Payload payload;
+  payload.reads = {{1, 3}};
+  payload.writes = {{1, 42}};
+  payload.commit_version = 4;
+  const commit::Prepare prepare{7, true, payload, commit::TxnMeta{7, {0}, 5000}};
+  auto hop = [&](sim::AnyMessage m) {
+    net.send(a.id(), b.id(), std::move(m));
+    sim.run();
+  };
+  hop(sim::AnyMessage(ack));
+  hop(sim::AnyMessage(prepare));
+  constexpr int kHops = 100;
+  EXPECT_EQ(news_during([&] {
+              for (int i = 0; i < kHops; ++i) hop(sim::AnyMessage(ack));
+            }),
+            0u);
+  EXPECT_EQ(news_during([&] {
+              for (int i = 0; i < kHops; ++i) hop(sim::AnyMessage(prepare));
+            }),
+            static_cast<std::uint64_t>(kHops));
+  EXPECT_EQ(b.received, 2u * kHops + 2u);
+}
+
+TEST(AllocBudget, SnapshotReadAllocatesOnlyItsObservations) {
+  // Serving a read keeps its shards and servers on the stack and reads the
+  // configuration in place: what is left is the record's observations
+  // block and the history's amortised growth.
+  commit::Cluster cluster({.seed = 4, .num_shards = 3, .shard_size = 2,
+                           .enable_monitor = false});
+  const std::vector<ObjectId> objects = {0, 1, 2};
+  ASSERT_TRUE(cluster.snapshot_read(objects).has_value());
+  constexpr std::uint64_t kReads = 1000;
+  std::uint64_t served = 0;
+  std::uint64_t news = news_during([&] {
+    for (std::uint64_t i = 0; i < kReads; ++i) {
+      if (cluster.snapshot_read(objects, 0, i)) ++served;
+    }
+  });
+  EXPECT_EQ(served, kReads);
+  EXPECT_GE(news, kReads);
+  EXPECT_LE(news, kReads + 16);  // one block per read, plus log2(kReads) regrowths
 }
 
 /// Allocations and other-thread deletes per decided transaction.

@@ -110,7 +110,7 @@ TEST(Baseline, PaxosLeaderCarriesReplicationLoad) {
   // The shard's Paxos leader sent 2 commands * 2 followers Phase2a messages
   // per transaction.
   const auto& t = cluster.net().traffic(cluster.server(0, 0).id());
-  EXPECT_GE(t.sent_by_type.at("PAXOS_2A"), 2u * 2u * kTxns);
+  EXPECT_GE(t.sent_by_type().at("PAXOS_2A"), 2u * 2u * kTxns);
 }
 
 TEST(Baseline, EveryTracedPidIsAServerOrAClient) {

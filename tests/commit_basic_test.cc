@@ -164,11 +164,11 @@ TEST(CommitBasic, LeaderLoadIsThreeMessagesPerTransaction) {
   }
   cluster.sim().run();
   const auto& leader_traffic = cluster.net().traffic(cluster.leader_of(0));
-  EXPECT_EQ(leader_traffic.received_by_type.at("PREPARE"), kTxns);
-  EXPECT_EQ(leader_traffic.received_by_type.at("DECISION"), kTxns);
-  EXPECT_EQ(leader_traffic.sent_by_type.at("PREPARE_ACK"), kTxns);
+  EXPECT_EQ(leader_traffic.received_by_type().at("PREPARE"), kTxns);
+  EXPECT_EQ(leader_traffic.received_by_type().at("DECISION"), kTxns);
+  EXPECT_EQ(leader_traffic.sent_by_type().at("PREPARE_ACK"), kTxns);
   // The leader never ships ACCEPTs — the coordinator does.
-  EXPECT_EQ(leader_traffic.sent_by_type.count("ACCEPT"), 0u);
+  EXPECT_EQ(leader_traffic.sent_by_type().count("ACCEPT"), 0u);
   EXPECT_EQ(cluster.verify(), "");
 }
 

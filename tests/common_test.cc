@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/flat_map.h"
+#include "common/log.h"
 #include "common/random.h"
 #include "common/shared.h"
 #include "common/violation.h"
@@ -111,6 +112,11 @@ TEST(Zipfian, UniformishWhenThetaSmall) {
   for (int i = 0; i < 100000; ++i) ++counts[z.sample(rng)];
   EXPECT_EQ(counts.size(), 10u);
   for (const auto& [_, c] : counts) EXPECT_GT(c, 5000);
+}
+
+TEST(FatalDeathTest, WritesItsMessageWithLoggingOff) {
+  set_log_level(LogLevel::kOff);
+  EXPECT_DEATH(RATC_FATAL("index diverged at slot " << 7), "index diverged at slot 7");
 }
 
 TEST(ViolationSink, CollectsAndSummarizes) {

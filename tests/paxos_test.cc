@@ -12,6 +12,102 @@
 namespace ratc::paxos {
 namespace {
 
+/// Drops the CommitSlot messages to `to` for slots above `from_slot`, so
+/// that member accepts them but never learns them chosen.
+class DropCommits : public sim::FaultInjector {
+ public:
+  DropCommits(ProcessId to, Slot from_slot) : to_(to), from_slot_(from_slot) {}
+  sim::MessageFate on_message(Time, ProcessId, ProcessId to, const sim::AnyMessage& msg) override {
+    const auto* c = msg.as<CommitSlot>();
+    return {.drop = c != nullptr && to == to_ && c->slot > from_slot_};
+  }
+
+ private:
+  ProcessId to_;
+  Slot from_slot_;
+};
+
+/// Records the slots of the Phase1b and Phase2a messages sent.
+class PhaseTap : public sim::NetworkObserver {
+ public:
+  void on_send(Time, ProcessId from, ProcessId, const sim::AnyMessage& msg) override {
+    if (const auto* p1b = msg.as<Phase1b>()) {
+      for (const auto& [slot, entry] : p1b->accepted) phase1b_slots.push_back(slot);
+    } else if (const auto* p2a = msg.as<Phase2a>()) {
+      phase2a.push_back({from, p2a->slot, p2a->cmd});
+    }
+  }
+  struct Proposal {
+    ProcessId from;
+    Slot slot;
+    sim::AnyMessage cmd;
+  };
+  std::vector<Slot> phase1b_slots;
+  std::vector<Proposal> phase2a;
+};
+
+TEST(Paxos, AcceptorBehindCandidateSendsNothingTheCandidateApplied) {
+  sim::Simulator sim(6);
+  sim::Network net(sim);
+  auto g = harness::spawn_paxos_group(net.runtime(), 3);
+  DropCommits drop(g[2]->id(), 0);  // g[2] accepts every slot, learns none
+  net.set_fault_injector(&drop);
+  for (int i = 0; i < 5; ++i) g[0]->submit(i);
+  sim.run();
+  ASSERT_EQ(g[1]->paxos().last_applied(), 5u);
+  ASSERT_EQ(g[2]->paxos().last_applied(), 0u);
+  net.set_fault_injector(nullptr);
+
+  PhaseTap tap;
+  net.add_observer(&tap);
+  g[1]->paxos().start_election();
+  sim.run();
+  EXPECT_TRUE(g[1]->paxos().is_leader());
+  EXPECT_TRUE(tap.phase1b_slots.empty());  // both acceptors' slots are applied at g[1]
+  // Nothing is re-proposed: only the new leader's visibility no-op.
+  ASSERT_EQ(tap.phase2a.size(), 2u);
+  for (const auto& p : tap.phase2a) {
+    EXPECT_EQ(p.slot, 6u);
+    EXPECT_TRUE(p.cmd.is<Noop>());
+  }
+}
+
+TEST(Paxos, LaggingCandidateReproposesExactlyTheUnchosenAboveItsPrefix) {
+  sim::Simulator sim(7);
+  sim::Network net(sim);
+  auto g = harness::spawn_paxos_group(net.runtime(), 3);
+  DropCommits drop(g[2]->id(), 2);  // g[2] learns slots 1-2 and accepts 3-5
+  net.set_fault_injector(&drop);
+  for (int i = 0; i < 5; ++i) g[0]->submit(10 + i);
+  sim.run();
+  ASSERT_EQ(g[2]->paxos().last_applied(), 2u);
+  net.set_fault_injector(nullptr);
+
+  PhaseTap tap;
+  net.add_observer(&tap);
+  sim.crash(g[0]->id());
+  g[2]->paxos().start_election();
+  sim.run();
+  EXPECT_TRUE(g[2]->paxos().is_leader());
+  for (Slot slot : tap.phase1b_slots) EXPECT_GT(slot, 2u);
+  // Slots 3-5 carry their accepted values, then the visibility no-op; one
+  // Phase2a to each of the two peers per slot.
+  std::vector<Slot> slots;
+  for (const auto& p : tap.phase2a) {
+    EXPECT_EQ(p.from, g[2]->id());
+    if (p.slot <= 5) {
+      ASSERT_TRUE(p.cmd.is<harness::PaxosCmd>());
+      EXPECT_EQ(p.cmd.as<harness::PaxosCmd>()->value, static_cast<int>(10 + p.slot - 1));
+    } else {
+      EXPECT_TRUE(p.cmd.is<Noop>());
+    }
+    slots.push_back(p.slot);
+  }
+  EXPECT_EQ(slots, (std::vector<Slot>{3, 3, 4, 4, 5, 5, 6, 6}));
+  EXPECT_EQ(g[2]->applied(), (std::vector<int>{10, 11, 12, 13, 14}));
+  EXPECT_EQ(g[1]->applied(), g[2]->applied());
+}
+
 TEST(Paxos, ReplicatesInOrder) {
   sim::Simulator sim(1);
   sim::Network net(sim);

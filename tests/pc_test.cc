@@ -308,8 +308,8 @@ TEST(PaxosCommit, BatchCertifyScalarFallbackAndGrouping) {
   }
   EXPECT_EQ(client.decision(solo), Decision::kCommit);
   const auto& traffic = cluster.net().traffic(client.id());
-  EXPECT_EQ(traffic.sent_by_type.at("CERTIFY_BATCH"), 1u);
-  EXPECT_EQ(traffic.sent_by_type.at("CERTIFY"), 1u);
+  EXPECT_EQ(traffic.sent_by_type().at("CERTIFY_BATCH"), 1u);
+  EXPECT_EQ(traffic.sent_by_type().at("CERTIFY"), 1u);
   EXPECT_EQ(cluster.verify(), "");
 }
 

@@ -164,8 +164,8 @@ TEST(Network, TrafficStats) {
   EXPECT_EQ(net.traffic(a.id()).msgs_sent, 5u);
   EXPECT_EQ(net.traffic(b.id()).msgs_received, 5u);
   EXPECT_EQ(net.traffic(b.id()).msgs_sent, 5u);  // pongs
-  EXPECT_EQ(net.traffic(a.id()).sent_by_type.at("PING"), 5u);
-  EXPECT_EQ(net.traffic(b.id()).received_by_type.at("PING"), 5u);
+  EXPECT_EQ(net.traffic(a.id()).sent_by_type().at("PING"), 5u);
+  EXPECT_EQ(net.traffic(b.id()).received_by_type().at("PING"), 5u);
   EXPECT_EQ(net.total_messages(), 10u);
   EXPECT_GT(net.total_bytes(), 0u);
 }
